@@ -81,6 +81,7 @@ from .measures import (
     measure_from_dict,
     nonstationary_shift_product,
     sample_path,
+    sample_paths,
     shift_condition_tail,
     stationary_tail_measure,
     tail_measure_from_vectors,

@@ -17,7 +17,7 @@ import click
 from . import kernel as kernelmod
 from . import measures as measmod
 from . import sfs as sfsmod
-from .diagram import Edge, load_diagram, validate_diagram
+from .diagram import load_diagram, validate_diagram
 from .errors import PathmeasError
 from .pathspace import enumerate_paths, parse_path_literal
 from .spectral import DEFAULT_TOL, perron_eigenpair
@@ -194,9 +194,7 @@ def measure_sample(diagram_path, measure_path, length, seed, count, start):
     """Draw seeded sample paths (deterministic per seed)."""
     spec = load_diagram(diagram_path)
     m = load_measure(spec, measure_path)
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    paths = [str(measmod._sample_one(m, length, rng, start)) for _ in range(count)]
+    paths = [str(p) for p in measmod.sample_paths(m, length, count, seed, start)]
     emit({"seed": seed, "len": length, "paths": paths})
 
 
@@ -307,9 +305,8 @@ def kernel_iterate(kernel_path, depth, iters, fmt):
     p = kernelmod.load_edge_measure(kernel_path)
     k = kernelmod.disintegrate(p)
     cells = list(k.cells0.cells)
-    table = {}
-    for cyl in kernelmod._atomic_cylinders(cells, depth):
-        table[cyl] = 1.0 / len(cells) ** len(cyl)
+    table = {cyl: 1.0 / len(cells) ** len(cyl)
+             for cyl in kernelmod.atomic_cylinders(cells, depth)}
     result = kernelmod.fixed_point_iterate(k, table, iters)
     if fmt == "csv":
         emit_csv(("iteration", "distance"),

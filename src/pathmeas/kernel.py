@@ -10,8 +10,9 @@ transfer operator contracts cylinder tables toward it.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DepthExhausted,
@@ -21,6 +22,8 @@ from .errors import (
     NotStochastic,
     ZeroMarginal,
 )
+from .measures import FixedPointReport
+from .spectral import recurrent_classes
 
 KERNEL_TOL = 1e-12
 
@@ -142,31 +145,11 @@ def solve_harmonic_kernel(kernel: CellKernel, tol: float = 1e-10,
                             tol=max(tol, 1e-12))
     if not report.passed:
         raise NoConvergence("constant function failed the harmonic check")
-    return KernelHarmonic(q, non_unique=_n_closed_classes(kernel) > 1)
-
-
-def _n_closed_classes(kernel: CellKernel) -> int:
-    if set(kernel.cells0.cells) != set(kernel.cells1.cells):
-        return 1
-    import numpy as np
-    from scipy.sparse import csgraph, csr_matrix
-
     cells = list(kernel.cells0.cells)
-    idx = {c: i for i, c in enumerate(cells)}
-    a = np.zeros((len(cells), len(cells)))
-    for x, row in kernel.rows.items():
-        for y, p in row.items():
-            if p > 0:
-                a[idx[x], idx[y]] = 1.0
-    n_comp, labels = csgraph.connected_components(
-        csr_matrix(a), directed=True, connection="strong")
-    closed = 0
-    for c in range(n_comp):
-        members = np.where(labels == c)[0]
-        outside = np.setdiff1d(np.arange(len(cells)), members)
-        if outside.size == 0 or not np.any(a[np.ix_(members, outside)] > 0):
-            closed += 1
-    return closed
+    closed = 1
+    if set(cells) == set(kernel.cells1.cells):
+        closed = len(recurrent_classes(np.array([[kernel.p(x, y) for y in cells] for x in cells])))
+    return KernelHarmonic(q, non_unique=closed > 1)
 
 
 @dataclass
@@ -210,22 +193,28 @@ def measurable_ifs_measure(kernel: CellKernel, q: dict) -> MeasurableIFSMeasure:
     return MeasurableIFSMeasure(kernel, dict(q))
 
 
-@dataclass
-class MeasurableFixedPointReport:
-    max_deviation: float
-    n_cylinders: int
-    holds: bool
-
-
-def _atomic_cylinders(cells, max_len):
+def atomic_cylinders(cells, max_len):
+    """Every tuple of 1..max_len cells, shortest first."""
     out = [[(c,) for c in cells]]
     for _ in range(max_len - 1):
         out.append([t + (c,) for t in out[-1] for c in cells])
     return [t for level in out for t in level]
 
 
+def _transfer(kernel: CellKernel, cyl: tuple, lookup) -> float:
+    """(L nu)([cyl]): sum of p-hat(x) p(x, y) nu([y, cyl[2:]]) / p-hat(y) over
+    edges (x, y) with x = cyl[0] and y = cyl[1] if given; ``lookup`` gives nu."""
+    x = cyl[0]
+    total = 0.0
+    for y, p in kernel.rows[x].items():
+        if len(cyl) > 1 and y != cyl[1]:
+            continue
+        total += kernel.marginal[x] * p * lookup((y,) + tuple(cyl[2:])) / kernel.marginal[y]
+    return total
+
+
 def check_ifs_fixed_point_measurable(m: MeasurableIFSMeasure, max_len: int = 3,
-                                     tol: float = KERNEL_TOL) -> MeasurableFixedPointReport:
+                                     tol: float = KERNEL_TOL) -> FixedPointReport:
     """Verify mu = integral of mu o tau_e^{-1} over the edge measure on all
     atomic cell cylinders up to max_len levels.
 
@@ -233,22 +222,13 @@ def check_ifs_fixed_point_measurable(m: MeasurableIFSMeasure, max_len: int = 3,
     to x, y and continues from the fiber at y; its density against the
     marginal reference is mu([{y}, C_2..]) / p-hat(y).
     """
-    k = m.kernel
     worst, count = 0.0, 0
-    for cyl in _atomic_cylinders(list(k.cells0.cells), max_len):
-        total = 0.0
-        for x in k.cells0.cells:
-            for y, p in k.rows[x].items():
-                if x != cyl[0]:
-                    continue
-                if len(cyl) > 1 and y != cyl[1]:
-                    continue
-                rest = (y,) + tuple(cyl[2:])
-                total += k.marginal[x] * p * m.value(rest) / k.marginal[y]
+    for cyl in atomic_cylinders(list(m.kernel.cells0.cells), max_len):
+        total = _transfer(m.kernel, cyl, m.value)
         val = m.value(cyl)
         worst = max(worst, abs(total - val) / max(abs(val), 1e-300))
         count += 1
-    return MeasurableFixedPointReport(worst, count, worst < tol)
+    return FixedPointReport(worst, count, worst < tol)
 
 
 @dataclass
@@ -274,18 +254,8 @@ def fixed_point_iterate(kernel: CellKernel, nu0: dict, iterations: int) -> Itera
     distances = []
     for _ in range(iterations):
         depth -= 1
-        new = {}
-        for cyl in _atomic_cylinders(cells, depth):
-            total = 0.0
-            for x in cells:
-                if x != cyl[0]:
-                    continue
-                for y, p in kernel.rows[x].items():
-                    if len(cyl) > 1 and y != cyl[1]:
-                        continue
-                    rest = (y,) + tuple(cyl[2:])
-                    total += kernel.marginal[x] * p * table[rest] / kernel.marginal[y]
-            new[cyl] = total
+        new = {cyl: _transfer(kernel, cyl, table.__getitem__)
+               for cyl in atomic_cylinders(cells, depth)}
         distances.append(max(abs(new[c] - table[c]) for c in new))
         table = new
     return IterationResult(table, distances)

@@ -10,7 +10,9 @@ frequency check live here as well.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,10 +24,11 @@ from .errors import (
     NotStochastic,
     NotZeroOne,
     SupportMismatch,
+    WindowTooSmall,
     ZeroMass,
     ZeroTransition,
 )
-from .pathspace import FinitePath, empty_path, enumerate_paths, prepend
+from .pathspace import FinitePath, empty_path, enumerate_paths, one_edge_extensions, prepend
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -46,13 +49,26 @@ class TailInvariantMeasure:
     """Measure whose cylinder values depend only on (length, range vertex).
 
     Either backed by an explicit vector sequence mu^(0..N) or by a Perron
-    eigenpair of a stationary diagram, where mu^(n)_v = t_v / lam^n.
+    eigenpair of a stationary diagram, where mu^(n)_v = t_v / lam^n.  Its
+    Markov form has q = mu^(0) and p^(n)_{w,e} = mu^(n+1)_{r(e)} / mu^(n)_w.
+    On an infinite vertex domain the form covers the vectors' window only
+    and the total mass counts as infinite.
     """
 
     diagram: DiagramSpec
     provenance: str                      # "explicit" | "perron"
     vectors: list | None = None          # list of dicts, levels 0..N
     eigen: EigenPair | None = None
+    markov: MarkovMeasure = field(init=False, repr=False)
+    total_mass: float = field(init=False)
+
+    def __post_init__(self):
+        stationary = self.provenance == "perron"
+        n_tables = 1 if stationary else len(self.vectors) - 1
+        tables = [_tail_table(self.diagram, n, self.level_vector(n), self.level_vector(n + 1))
+                  for n in range(n_tables)]
+        self.markov = MarkovMeasure(self.diagram, self.level_vector(0), tables, stationary)
+        self.total_mass = self.markov.total_mass if self.diagram.domain == FINITE else math.inf
 
     def level_vector(self, n: int) -> dict:
         if self.provenance == "perron":
@@ -63,7 +79,9 @@ class TailInvariantMeasure:
         return self.vectors[n]
 
     def value(self, path: FinitePath) -> float:
-        return self.level_vector(len(path))[path.end]
+        if self.provenance == "perron":
+            return _in_window(self.eigen.t, path.end) / self.eigen.lam ** len(path)
+        return _in_window(self.level_vector(len(path)), path.end)
 
     def cell_value(self, n: int, v: int, window=None) -> float:
         """Mass of the partition cell X_v^(n) = H^(n)_v cylinders."""
@@ -73,6 +91,24 @@ class TailInvariantMeasure:
     @property
     def summable(self) -> str:
         return self.eigen.summable if self.eigen else "unknown"
+
+
+def _in_window(vector: dict, v: int) -> float:
+    if v not in vector:
+        raise WindowTooSmall(f"vertex {v} lies outside the measure's vertex window")
+    return vector[v]
+
+
+def _tail_table(diagram: DiagramSpec, level: int, cur: dict, nxt: dict) -> dict:
+    """p_e = nxt[r(e)] / cur[s(e)] at every source of positive mass whose
+    out-edges all end inside the window of ``nxt``."""
+    table = {}
+    for w, mass in cur.items():
+        out = diagram.edges_from(w, level)
+        if mass > 0 and all(e.target in nxt for e in out):
+            for e in out:
+                table[e.key()] = nxt[e.target] / mass
+    return table
 
 
 def tail_measure_from_vectors(diagram: DiagramSpec, vectors,
@@ -105,10 +141,13 @@ def stationary_tail_measure(diagram: DiagramSpec, tol: float = DEFAULT_TOL,
 
 @dataclass
 class MarkovMeasure:
-    """Initial vertex mass q plus per-level stochastic edge weights.
+    """Initial vertex mass q plus per-level stochastic edge weights; every
+    path measure carries one, built once, as its ``markov`` form.
 
     ``levels[n]`` maps an edge key (source, target, mult) at level n to its
     transition probability; a stationary measure reuses ``levels[0]``.
+    ``rows[n]`` maps each source vertex to its out-edge keys and their
+    cumulative probabilities, and ``starts`` does the same for q.
     """
 
     diagram: DiagramSpec
@@ -116,19 +155,75 @@ class MarkovMeasure:
     levels: list
     stationary: bool = True
     full_support: bool = True
+    total_mass: float = field(init=False)
+    starts: tuple | None = field(init=False, repr=False)
+    rows: list = field(init=False, repr=False)
 
-    def transition(self, edge: Edge) -> float:
-        table = self.levels[0] if self.stationary else self.levels[edge.level]
-        return table.get(edge.key(), 0.0)
+    def __post_init__(self):
+        self.total_mass = math.fsum(self.q.values())
+        self.starts = _cumulative(list(self.q), list(self.q.values()))
+        self.rows = [_rows(table) for table in self.levels]
+
+    @property
+    def markov(self) -> "MarkovMeasure":
+        return self
+
+    def _level(self, n: int) -> int:
+        if self.stationary:
+            return 0
+        if n >= len(self.levels):
+            raise MeasureError(f"no transition table stored for level {n}")
+        return n
 
     def level_table(self, n: int) -> dict:
-        return self.levels[0] if self.stationary else self.levels[n]
+        return self.levels[self._level(n)]
+
+    def transition(self, edge: Edge) -> float:
+        return self.level_table(edge.level).get(edge.key(), 0.0)
+
+    def row(self, w: int, n: int) -> tuple:
+        """Out-edge keys of w at level n and their cumulative probabilities."""
+        row = self.rows[self._level(n)].get(w)
+        if row is None:
+            err = MeasureError if self.diagram.domain == FINITE else WindowTooSmall
+            raise err(f"no transition row for vertex {w} at level {n}")
+        return row
+
+    def level_ratios(self, path: FinitePath, n_terms: int) -> list:
+        """Partial products prod_{i=1}^k p^(i+1)_{s(e_i),e_i} / p^(i)_{s(e_i),e_i}
+        along a path, for k = 1 .. min(n_terms, len(path) - 1)."""
+        partials, prod = [], 1.0
+        for i in range(1, min(n_terms, len(path) - 1) + 1):
+            e = path.edges[i]
+            num = self.level_table(i + 1).get(e.key(), 0.0)
+            den = self.level_table(i).get(e.key(), 0.0)
+            if num == 0.0 or den == 0.0:
+                raise ZeroTransition(f"zero transition at level {i} on edge {e}")
+            prod *= num / den
+            partials.append(float(prod))
+        return partials
 
     def value(self, path: FinitePath) -> float:
         m = self.q.get(path.start, 0.0)
         for e in path.edges:
             m *= self.transition(e)
         return m
+
+
+def _cumulative(items, weights):
+    """(items, cumulative weights over their total), or None without mass."""
+    cum = list(accumulate(weights))
+    if not cum or not 0 < cum[-1] < math.inf:
+        return None
+    return tuple(items), [c / cum[-1] for c in cum]
+
+
+def _rows(table: dict) -> dict:
+    """Each source vertex's out-edge keys, in order, with cumulative probabilities."""
+    keys = {}
+    for key in sorted(table):
+        keys.setdefault(key[0], []).append(key)
+    return {w: _cumulative(ks, [table[k] for k in ks]) for w, ks in keys.items()}
 
 
 def markov_measure(diagram: DiagramSpec, q, p_levels,
@@ -161,33 +256,9 @@ def markov_measure(diagram: DiagramSpec, q, p_levels,
 
 
 def tail_to_markov(tm: TailInvariantMeasure, n_levels: int = 8) -> MarkovMeasure:
-    """Represent a tail-invariant measure as a Markov measure.
-
-    q_w = mu^(0)_w and p^(n)_{w,e} = mu^(n+1)_{r(e)} / mu^(n)_w; the
-    telescoping product reproduces the tail values exactly.
-    """
-    diagram = tm.diagram
-    if tm.provenance == "perron":
-        lam = tm.eigen.lam
-        t = tm.eigen.t
-        table = {}
-        for w in diagram.vertices():
-            if t[w] == 0:
-                raise ZeroMass(f"zero mass at vertex {w}")
-            for e in diagram.edges_from(w, 0):
-                table[e.key()] = t[e.target] / (lam * t[w])
-        return MarkovMeasure(diagram, dict(t), [table], stationary=True)
-    levels = []
-    for n in range(min(n_levels, len(tm.vectors) - 1)):
-        cur, nxt = tm.level_vector(n), tm.level_vector(n + 1)
-        table = {}
-        for w in diagram.vertices():
-            for e in diagram.edges_from(w, n):
-                if cur[w] == 0:
-                    raise ZeroMass(f"zero mass at vertex {w}, level {n}")
-                table[e.key()] = nxt[e.target] / cur[w]
-        levels.append(table)
-    return MarkovMeasure(diagram, tm.level_vector(0), levels, stationary=False)
+    """The Markov form stored by the measure's constructor.  It covers
+    every level the measure defines; ``n_levels`` has no effect."""
+    return tm.markov
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +270,8 @@ class IFSWeights:
 
     Cylinder values: nu([f_0..f_{n-1}]) = p_{f_0} ... p_{f_{n-1}} q_{r(f_{n-1})},
     nu([w]) = q_w.  p is a general strictly positive weight vector; the
-    total mass sum_w q_w is reported, not assumed finite or one.
+    total mass sum_w q_w is reported, not assumed finite or one.  The
+    Markov form has transitions p_e q_{r(e)} / q_{s(e)}.
     """
 
     diagram: DiagramSpec
@@ -208,6 +280,11 @@ class IFSWeights:
     column_sums: dict       # vertex w -> sum of p_e over r(e) = w
     residual: float = 0.0
     total_mass: float = math.inf
+    markov: MarkovMeasure = field(init=False, repr=False)
+
+    def __post_init__(self):
+        table = {(w, v, 0): x * self.q[v] / self.q[w] for (w, v), x in self.p.items()}
+        self.markov = MarkovMeasure(self.diagram, self.q, [table])
 
     def weight(self, edge: Edge) -> float:
         return self.p[(edge.source, edge.target)]
@@ -376,36 +453,23 @@ class ProductConvergenceReport:
     qp0_residual: float
 
 
-def nonstationary_shift_product(m: MarkovMeasure, path: FinitePath,
-                                n_terms: int,
+def nonstationary_shift_product(m, path: FinitePath, n_terms: int,
                                 tol: float = CONSISTENCY_TOL) -> ProductConvergenceReport:
     """Partial products prod_{i=1}^k p^(i+1)_{s(e_i),e_i} / p^(i)_{s(e_i),e_i}
-    along a path, with a convergence-to-1 verdict over the last half."""
+    of the measure's Markov form along a path, with a convergence-to-1
+    verdict over the last half."""
     m.diagram.require_stationary()
-    qp0 = _vertex_transition_residual(m)
-    n_terms = min(n_terms, len(path) - 1)
-    partials, prod = [], 1.0
-    for i in range(1, n_terms + 1):
-        e = path.edges[i]
-        num = m.levels[min(i + 1, len(m.levels) - 1)].get(e.key(), 0.0) \
-            if not m.stationary else m.levels[0].get(e.key(), 0.0)
-        den = m.levels[min(i, len(m.levels) - 1)].get(e.key(), 0.0) \
-            if not m.stationary else m.levels[0].get(e.key(), 0.0)
-        if den == 0.0 or num == 0.0:
-            raise ZeroTransition(f"zero transition at level {i} on edge {e}")
-        prod *= num / den
-        partials.append(prod)
+    partials = m.markov.level_ratios(path, n_terms)
     half = partials[len(partials) // 2:]
     verdict = bool(half) and all(abs(x - 1.0) < tol for x in half)
-    return ProductConvergenceReport(partials, verdict, qp0)
+    return ProductConvergenceReport(partials, verdict, _vertex_transition_residual(m.markov))
 
 
 def _vertex_transition_residual(m: MarkovMeasure) -> float:
     """sup-norm of q P_0 - q, aggregating edge weights to vertex pairs."""
     verts = m.diagram.vertices()
     acc = {v: 0.0 for v in verts}
-    table = m.level_table(0)
-    for (w, v, _k), p in table.items():
+    for (w, v, _k), p in m.level_table(0).items():
         acc[v] += m.q.get(w, 0.0) * p
     return max(abs(acc[v] - m.q.get(v, 0.0)) for v in verts)
 
@@ -413,49 +477,35 @@ def _vertex_transition_residual(m: MarkovMeasure) -> float:
 # ---------------------------------------------------------------------------
 # Sampling
 
+def sample_paths(measure, length: int, count: int, seed: int,
+                 start: int | None = None) -> list:
+    """Draw ``count`` admissible paths of ``length`` edges by inverse-CDF
+    steps over the measure's Markov form; deterministic per seed.  Without
+    ``start`` the first vertex is drawn from q, which needs finite mass."""
+    form = measure.markov
+    if start is None and not math.isfinite(measure.total_mass):
+        raise InfiniteMass("supply a starting vertex for sigma-finite sampling")
+    if start is None and form.starts is None:
+        raise ZeroMass("q carries no mass to draw a starting vertex from")
+    paths = []
+    for u in np.random.default_rng(seed).random((count, length + 1)).tolist():
+        w = start
+        if w is None:
+            verts, cum = form.starts
+            w = verts[bisect_right(cum, u[0])]
+        edges = []
+        for n in range(length):
+            keys, cum = form.row(w, n)
+            key = keys[bisect_right(cum, u[n + 1])]
+            edges.append(Edge(n, *key))
+            w = key[1]
+        paths.append(FinitePath(tuple(edges)) if edges else empty_path(w))
+    return paths
+
+
 def sample_path(measure, length: int, seed: int, start: int | None = None) -> FinitePath:
     """Draw one admissible path of the given length; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    return _sample_one(measure, length, rng, start)
-
-
-def _draw(rng, items, probs):
-    probs = np.asarray(probs, dtype=float)
-    probs = probs / probs.sum()
-    u = rng.random()
-    acc = 0.0
-    for item, p in zip(items, probs):
-        acc += p
-        if u < acc:
-            return item
-    return items[-1]
-
-
-def _sample_one(measure, length, rng, start=None):
-    if isinstance(measure, TailInvariantMeasure):
-        # the equivalent Markov form carries the per-edge transition table
-        measure = tail_to_markov(measure, n_levels=length + 1)
-    diagram = measure.diagram
-    verts = diagram.vertices()
-    if start is None:
-        if isinstance(measure, IFSWeights) and not math.isfinite(measure.total_mass):
-            raise InfiniteMass("supply a starting vertex for sigma-finite sampling")
-        q = np.array([measure.q.get(v, 0.0) for v in verts])
-        w = _draw(rng, verts, q)
-    else:
-        w = start
-    edges = []
-    for n in range(length):
-        out = diagram.edges_from(w, n if not diagram.is_stationary else 0)
-        if isinstance(measure, IFSWeights):
-            probs = [measure.weight(e) * measure.q[e.target] / measure.q[w] for e in out]
-        else:
-            table = measure.level_table(n) if not measure.stationary else measure.level_table(0)
-            probs = [table.get(e.key(), 0.0) for e in out]
-        e = _draw(rng, out, probs)
-        edges.append(e.at_level(n))
-        w = e.target
-    return FinitePath(tuple(edges)) if edges else empty_path(w)
+    return sample_paths(measure, length, 1, seed, start)[0]
 
 
 @dataclass
@@ -478,10 +528,8 @@ def empirical_check(measure, length: int, n_samples: int, seed: int,
                     z_max: float = 4.0) -> EmpiricalReport:
     """Compare seeded empirical cylinder frequencies against exact
     probabilities using binomial standard errors."""
-    rng = np.random.default_rng(seed)
     counts = {}
-    for _ in range(n_samples):
-        path = _sample_one(measure, length, rng)
+    for path in sample_paths(measure, length, n_samples, seed):
         key = tuple(e.key() for e in path.edges)
         counts[key] = counts.get(key, 0) + 1
     cylinders = enumerate_paths(measure.diagram, length)
@@ -506,7 +554,6 @@ def check_kolmogorov(measure, max_len: int = 5, tol: float = IDENTITY_TOL,
                      window=None) -> FixedPointReport:
     """parent = sum of one-edge extensions, for every cylinder up to
     max_len edges (length 0 anchors included)."""
-    from .pathspace import one_edge_extensions
     worst, count = 0.0, 0
     for n in range(0, max_len):
         for path in enumerate_paths(measure.diagram, n, window):

@@ -20,7 +20,6 @@ from .errors import (
     NotZeroOne,
     TooShort,
     ZeroMeasureCylinder,
-    ZeroTransition,
 )
 from .pathspace import FinitePath, prepend
 
@@ -117,34 +116,17 @@ class QuasiStationarityReport:
 
 def quasi_stationary_test(m, x: FinitePath, n_terms: int = QSTAT_TERMS,
                           tol: float = QSTAT_TOL) -> QuasiStationarityReport:
-    """Partial products of the level-ratio p^(i+1)/p^(i) along x.
+    """Partial products of the level-ratio p^(i+1)/p^(i) of the measure's
+    Markov form along x.
 
     Verdict is true when the partial products stay inside [tol, 1/tol]
     and are Cauchy within tol over the last half of the terms.
     """
-    from .measures import TailInvariantMeasure, tail_to_markov
-
-    if isinstance(m, TailInvariantMeasure):
-        m = tail_to_markov(m, n_levels=n_terms + 2)
-    n_terms = min(n_terms, len(x) - 1)
-    partials, prod = [], 1.0
-    for i in range(1, n_terms + 1):
-        e = x.edges[i]
-        num = _level_p(m, i + 1, e)
-        den = _level_p(m, i, e)
-        if num == 0.0 or den == 0.0:
-            raise ZeroTransition(f"zero transition at level {i} on edge {e}")
-        prod *= num / den
-        partials.append(float(prod))
+    partials = m.markov.level_ratios(x, n_terms)
     half = partials[len(partials) // 2:]
     inside = all(tol <= p <= 1.0 / tol for p in partials)
     cauchy = bool(half) and bool(max(half) - min(half) < tol)
     return QuasiStationarityReport(partials, inside and cauchy, (tol, 1.0 / tol))
-
-
-def _level_p(m, level, edge):
-    table = m.levels[0] if m.stationary else m.levels[min(level, len(m.levels) - 1)]
-    return table.get(edge.key(), 0.0)
 
 
 def preimage_count(diagram: DiagramSpec, x: FinitePath) -> int:

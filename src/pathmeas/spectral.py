@@ -192,7 +192,7 @@ def solve_harmonic(m: np.ndarray, tol: float = DEFAULT_TOL,
     return HarmonicVector(q, residual, float(np.sum(q)))
 
 
-def _recurrent_classes(p: np.ndarray):
+def recurrent_classes(p: np.ndarray):
     """Strongly connected components with no outgoing edges."""
     n_comp, labels = csgraph.connected_components(
         csr_matrix(p > 0), directed=True, connection="strong")
@@ -218,7 +218,7 @@ def stationary_distribution(p: np.ndarray, tol: float = DEFAULT_TOL,
     bad = np.where(np.abs(rows - 1.0) > max(tol, 1e-9))[0]
     if bad.size:
         raise NotStochastic(int(bad[0]))
-    classes = _recurrent_classes(p)
+    classes = recurrent_classes(p)
     q = np.zeros(p.shape[0])
     for members in classes:
         block = p[np.ix_(members, members)]

@@ -34,6 +34,16 @@ def tri_z():
 
 
 @pytest.fixture
+def nat():
+    """Tridiagonal all-ones stencil on the naturals."""
+    return diagram_from_dict({
+        "kind": "stationary",
+        "vertices": {"type": "naturals"},
+        "matrices": [{"triplets": [[-1, 0, 1], [0, 0, 1], [1, 0, 1]]}],
+    })
+
+
+@pytest.fixture
 def identity2():
     return _stationary_finite(2, [[0, 0, 1], [1, 1, 1]])
 

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 import pathmeas as pm
 from pathmeas.cli import main as cli_main
-from pathmeas.kernel import _atomic_cylinders
+from pathmeas.kernel import atomic_cylinders
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -77,7 +77,7 @@ def test_criterion_03_kolmogorov_all_kinds(allones2, fib):
         assert pm.check_kolmogorov(ifs, max_len=5, tol=1e-12).holds
         kern = pm.disintegrate(pm.edge_measure_from_dict(KERNEL_DICT))
         km = pm.measurable_ifs_measure(kern, {"a": 1.0, "b": 1.0})
-        for cyl in _atomic_cylinders(["a", "b"], 5):
+        for cyl in atomic_cylinders(["a", "b"], 5):
             parent = km.value(list(cyl))
             child = km.value(list(cyl) + ["*"])
             assert abs(child - parent) / parent < 1e-12
@@ -169,7 +169,7 @@ def test_criterion_09_kernel_case(allones2):
                 cells = [label[path.start]] + [label[e.target] for e in path.edges]
                 assert abs(m.value(cells) / total - mk.value(path)) < 1e-12
         # iteration from the uniform table reaches the closed form
-        table0 = {cyl: 1.0 / 2 ** len(cyl) for cyl in _atomic_cylinders(["a", "b"], 4)}
+        table0 = {cyl: 1.0 / 2 ** len(cyl) for cyl in atomic_cylinders(["a", "b"], 4)}
         result = pm.fixed_point_iterate(kern, table0, 2)
         for cyl, val in result.table.items():
             assert abs(val - m.value(list(cyl))) < 1e-12

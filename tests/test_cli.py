@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import pathmeas as pm
 from pathmeas.cli import main
 
 ALLONES = {"kind": "stationary", "vertices": {"type": "finite", "count": 2},
@@ -14,15 +15,21 @@ ZERO_ROW = {"kind": "stationary", "vertices": {"type": "finite", "count": 2},
 KERNEL = {"cells0": ["a", "b"], "cells1": ["a", "b"],
           "edges": [["a", "a", 0.3], ["a", "b", 0.2],
                     ["b", "a", 0.25], ["b", "b", 0.25]]}
+NAT = {"kind": "stationary", "vertices": {"type": "naturals"},
+       "matrices": [{"triplets": [[-1, 0, 1], [0, 0, 1], [1, 0, 1]]}]}
 IFS = {"type": "ifs", "p": [[0, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]}
 TAIL = {"type": "tail"}
+HALF = [[w, v, 0, 0.5] for w in (0, 1) for v in (0, 1)]
+MARKOV2 = {"type": "markov", "q": [0.5, 0.5], "P_levels": [HALF, HALF]}
+TAIL3 = {"type": "tail", "vectors": [[0.5, 0.5], [0.25, 0.25], [0.125, 0.125]]}
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, obj in [("allones", ALLONES), ("fib", FIB), ("zerorow", ZERO_ROW),
-                      ("kernel", KERNEL), ("ifs", IFS), ("tail", TAIL)]:
+                      ("nat", NAT), ("kernel", KERNEL), ("ifs", IFS), ("tail", TAIL),
+                      ("markov2", MARKOV2), ("tail3", TAIL3)]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(obj))
         paths[name] = str(p)
@@ -129,6 +136,34 @@ def test_sample_reproducible(files):
     assert a.exit_code == 0
     assert a.output == b.output
     assert len(json.loads(a.output)["paths"]) == 3
+
+
+def test_sample_count_matches_library(files):
+    res = run(["measure", "sample", "--diagram", files["allones"], "--measure",
+               files["ifs"], "--len", "6", "--seed", "11", "--count", "4"])
+    assert res.exit_code == 0
+    m = pm.ifs_measure(pm.diagram_from_dict(ALLONES), IFS["p"])
+    want = [str(p) for p in pm.sample_paths(m, 6, 4, 11)]
+    assert json.loads(res.output)["paths"] == want
+
+
+@pytest.mark.parametrize("args, kind", [
+    (["measure", "eval", "--diagram", "allones", "--measure", "markov2", "--len", "3"],
+     "MeasureError"),
+    (["measure", "sample", "--diagram", "allones", "--measure", "tail3", "--len", "5"],
+     "MeasureError"),
+    (["sfs", "qstat", "--diagram", "allones", "--measure", "tail3",
+      "--path", "0-0-0-0-0-0", "--terms", "4"], "MeasureError"),
+    (["measure", "check", "--diagram", "nat", "--measure", "tail",
+      "--what", "kolmogorov", "--len", "2"], "WindowTooSmall"),
+    (["measure", "sample", "--diagram", "nat", "--measure", "tail", "--len", "3",
+      "--start", "64"], "WindowTooSmall"),
+])
+def test_typed_error_exit1(files, args, kind):
+    res = run([files.get(a, a) for a in args])
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == kind
 
 
 def test_sfs_rn(files):

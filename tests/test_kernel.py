@@ -13,7 +13,7 @@ from pathmeas import (
     measurable_ifs_measure,
     solve_harmonic_kernel,
 )
-from pathmeas.kernel import _atomic_cylinders
+from pathmeas.kernel import atomic_cylinders
 
 KERNEL_DICT = {
     "cells0": ["a", "b"],
@@ -90,7 +90,7 @@ def test_measure_rejects_nonharmonic_q(kern):
 
 def test_kernel_kolmogorov_depth4(kern):
     m = measurable_ifs_measure(kern, {"a": 1.0, "b": 1.0})
-    for cyl in _atomic_cylinders(["a", "b"], 4):
+    for cyl in atomic_cylinders(["a", "b"], 4):
         parent = m.value(list(cyl))
         child = m.value(list(cyl) + ["*"])
         assert child == pytest.approx(parent, rel=1e-12)
@@ -131,7 +131,7 @@ def test_atomic_bridge(kern):
 
 def test_iterate_reaches_closed_form(kern):
     cells = ["a", "b"]
-    table = {cyl: 1.0 / 2 ** len(cyl) for cyl in _atomic_cylinders(cells, 4)}
+    table = {cyl: 1.0 / 2 ** len(cyl) for cyl in atomic_cylinders(cells, 4)}
     m = measurable_ifs_measure(kern, {"a": 1.0, "b": 1.0})
     result = fixed_point_iterate(kern, table, 2)
     for cyl, val in result.table.items():
@@ -141,13 +141,13 @@ def test_iterate_reaches_closed_form(kern):
 
 def test_iterate_fixed_point_is_fixed(kern):
     m = measurable_ifs_measure(kern, {"a": 1.0, "b": 1.0})
-    table = {cyl: m.value(list(cyl)) for cyl in _atomic_cylinders(["a", "b"], 4)}
+    table = {cyl: m.value(list(cyl)) for cyl in atomic_cylinders(["a", "b"], 4)}
     result = fixed_point_iterate(kern, table, 3)
     assert max(result.distances) < 1e-15
 
 
 def test_iterate_depth_exhausted(kern):
-    table = {cyl: 0.25 for cyl in _atomic_cylinders(["a", "b"], 3)}
+    table = {cyl: 0.25 for cyl in atomic_cylinders(["a", "b"], 3)}
     with pytest.raises(pm.DepthExhausted):
         fixed_point_iterate(kern, table, 3)
 

@@ -17,6 +17,7 @@ from pathmeas import (
     markov_measure,
     parse_path_literal,
     sample_path,
+    sample_paths,
     shift_condition_tail,
     stationary_tail_measure,
     tail_measure_from_vectors,
@@ -145,6 +146,36 @@ def test_tail_to_markov_nonstationary(allones2):
     for n in range(1, 4):
         for p in enumerate_paths(allones2, n):
             assert mk.value(p) == pytest.approx(tm.value(p), abs=1e-14)
+
+
+def test_levels_past_stored_tables(allones2):
+    half = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
+    mk = markov_measure(allones2, [0.5, 0.5], [half, half])
+    with pytest.raises(pm.MeasureError, match="level 2"):
+        mk.level_table(2)
+    with pytest.raises(pm.MeasureError, match="level 2"):
+        mk.value(parse_path_literal("0-0-0-0", allones2))
+    vectors = [{0: 2.0 ** (-n - 1), 1: 2.0 ** (-n - 1)} for n in range(3)]
+    tm = tail_measure_from_vectors(allones2, vectors)
+    assert len(sample_path(tm, 2, seed=0)) == 2
+    with pytest.raises(pm.MeasureError, match="level 2"):
+        sample_path(tm, 5, seed=0)
+
+
+def test_perron_window_typed_errors(nat):
+    tm = stationary_tail_measure(nat)
+    edge = max(tm.eigen.t)
+    p = sample_path(tm, 3, seed=0, start=0)
+    assert len(p) == 3 and p.start == 0
+    pm.validate_path(p.edges)
+    with pytest.raises(pm.WindowTooSmall):
+        tm.value(pm.FinitePath((Edge(0, edge, edge + 1),)))
+    with pytest.raises(pm.WindowTooSmall):
+        sample_path(tm, 3, seed=0, start=edge)
+    with pytest.raises(pm.WindowTooSmall):
+        check_kolmogorov(tm, max_len=2)
+    with pytest.raises(pm.InfiniteMass):
+        sample_path(tm, 3, seed=0)
 
 
 def test_markov_kolmogorov(allones2):
@@ -307,6 +338,21 @@ def test_sampling_tail_measure(fib):
     pm.validate_path(p.edges)
 
 
+def test_sample_paths_first_is_sample_path(allones2, fib):
+    table = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
+    measures = [(allones2, markov_measure(allones2, [0.5, 0.5], table)),
+                (allones2, ifs_measure(allones2, ASYMMETRIC_P)),
+                (fib, stationary_tail_measure(fib))]
+    for spec, m in measures:
+        for seed in (0, 7, 123):
+            assert str(sample_paths(m, 6, 1, seed)[0]) == str(sample_path(m, 6, seed))
+        paths = sample_paths(m, 6, 20, seed=5)
+        assert [str(p) for p in paths] == [str(p) for p in sample_paths(m, 6, 20, seed=5)]
+        for p in paths:
+            assert len(p) == 6 and all(spec.has_edge(e) for e in p.edges)
+            pm.validate_path(p.edges)
+
+
 def test_ifs_sampling_requires_start_when_infinite(allones2):
     nu = ifs_measure(allones2, SYMMETRIC_P)
     nu.total_mass = math.inf
@@ -320,6 +366,14 @@ def test_empirical_markov(allones2):
     table = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
     m = markov_measure(allones2, [0.5, 0.5], table)
     report = empirical_check(m, length=3, n_samples=20000, seed=11)
+    assert report.passed
+    assert report.max_abs_z < 4.0
+
+
+def test_empirical_tail(fib):
+    report = empirical_check(stationary_tail_measure(fib), length=4,
+                             n_samples=20000, seed=13)
+    assert len(report.rows) == len(enumerate_paths(fib, 4))
     assert report.passed
     assert report.max_abs_z < 4.0
 

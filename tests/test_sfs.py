@@ -101,6 +101,14 @@ def test_quasi_stationary_nonstationary(allones2):
     assert report.verdict
 
 
+def test_quasi_stationary_past_stored_tables(allones2):
+    vectors = [{0: 2.0 ** (-n - 1), 1: 2.0 ** (-n - 1)} for n in range(3)]
+    tm = tail_measure_from_vectors(allones2, vectors)
+    x = parse_path_literal("0-0-0-0-0-0", allones2)
+    with pytest.raises(pm.MeasureError, match="level 2"):
+        quasi_stationary_test(tm, x, n_terms=4)
+
+
 def test_preimage_count(fib):
     x = parse_path_literal("0-0", fib)
     assert preimage_count(fib, x) == 2
