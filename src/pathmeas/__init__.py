@@ -97,6 +97,7 @@ from .pathspace import (
     enumerate_paths,
     one_edge_extensions,
     parse_path_literal,
+    path_levels,
     prepend,
     shift,
     tail_equivalent_on_prefix,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, is_dataclass
 
 import click
 
@@ -59,16 +58,6 @@ def guarded(fn):
 def load_measure(diagram, path):
     with open(path) as fh:
         return measmod.measure_from_dict(diagram, json.load(fh))
-
-
-def plain(obj):
-    if is_dataclass(obj):
-        obj = asdict(obj)
-    if isinstance(obj, dict):
-        return {str(k): plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain(v) for v in obj]
-    return obj
 
 
 @click.group()
@@ -148,8 +137,9 @@ def measure_check(diagram_path, measure_path, what, length, tol):
     """Run one audit; exit 1 when it fails."""
     spec = load_diagram(diagram_path)
     m = load_measure(spec, measure_path)
-    if what == "kolmogorov":
-        rep = measmod.check_kolmogorov(m, length, tol)
+    if what in ("kolmogorov", "ifs"):
+        audit = measmod.check_kolmogorov if what == "kolmogorov" else measmod.check_ifs_fixed_point
+        rep = audit(m, length, tol)
         out = {"max_dev": rep.max_deviation, "n_cylinders": rep.n_cylinders,
                "holds": rep.holds}
         ok = rep.holds
@@ -162,13 +152,8 @@ def measure_check(diagram_path, measure_path, what, length, tol):
         rep = measmod.check_shift_invariance(m, length, tol)
         out = {"max_dev": rep.max_rel_deviation, "invariant": rep.invariant,
                "factors": {str(k): v for k, v in rep.factors.items()},
-               "predicted": plain(rep.predicted)}
+               "predicted": {str(k): v for k, v in rep.predicted.items()}}
         ok = rep.invariant
-    elif what == "ifs":
-        rep = measmod.check_ifs_fixed_point(m, length, tol)
-        out = {"max_dev": rep.max_deviation, "n_cylinders": rep.n_cylinders,
-               "holds": rep.holds}
-        ok = rep.holds
     else:
         rep = measmod.shift_condition_tail(spec, tol=max(tol, 1e-9))
         out = {"holds": rep.holds, "lambda": rep.lam,

@@ -63,10 +63,16 @@ class IncidenceMatrix:
         if domain == FINITE:
             if entries is None:
                 raise DiagramError("finite matrix needs explicit entries")
+            if min((min(v, w) for (v, w) in entries), default=0) < 0:
+                raise DiagramError("finite vertex indices must be nonnegative")
             self.size = 1 + max((max(v, w) for (v, w) in entries), default=-1)
             self.entries = {k: int(c) for k, c in entries.items() if c}
             self.stencil = None
             self.band = None
+            self._rows, self._cols = {}, {}
+            for (v, w), c in sorted(self.entries.items()):
+                self._rows.setdefault(v, []).append((w, c))
+                self._cols.setdefault(w, []).append((v, c))
         else:
             if stencil is None:
                 raise DiagramError("infinite matrix needs a stencil")
@@ -79,7 +85,7 @@ class IncidenceMatrix:
                 raise DiagramError("stencil offset exceeds declared band")
 
     def with_size(self, size: int) -> "IncidenceMatrix":
-        if self.domain != FINITE:
+        if self.domain != FINITE or self.size >= size:
             return self
         m = IncidenceMatrix(FINITE, entries=dict(self.entries))
         m.size = max(m.size, size)
@@ -103,11 +109,9 @@ class IncidenceMatrix:
     def row(self, v: int):
         """Nonzero sources w for target v, as sorted (w, count) pairs."""
         if self.domain == FINITE:
-            pairs = [(w, c) for (t, w), c in self.entries.items() if t == v]
-        else:
-            pairs = [(v - d, c) for d, c in self.stencil.items()
-                     if self.domain != NATURALS or v - d >= 0]
-        return sorted(pairs)
+            return self._rows.get(v, [])
+        return sorted((v - d, c) for d, c in self.stencil.items()
+                      if self.domain != NATURALS or v - d >= 0)
 
     def column(self, w: int):
         """Nonzero targets v for source w, as sorted (v, count) pairs.
@@ -116,11 +120,9 @@ class IncidenceMatrix:
         matrices by finiteness of the level.
         """
         if self.domain == FINITE:
-            pairs = [(v, c) for (v, s), c in self.entries.items() if s == w]
-        else:
-            pairs = [(w + d, c) for d, c in self.stencil.items()
-                     if self.domain != NATURALS or w + d >= 0]
-        return sorted(pairs)
+            return self._cols.get(w, [])
+        return sorted((w + d, c) for d, c in self.stencil.items()
+                      if self.domain != NATURALS or w + d >= 0)
 
     def vertices(self, window: int | None = None):
         """Concrete vertex list for one level, restricted to a window."""
@@ -245,33 +247,30 @@ class ValidationReport:
 
 def validate_diagram(spec: DiagramSpec) -> ValidationReport:
     """Check the structural axioms: every row and every column of each
-    incidence matrix must be nonzero, and rows must be finite.  A column
+    incidence matrix must be nonzero (a stencil can only empty those of
+    vertices 0 .. band, on the naturals), and rows must be finite.  A column
     carrying a single edge is reported as an isolated-point warning only.
     """
     report = ValidationReport()
     for n, f in enumerate(spec.matrices):
         name = "F" if spec.is_stationary else f"F_{n}"
-        if f.domain == FINITE:
-            rows = {v: 0 for v in range(f.size)}
-            cols = {w: 0 for w in range(f.size)}
-            for (v, w), c in f.entries.items():
-                rows[v] += 1 if c else 0
-                cols[w] += 1 if c else 0
-            for v, k in rows.items():
-                if k == 0:
-                    report.errors.append(f"{name}: row {v} is zero (no incoming edges)")
-            for w, k in cols.items():
-                if k == 0:
-                    report.errors.append(f"{name}: column {w} is zero (no outgoing edges)")
-                elif k == 1 and sum(c for (v, s), c in f.entries.items() if s == w) == 1:
-                    report.warnings.append(
-                        f"{name}: column {w} has a single edge (isolated-point warning)")
-        else:
-            if not f.stencil:
-                report.errors.append(f"{name}: empty stencil")
-            elif len(f.stencil) == 1 and next(iter(f.stencil.values())) == 1:
+        if f.domain != FINITE and not f.stencil:
+            report.errors.append(f"{name}: empty stencil")
+            continue
+        if f.domain != FINITE and len(f.stencil) == 1 and next(iter(f.stencil.values())) == 1:
+            report.warnings.append(f"{name}: single-entry stencil (isolated-point warning)")
+        verts = range(f.size if f.domain == FINITE else
+                      f.band + 1 if f.domain == NATURALS else 0)
+        for v in verts:
+            if not f.row(v):
+                report.errors.append(f"{name}: row {v} is zero (no incoming edges)")
+        for w in verts:
+            column = f.column(w)
+            if not column:
+                report.errors.append(f"{name}: column {w} is zero (no outgoing edges)")
+            elif f.domain == FINITE and len(column) == 1 and column[0][1] == 1:
                 report.warnings.append(
-                    f"{name}: single-entry stencil (isolated-point warning)")
+                    f"{name}: column {w} has a single edge (isolated-point warning)")
     return report
 
 
@@ -284,16 +283,9 @@ def height_vector(spec: DiagramSpec, n: int, window: int | None = None) -> Heigh
     """
     if n < 0:
         raise DiagramError("level must be nonnegative")
-    if spec.domain == FINITE:
-        verts = spec.vertices()
-        h = {v: 1 for v in verts}
-        for k in range(n):
-            f = spec.matrix(k)
-            h = {v: sum(c * h[w] for w, c in f.row(v)) for v in verts}
-        return HeightVector(n, h)
     if window is None:
         window = DEFAULT_WINDOW
-    band = max(m.band for m in spec.matrices)
+    band = 0 if spec.domain == FINITE else max(m.band for m in spec.matrices)
     h = {v: 1 for v in spec.vertices(window + n * band)}
     for k in range(n):
         f = spec.matrix(k)
@@ -316,10 +308,9 @@ def edge_graph_01(spec: DiagramSpec) -> DiagramSpec:
     index = {e.key(): i for i, e in enumerate(edges)}
     entries = {}
     for e in edges:
-        for f in edges:
-            if f.source == e.target:
-                # incidence entry: target vertex f, source vertex e
-                entries[(index[f.key()], index[e.key()])] = 1
+        for f in spec.edges_from(e.target, 0):
+            # incidence entry: target vertex f, source vertex e
+            entries[(index[f.key()], index[e.key()])] = 1
     return DiagramSpec("stationary", [IncidenceMatrix(FINITE, entries=entries)])
 
 

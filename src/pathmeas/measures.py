@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -24,11 +24,12 @@ from .errors import (
     NotStochastic,
     NotZeroOne,
     SupportMismatch,
+    TooShort,
     WindowTooSmall,
     ZeroMass,
     ZeroTransition,
 )
-from .pathspace import FinitePath, empty_path, enumerate_paths, one_edge_extensions, prepend
+from .pathspace import FinitePath, empty_path, enumerate_paths, path_levels, prepend, shift
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -87,10 +88,6 @@ class TailInvariantMeasure:
         """Mass of the partition cell X_v^(n) = H^(n)_v cylinders."""
         h = height_vector(self.diagram, n, window)
         return h[v] * self.level_vector(n)[v]
-
-    @property
-    def summable(self) -> str:
-        return self.eigen.summable if self.eigen else "unknown"
 
 
 def _in_window(vector: dict, v: int) -> float:
@@ -191,9 +188,11 @@ class MarkovMeasure:
 
     def level_ratios(self, path: FinitePath, n_terms: int) -> list:
         """Partial products prod_{i=1}^k p^(i+1)_{s(e_i),e_i} / p^(i)_{s(e_i),e_i}
-        along a path, for k = 1 .. min(n_terms, len(path) - 1)."""
+        along a path, for k = 1 .. n_terms; the path needs n_terms + 1 edges."""
+        if len(path) < n_terms + 1:
+            raise TooShort(f"path has {len(path)} edges, {n_terms} terms need {n_terms + 1}")
         partials, prod = [], 1.0
-        for i in range(1, min(n_terms, len(path) - 1) + 1):
+        for i in range(1, n_terms + 1):
             e = path.edges[i]
             num = self.level_table(i + 1).get(e.key(), 0.0)
             den = self.level_table(i).get(e.key(), 0.0)
@@ -255,9 +254,9 @@ def markov_measure(diagram: DiagramSpec, q, p_levels,
     return MarkovMeasure(diagram, q, levels, stationary, full_support)
 
 
-def tail_to_markov(tm: TailInvariantMeasure, n_levels: int = 8) -> MarkovMeasure:
+def tail_to_markov(tm: TailInvariantMeasure) -> MarkovMeasure:
     """The Markov form stored by the measure's constructor.  It covers
-    every level the measure defines; ``n_levels`` has no effect."""
+    every level the measure defines."""
     return tm.markov
 
 
@@ -347,10 +346,9 @@ def check_ifs_fixed_point(ifs: IFSWeights, max_len: int = 4,
     single edge).
     """
     worst, count = 0.0, 0
-    for n in range(1, max_len + 1):
-        for path in enumerate_paths(ifs.diagram, n):
-            rest = FinitePath(tuple(e.at_level(e.level - 1) for e in path.edges[1:])) \
-                if n > 1 else empty_path(path.edges[0].target)
+    for level in islice(path_levels(ifs.diagram, max_len), 1, None):
+        for path in level:
+            rest = shift(path) if len(path) > 1 else empty_path(path.end)
             lhs = ifs.weight(path.edges[0]) * ifs.value(rest)
             worst = max(worst, abs(lhs - ifs.value(path)))
             count += 1
@@ -363,7 +361,7 @@ class TailInvarianceReport:
     max_spread: float
     tail_invariant: bool
     groups: dict = field(default_factory=dict)   # vertex -> (min, max, count)
-    ratio_law_deviation: float | None = None     # IFS: nu[f]/nu[e] vs p_f/p_e
+    ratio_law_deviation: float = 0.0            # nu[f]/nu[e] vs w_f/w_e
 
 
 def check_tail_invariance(measure, n: int, tol: float = IDENTITY_TOL,
@@ -375,20 +373,38 @@ def check_tail_invariance(measure, n: int, tol: float = IDENTITY_TOL,
         groups.setdefault(path.end, []).append(measure.value(path))
     spread = float(max((max(vals) - min(vals) for vals in groups.values()),
                        default=0.0))
-    report = TailInvarianceReport(
+    return TailInvarianceReport(
         n, spread, bool(spread <= tol),
         {v: (float(min(vals)), float(max(vals)), len(vals))
-         for v, vals in groups.items()})
-    if isinstance(measure, IFSWeights):
-        dev = 0.0
-        edges = measure.diagram.all_edges(0, window)
-        for e in edges:
-            for f in edges:
-                if e.target == f.target:
-                    lhs = measure.value(FinitePath((f,))) / measure.value(FinitePath((e,)))
-                    dev = max(dev, abs(lhs - measure.weight(f) / measure.weight(e)))
-        report.ratio_law_deviation = dev
-    return report
+         for v, vals in groups.items()},
+        _ratio_law_deviation(measure, window))
+
+
+def _ratio_law_deviation(measure, window) -> float:
+    """max |nu[f]/nu[e] - w_f/w_e| over level-1 cylinders with a common
+    range vertex, each valued once; edges without a weight or without
+    mass take no part."""
+    weights, _ = _form_weights(measure.markov)
+    by_range = {}
+    for e in measure.diagram.all_edges(0, window):
+        w = weights.get(e.key(), 0.0)
+        val = measure.value(FinitePath((e,))) if w else 0.0
+        if val:
+            by_range.setdefault(e.target, []).append((val, w))
+    return float(max((abs(vf / ve - wf / we) for pairs in by_range.values()
+                      for ve, we in pairs for vf, wf in pairs), default=0.0))
+
+
+def _form_weights(form: MarkovMeasure) -> tuple:
+    """IFS weights w_e = q_{s(e)} p_e / q_{r(e)} of a Markov form's level 0
+    (edges whose range has positive mass) and the inflow (qP)_v of each
+    vertex; the measure is the IFS measure of these weights."""
+    weights, inflow = {}, {}
+    for (w, v, k), p in form.level_table(0).items():
+        inflow[v] = inflow.get(v, 0.0) + form.q.get(w, 0.0) * p
+        if form.q.get(v, 0.0) > 0:
+            weights[(w, v, k)] = form.q.get(w, 0.0) * p / form.q[v]
+    return weights, inflow
 
 
 @dataclass
@@ -396,7 +412,7 @@ class ShiftInvarianceReport:
     max_rel_deviation: float
     invariant: bool
     factors: dict = field(default_factory=dict)     # s(e_0) -> measured ratio
-    predicted: dict | None = None                   # IFS column sums
+    predicted: dict = field(default_factory=dict)   # v -> (qP)_v / q_v
 
 
 def check_shift_invariance(measure, max_len: int = 4,
@@ -407,8 +423,8 @@ def check_shift_invariance(measure, max_len: int = 4,
     measure.diagram.require_stationary()
     worst = 0.0
     factors = {}
-    for n in range(1, max_len + 1):
-        for path in enumerate_paths(measure.diagram, n, window):
+    for level in islice(path_levels(measure.diagram, max_len, window), 1, None):
+        for path in level:
             val = measure.value(path)
             if val == 0:
                 continue
@@ -416,10 +432,11 @@ def check_shift_invariance(measure, max_len: int = 4,
                       for f in measure.diagram.edges_into(path.start, 0))
             worst = max(worst, abs(pre - val) / val)
             factors[path.start] = float(pre / val)
-    report = ShiftInvarianceReport(float(worst), bool(worst <= tol), factors)
-    if isinstance(measure, IFSWeights):
-        report.predicted = dict(measure.column_sums)
-    return report
+    q = measure.markov.q
+    _, inflow = _form_weights(measure.markov)
+    predicted = {v: inflow.get(v, 0.0) / q[v] for v in measure.diagram.vertices(window)
+                 if q.get(v, 0.0) > 0}
+    return ShiftInvarianceReport(float(worst), bool(worst <= tol), factors, predicted)
 
 
 @dataclass
@@ -467,11 +484,8 @@ def nonstationary_shift_product(m, path: FinitePath, n_terms: int,
 
 def _vertex_transition_residual(m: MarkovMeasure) -> float:
     """sup-norm of q P_0 - q, aggregating edge weights to vertex pairs."""
-    verts = m.diagram.vertices()
-    acc = {v: 0.0 for v in verts}
-    for (w, v, _k), p in m.level_table(0).items():
-        acc[v] += m.q.get(w, 0.0) * p
-    return max(abs(acc[v] - m.q.get(v, 0.0)) for v in verts)
+    _, inflow = _form_weights(m)
+    return max(abs(inflow.get(v, 0.0) - m.q.get(v, 0.0)) for v in m.diagram.vertices())
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +547,11 @@ def empirical_check(measure, length: int, n_samples: int, seed: int,
         key = tuple(e.key() for e in path.edges)
         counts[key] = counts.get(key, 0) + 1
     cylinders = enumerate_paths(measure.diagram, length)
-    total = sum(measure.value(c) for c in cylinders)
+    values = [measure.value(c) for c in cylinders]
+    total = sum(values)
     rows, worst = [], 0.0
-    for c in cylinders:
-        exact = measure.value(c) / total
+    for c, value in zip(cylinders, values):
+        exact = value / total
         freq = counts.get(tuple(e.key() for e in c.edges), 0) / n_samples
         if exact in (0.0, 1.0):
             z = 0.0 if freq == exact else math.inf
@@ -553,15 +568,22 @@ def empirical_check(measure, length: int, n_samples: int, seed: int,
 def check_kolmogorov(measure, max_len: int = 5, tol: float = IDENTITY_TOL,
                      window=None) -> FixedPointReport:
     """parent = sum of one-edge extensions, for every cylinder up to
-    max_len edges (length 0 anchors included)."""
+    max_len edges (length 0 anchors included).  Each level is valued once;
+    a parent's extensions are the next level's consecutive block."""
     worst, count = 0.0, 0
-    for n in range(0, max_len):
-        for path in enumerate_paths(measure.diagram, n, window):
-            val = measure.value(path)
-            ext = sum(measure.value(x) for x in one_edge_extensions(path, measure.diagram))
+    levels = path_levels(measure.diagram, max_len, window)
+    parents = next(levels)
+    vals = [measure.value(p) for p in parents] if max_len else []
+    for n, level in enumerate(levels):
+        kids = [measure.value(x) for x in level]
+        degree = {v: len(measure.diagram.edges_from(v, n)) for v in {p.end for p in parents}}
+        blocks = iter(kids)
+        for path, val in zip(parents, vals):
+            ext = sum(islice(blocks, degree[path.end]))
             scale = max(abs(val), 1e-300)
             worst = max(worst, abs(ext - val) / scale)
             count += 1
+        parents, vals = level, kids
     return FixedPointReport(float(worst), count, bool(worst < tol))
 
 

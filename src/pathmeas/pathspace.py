@@ -146,12 +146,22 @@ def tail_equivalent_on_prefix(x: FinitePath, y: FinitePath, m: int) -> bool:
     return all(x.edges[i].key() == y.edges[i].key() for i in range(m, len(x)))
 
 
+def path_levels(spec: DiagramSpec, n: int, window: int | None = None):
+    """Yield the paths of 0, 1, ..., n edges starting inside the window,
+    each level built once from the one before: a parent's one-edge
+    extensions are a consecutive block of the next level, in order."""
+    paths = [empty_path(v) for v in spec.vertices(window)]
+    yield paths
+    for _ in range(n):
+        paths = [q for p in paths for q in one_edge_extensions(p, spec)]
+        yield paths
+
+
 def enumerate_paths(spec: DiagramSpec, n: int, window: int | None = None):
     """All admissible paths of n edges starting inside the window
     (finite domains: the whole level)."""
-    paths = [empty_path(v) for v in spec.vertices(window)]
-    for _ in range(n):
-        paths = [q for p in paths for q in one_edge_extensions(p, spec)]
+    for paths in path_levels(spec, n, window):
+        pass
     return paths
 
 

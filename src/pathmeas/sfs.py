@@ -33,10 +33,6 @@ class SemibranchingSystem:
     edges: list                     # canonical order: (source, target)
     lambda_sets: dict               # edge pair -> tuple of edge pairs with s(f) = r(e)
 
-    def domain_vertex(self, e) -> int:
-        """D_e depends on r(e) only."""
-        return e[1]
-
 
 def build_sfs(diagram: DiagramSpec) -> SemibranchingSystem:
     """Construct the s.f.s. of a stationary 0-1 diagram and verify the

@@ -56,7 +56,8 @@ class StationaryDistribution:
 
 
 def _power_iterate(matvec, t0, tol, max_iter, norm, trace=None):
-    """Normalized power iteration; returns (t, lam, iterations).
+    """Normalized power iteration, polished once it converges; returns
+    (t, lam, iterations).
 
     ``trace``, when given, collects (iteration, residual) rows for
     convergence tables.
@@ -73,7 +74,7 @@ def _power_iterate(matvec, t0, tol, max_iter, norm, trace=None):
         if trace is not None:
             trace.append((k, residual))
         if np.max(np.abs(s - t)) < tol and residual < tol:
-            return s, lam, k
+            return (*_polish(matvec, s, lam, norm), k)
         t = s
     raise NoConvergence(f"no convergence after {max_iter} iterations")
 
@@ -126,8 +127,6 @@ def perron_eigenpair(f: IncidenceMatrix, window_schedule=None,
         trace = []
         t, lam, k = _power_iterate(lambda x: a @ x, ones, tol, max_iter,
                                    lambda x: float(np.sum(np.abs(x))), trace)
-        t, lam = _polish(lambda x: a @ x, t, lam,
-                         lambda x: float(np.sum(np.abs(x))))
         if np.min(t) <= 1e-13 * np.max(t):
             raise ReducibleSuspected(
                 "eigenvector support is a proper vertex subset")
@@ -147,8 +146,6 @@ def perron_eigenpair(f: IncidenceMatrix, window_schedule=None,
         t, lam, k = _power_iterate(
             lambda x: _stencil_matvec(f.stencil, x), ones, tol, max_iter,
             lambda x: float(np.max(np.abs(x))), trace)
-        t, lam = _polish(lambda x: _stencil_matvec(f.stencil, x), t, lam,
-                         lambda x: float(np.max(np.abs(x))))
         t = t / np.max(t)
         residual = float(np.max(np.abs(_stencil_matvec(f.stencil, t) - lam * t)) / lam)
         quarter = max(1, len(verts) // 4)
@@ -180,8 +177,6 @@ def solve_harmonic(m: np.ndarray, tol: float = DEFAULT_TOL,
     ones = np.ones(m.shape[0])
     q, rho, k = _power_iterate(lambda x: m @ x, ones, tol, max_iter,
                                lambda x: float(np.max(np.abs(x))))
-    q, rho = _polish(lambda x: m @ x, q, rho,
-                     lambda x: float(np.max(np.abs(x))))
     if abs(rho - 1.0) > max(1e-8, 10 * tol):
         raise DegenerateSolution(
             f"spectral radius {rho:.6g} != 1; no positive fixed vector")

@@ -53,6 +53,17 @@ def test_validate_zero_row_exit1(files):
     assert not json.loads(res.output)["valid"]
 
 
+@pytest.mark.parametrize("triplets", [[[1, 0, 1]], [[0, 1, 1]]])
+def test_validate_naturals_boundary_exit1(tmp_path, triplets):
+    path = tmp_path / "nat.json"
+    path.write_text(json.dumps({"kind": "stationary", "vertices": {"type": "naturals"},
+                                "matrices": [{"triplets": triplets}]}))
+    res = run(["validate", "--diagram", str(path)])
+    assert res.exit_code == 1
+    out = json.loads(res.output)
+    assert not out["valid"] and len(out["errors"]) == 1
+
+
 def test_malformed_json_exit2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -158,6 +169,8 @@ def test_sample_count_matches_library(files):
       "--what", "kolmogorov", "--len", "2"], "WindowTooSmall"),
     (["measure", "sample", "--diagram", "nat", "--measure", "tail", "--len", "3",
       "--start", "64"], "WindowTooSmall"),
+    (["sfs", "qstat", "--diagram", "allones", "--measure", "tail",
+      "--path", "0-0-0-0-0", "--terms", "4"], "TooShort"),
 ])
 def test_typed_error_exit1(files, args, kind):
     res = run([files.get(a, a) for a in args])

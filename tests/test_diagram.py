@@ -183,3 +183,62 @@ def test_naturals_domain_clips_negative():
 def test_finite_matrix_requires_entries():
     with pytest.raises(pm.DiagramError):
         IncidenceMatrix(FINITE)
+
+
+def _validate_by_scan(f, name="F"):
+    """Errors and warnings of one finite matrix by scanning every entry."""
+    errors, warnings = [], []
+    rows = {v: 0 for v in range(f.size)}
+    cols = {w: 0 for w in range(f.size)}
+    for (v, w), c in f.entries.items():
+        rows[v] += 1
+        cols[w] += 1
+    errors += [f"{name}: row {v} is zero (no incoming edges)" for v, k in rows.items() if not k]
+    for w, k in cols.items():
+        if k == 0:
+            errors.append(f"{name}: column {w} is zero (no outgoing edges)")
+        elif k == 1 and sum(c for (v, s), c in f.entries.items() if s == w) == 1:
+            warnings.append(f"{name}: column {w} has a single edge (isolated-point warning)")
+    return errors, warnings
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                st.integers(0, 3), max_size=n * n))))
+def test_finite_adjacency_matches_entry_scan(case):
+    n, entries = case
+    f = IncidenceMatrix(FINITE, entries=entries)
+    f.size = n
+    for v in range(n):
+        assert f.row(v) == sorted((w, c) for (t, w), c in f.entries.items() if t == v)
+        assert f.column(v) == sorted((t, c) for (t, w), c in f.entries.items() if w == v)
+    dense = f.to_dense(list(range(n)), list(range(n)))
+    for v in range(n):
+        for w in range(n):
+            assert dense[v, w] == f.entries.get((v, w), 0)
+    report = validate_diagram(DiagramSpec("stationary", [f]))
+    assert (report.errors, report.warnings) == _validate_by_scan(f)
+
+
+@pytest.mark.parametrize("triplets, message", [
+    ([[1, 0, 1]], "F: row 0 is zero (no incoming edges)"),
+    ([[0, 1, 1]], "F: column 0 is zero (no outgoing edges)"),
+])
+def test_naturals_boundary_zero_lines(triplets, message):
+    spec = diagram_from_dict({"kind": "stationary", "vertices": {"type": "naturals"},
+                              "matrices": [{"triplets": triplets}]})
+    report = validate_diagram(spec)
+    assert not report.valid
+    assert report.errors == [message]
+
+
+def test_naturals_tridiagonal_valid(nat):
+    report = validate_diagram(nat)
+    assert report.valid and report.warnings == []
+
+
+def test_finite_negative_vertex_rejected():
+    with pytest.raises(pm.DiagramError, match="nonnegative"):
+        diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": 2},
+                           "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1], [-1, 1, 1]]}]})

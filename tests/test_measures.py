@@ -141,7 +141,7 @@ def test_tail_to_markov_matches_on_cylinders(fib):
 def test_tail_to_markov_nonstationary(allones2):
     vectors = [{0: 2.0 ** (-n - 1), 1: 2.0 ** (-n - 1)} for n in range(5)]
     tm = tail_measure_from_vectors(allones2, vectors)
-    mk = tail_to_markov(tm, n_levels=4)
+    mk = tail_to_markov(tm)
     assert not mk.stationary
     for n in range(1, 4):
         for p in enumerate_paths(allones2, n):
@@ -310,7 +310,7 @@ def test_markov_shift_invariance_qp_fixed(allones2):
 def test_nonstationary_shift_product(allones2):
     vectors = [{0: 2.0 ** (-n - 1), 1: 2.0 ** (-n - 1)} for n in range(8)]
     tm = tail_measure_from_vectors(allones2, vectors)
-    mk = tail_to_markov(tm, n_levels=7)
+    mk = tail_to_markov(tm)
     x = parse_path_literal("0-0-0-0-0-0", allones2)
     report = pm.nonstationary_shift_product(mk, x, 4)
     assert report.converges_to_one

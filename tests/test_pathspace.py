@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from pathmeas import (
     enumerate_paths,
     one_edge_extensions,
     parse_path_literal,
+    path_levels,
     prepend,
     shift,
     tail_equivalent_on_prefix,
@@ -112,6 +115,18 @@ def test_enumerate_counts(allones2, fib):
     assert len(enumerate_paths(allones2, 2)) == 8
     # fib path counts per length follow the Fibonacci recursion
     assert [len(enumerate_paths(fib, n)) for n in range(4)] == [2, 3, 5, 8]
+
+
+def test_path_levels_extend_parents_in_blocks(fib, tri_z):
+    for spec, window in ((fib, None), (tri_z, 2)):
+        levels = list(path_levels(spec, 4, window))
+        assert len(levels) == 5
+        for parents, kids in zip(levels, levels[1:]):
+            parent_of = [str(x.prefix(len(x) - 1) if len(x) > 1 else empty_path(x.start))
+                         for x in kids]
+            # one consecutive block per parent, parents in their own order
+            assert [k for k, _ in groupby(parent_of)] == [str(p) for p in parents]
+        assert [str(p) for p in levels[-1]] == [str(p) for p in enumerate_paths(spec, 4, window)]
 
 
 def test_cell_counts(fib):

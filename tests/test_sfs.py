@@ -94,7 +94,7 @@ def test_quasi_stationary_nonstationary(allones2):
         s = vectors[0][0] + vectors[0][1]
         vectors.insert(0, {0: s, 1: s})
     tm = tail_measure_from_vectors(allones2, vectors, tol=1e-12)
-    mk = tail_to_markov(tm, n_levels=7)
+    mk = tail_to_markov(tm)
     x = parse_path_literal("0-0-0-0-0-0-0", allones2)
     report = quasi_stationary_test(mk, x, n_terms=4, tol=1e-6)
     assert report.bounds == (1e-6, 1e6)
@@ -114,3 +114,13 @@ def test_preimage_count(fib):
     assert preimage_count(fib, x) == 2
     y = parse_path_literal("1-0", fib)
     assert preimage_count(fib, y) == 1
+
+
+def test_level_ratios_need_terms_plus_one_edges(allones2):
+    m = stationary_tail_measure(allones2)
+    x = parse_path_literal("0-0-0-0-0", allones2)
+    with pytest.raises(pm.TooShort):
+        m.markov.level_ratios(x, 4)
+    with pytest.raises(pm.TooShort):
+        quasi_stationary_test(m, x, n_terms=4)
+    assert quasi_stationary_test(m, x, n_terms=3).partials == pytest.approx([1.0] * 3)
