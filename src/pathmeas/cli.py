@@ -55,9 +55,19 @@ def guarded(fn):
     return wrapper
 
 
-def load_measure(diagram, path):
+def load_measure(diagram_path, path):
+    """The diagram of one file and the measure of another on it."""
+    spec = load_diagram(diagram_path)
     with open(path) as fh:
-        return measmod.measure_from_dict(diagram, json.load(fh))
+        return spec, measmod.measure_from_dict(spec, json.load(fh))
+
+
+def load_kernel(kernel_path, q_json=None):
+    """A file's disintegrated kernel and q from JSON (default: 1 on all cells)."""
+    k = kernelmod.disintegrate(kernelmod.load_edge_measure(kernel_path))
+    if q_json is None:
+        return k, {c: 1.0 for c in set(k.cells0.cells) | set(k.cells1.cells)}
+    return k, {str(c): float(v) for c, v in json.loads(q_json).items()}
 
 
 @click.group()
@@ -94,7 +104,7 @@ def eigen(diagram_path, tol, window, fmt):
         return
     emit({"lambda": pair.lam,
           "t": {str(v): x for v, x in pair.t.items()},
-          "residual": pair.residual,
+          "residual": pair.residual, "bracket": pair.bracket,
           "summable": pair.summable,
           "normalization": pair.normalization,
           "tol": tol, "window": pair.window})
@@ -113,8 +123,7 @@ def measure():
 @guarded
 def measure_eval(diagram_path, measure_path, path_literal, length):
     """Value of one cylinder (--path) or of all cylinders of a length."""
-    spec = load_diagram(diagram_path)
-    m = load_measure(spec, measure_path)
+    spec, m = load_measure(diagram_path, measure_path)
     if path_literal is not None:
         path = parse_path_literal(path_literal, spec)
         emit({"cylinder": str(path), "value": m.value(path)})
@@ -135,8 +144,7 @@ def measure_eval(diagram_path, measure_path, path_literal, length):
 @guarded
 def measure_check(diagram_path, measure_path, what, length, tol):
     """Run one audit; exit 1 when it fails."""
-    spec = load_diagram(diagram_path)
-    m = load_measure(spec, measure_path)
+    spec, m = load_measure(diagram_path, measure_path)
     if what in ("kolmogorov", "ifs"):
         audit = measmod.check_kolmogorov if what == "kolmogorov" else measmod.check_ifs_fixed_point
         rep = audit(m, length, tol)
@@ -177,8 +185,7 @@ def measure_check(diagram_path, measure_path, what, length, tol):
 @guarded
 def measure_sample(diagram_path, measure_path, length, seed, count, start):
     """Draw seeded sample paths (deterministic per seed)."""
-    spec = load_diagram(diagram_path)
-    m = load_measure(spec, measure_path)
+    _, m = load_measure(diagram_path, measure_path)
     paths = [str(p) for p in measmod.sample_paths(m, length, count, seed, start)]
     emit({"seed": seed, "len": length, "paths": paths})
 
@@ -198,8 +205,7 @@ def sfs():
 @guarded
 def sfs_rn(diagram_path, measure_path, edge_literal, path_literal, depth):
     """Radon-Nikodym ratio sequence for one branch at one path."""
-    spec = load_diagram(diagram_path)
-    m = load_measure(spec, measure_path)
+    spec, m = load_measure(diagram_path, measure_path)
     e = parse_path_literal(edge_literal, spec).edges[0]
     x = parse_path_literal(path_literal, spec)
     rep = sfsmod.rn_derivative(m, e, x, depth)
@@ -216,8 +222,7 @@ def sfs_rn(diagram_path, measure_path, edge_literal, path_literal, depth):
 @guarded
 def sfs_qstat(diagram_path, measure_path, path_literal, terms, tol):
     """Quasi-stationarity partial products along one path."""
-    spec = load_diagram(diagram_path)
-    m = load_measure(spec, measure_path)
+    spec, m = load_measure(diagram_path, measure_path)
     x = parse_path_literal(path_literal, spec)
     rep = sfsmod.quasi_stationary_test(m, x, terms, tol)
     emit({"partials": rep.partials, "verdict": rep.verdict,
@@ -236,10 +241,8 @@ def kernel_group():
 @guarded
 def kernel_disintegrate(kernel_path):
     """Marginal and conditional rows of an edge measure."""
-    p = kernelmod.load_edge_measure(kernel_path)
-    k = kernelmod.disintegrate(p)
-    emit({"marginal": k.marginal,
-          "rows": {x: row for x, row in k.rows.items()}})
+    k, _ = load_kernel(kernel_path)
+    emit({"marginal": k.marginal, "rows": k.rows})
 
 
 @kernel_group.command("check")
@@ -249,11 +252,7 @@ def kernel_disintegrate(kernel_path):
 @guarded
 def kernel_check(kernel_path, q_json, tol):
     """Harmonicity of q (default: constant 1)."""
-    p = kernelmod.load_edge_measure(kernel_path)
-    k = kernelmod.disintegrate(p)
-    cells = set(k.cells0.cells) | set(k.cells1.cells)
-    q = {c: 1.0 for c in cells} if q_json is None else \
-        {str(c): float(v) for c, v in json.loads(q_json).items()}
+    k, q = load_kernel(kernel_path, q_json)
     rep = kernelmod.harmonic_check(k, q, tol)
     emit({"residuals": rep.residuals, "max_residual": rep.max_residual,
           "passed": rep.passed, "tol": tol})
@@ -269,11 +268,7 @@ def kernel_check(kernel_path, q_json, tol):
 @guarded
 def kernel_eval(kernel_path, cells_literal, q_json):
     """Value of one cell cylinder under the harmonic IFS measure."""
-    p = kernelmod.load_edge_measure(kernel_path)
-    k = kernelmod.disintegrate(p)
-    cells = set(k.cells0.cells) | set(k.cells1.cells)
-    q = {c: 1.0 for c in cells} if q_json is None else \
-        {str(c): float(v) for c, v in json.loads(q_json).items()}
+    k, q = load_kernel(kernel_path, q_json)
     m = kernelmod.measurable_ifs_measure(k, q)
     cyl = [c if c != "*" else None for c in cells_literal.split(",")]
     emit({"cylinder": cells_literal, "value": m.value(cyl)})
@@ -287,8 +282,7 @@ def kernel_eval(kernel_path, cells_literal, q_json):
 @guarded
 def kernel_iterate(kernel_path, depth, iters, fmt):
     """Transfer-operator iteration from the uniform cylinder table."""
-    p = kernelmod.load_edge_measure(kernel_path)
-    k = kernelmod.disintegrate(p)
+    k, _ = load_kernel(kernel_path)
     cells = list(k.cells0.cells)
     table = {cyl: 1.0 / len(cells) ** len(cyl)
              for cyl in kernelmod.atomic_cylinders(cells, depth)}

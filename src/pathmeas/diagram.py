@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import DiagramError, NonStationary, WindowTooSmall
 
@@ -60,15 +61,15 @@ class IncidenceMatrix:
 
     def __init__(self, domain, entries=None, stencil=None, band=None):
         self.domain = domain
+        self._transpose = None    # set here: a later new attribute slows every lookup
         if domain == FINITE:
             if entries is None:
                 raise DiagramError("finite matrix needs explicit entries")
             if min((min(v, w) for (v, w) in entries), default=0) < 0:
                 raise DiagramError("finite vertex indices must be nonnegative")
             self.size = 1 + max((max(v, w) for (v, w) in entries), default=-1)
-            self.entries = {k: int(c) for k, c in entries.items() if c}
-            self.stencil = None
-            self.band = None
+            self.entries = {k: n for k, c in entries.items() if (n := _count(c))}
+            self.stencil = self.band = None
             self._rows, self._cols = {}, {}
             for (v, w), c in sorted(self.entries.items()):
                 self._rows.setdefault(v, []).append((w, c))
@@ -76,11 +77,9 @@ class IncidenceMatrix:
         else:
             if stencil is None:
                 raise DiagramError("infinite matrix needs a stencil")
-            self.entries = None
-            self.size = None
-            self.stencil = {int(d): int(c) for d, c in stencil.items() if c}
-            self.band = band if band is not None else max(
-                (abs(d) for d in self.stencil), default=0)
+            self.entries = self.size = None
+            self.stencil = {int(d): n for d, c in stencil.items() if (n := _count(c))}
+            self.band = max((abs(d) for d in self.stencil), default=0) if band is None else band
             if any(abs(d) > self.band for d in self.stencil):
                 raise DiagramError("stencil offset exceeds declared band")
 
@@ -146,9 +145,34 @@ class IncidenceMatrix:
         return a
 
     @property
+    def transpose_arrays(self):
+        """(rows, cols, counts) of a finite level's A = F^T and whether its graph
+        has a cycle (else A is nilpotent); built on first use and kept."""
+        if self._transpose is None:
+            cols, rows = np.array(list(self.entries), dtype=np.intp).reshape(-1, 2).T
+            counts = np.array(list(self.entries.values()), dtype=float)
+            cyclic = bool(np.any(rows == cols)) or csgraph.connected_components(
+                csr_matrix((counts, (rows, cols)), shape=(self.size, self.size)),
+                directed=True, connection="strong", return_labels=False) < self.size
+            self._transpose = rows, cols, counts, cyclic
+        return self._transpose
+
+    @property
     def is_zero_one(self) -> bool:
         values = self.entries.values() if self.domain == FINITE else self.stencil.values()
         return all(c <= 1 for c in values)
+
+
+def _count(c) -> int:
+    """An edge count as an int (2.0 is 2); others raise DiagramError."""
+    if type(c) is int and c >= 0:      # the common case, checked cheaply
+        return c
+    try:
+        if c >= 0 and float(c).is_integer():
+            return int(c)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DiagramError(f"edge count {c!r} is not a nonnegative integer")
 
 
 @dataclass
@@ -212,10 +236,7 @@ class DiagramSpec:
     def all_edges(self, level: int = 0, window: int | None = None):
         """Every edge of one level (finite domains, or a window), ordered
         by (source, target, multiplicity)."""
-        edges = []
-        for w in self.vertices(window):
-            edges.extend(self.edges_from(w, level))
-        return edges
+        return [e for w in self.vertices(window) for e in self.edges_from(w, level)]
 
     def edge_count(self, edge: Edge) -> int:
         return self.matrix(edge.level).entry(edge.target, edge.source)
@@ -326,24 +347,16 @@ def is_irreducible(spec: DiagramSpec, window: int | None = None,
     """
     verts = spec.vertices(window)
     k = len(verts)
+    mats = [m.to_dense(verts, verts) > 0 for m in spec.matrices]
     if spec.is_stationary:
-        f = spec.matrix(0).to_dense(verts, verts) > 0
-        reach = np.zeros((k, k), dtype=bool)
+        mats = mats * max_m           # F^1 .. F^max_m from level 0 only
+    reach = np.zeros((k, k), dtype=bool)
+    for start in range(1 if spec.is_stationary else len(mats)):
         power = np.eye(k, dtype=bool)
-        for _ in range(max_m):
-            power = power @ f
+        for f in mats[start:start + max_m]:
+            power = f @ power
             reach |= power
-        ok = reach.all()
-    else:
-        n_levels = len(spec.matrices)
-        reach = np.zeros((k, k), dtype=bool)
-        for start in range(n_levels):
-            power = np.eye(k, dtype=bool)
-            for m in range(start, min(start + max_m, n_levels)):
-                power = spec.matrix(m).to_dense(verts, verts).astype(bool) @ power
-                reach |= power
-        ok = reach.all()
-    if ok:
+    if reach.all():
         return "yes"
     return "no-within-horizon" if spec.domain == FINITE else "unknown"
 
@@ -354,15 +367,14 @@ def is_irreducible(spec: DiagramSpec, window: int | None = None,
 def _matrix_from_json(obj, vert) -> IncidenceMatrix:
     triplets = obj["triplets"]
     if vert["type"] == "finite":
-        entries = {(int(v), int(w)): int(c) for v, w, c in triplets}
-        m = IncidenceMatrix(FINITE, entries=entries)
+        m = IncidenceMatrix(FINITE, entries={(int(v), int(w)): c for v, w, c in triplets})
         m.size = max(m.size, int(vert["count"]))
         return m
     # Infinite domains: triplets are read as a translation-invariant
     # stencil, offset = target - source.
     stencil = {}
     for v, w, c in triplets:
-        stencil[int(v) - int(w)] = stencil.get(int(v) - int(w), 0) + int(c)
+        stencil[int(v) - int(w)] = stencil.get(int(v) - int(w), 0) + _count(c)
     domain = NATURALS if vert["type"] == "naturals" else INTEGERS
     return IncidenceMatrix(domain, stencil=stencil, band=vert.get("band"))
 

@@ -55,11 +55,9 @@ class EdgeMeasure:
                 raise MeasureError(f"edge mass must be positive on ({x},{y})")
             if x not in self.cells0.cells or y not in self.cells1.cells:
                 raise MeasureError(f"edge ({x},{y}) off the cell spaces")
-        touched_s = {x for x, _ in self.mass}
-        touched_r = {y for _, y in self.mass}
-        if touched_s != set(self.cells0.cells):
+        if {x for x, _ in self.mass} != set(self.cells0.cells):
             raise MeasureError("source projection is not onto the level")
-        if touched_r != set(self.cells1.cells):
+        if {y for _, y in self.mass} != set(self.cells1.cells):
             raise MeasureError("range projection is not onto the level")
 
     @property
@@ -117,10 +115,8 @@ class HarmonicReport:
 def harmonic_check(kernel: CellKernel, q: dict,
                    tol: float = KERNEL_TOL) -> HarmonicReport:
     """Per-cell residual of sum_y p(x,y) q(y) - q(x)."""
-    residuals = {}
-    for x, row in kernel.rows.items():
-        integral = sum(p * q[y] for y, p in row.items())
-        residuals[x] = abs(integral - q[x])
+    residuals = {x: abs(sum(p * q[y] for y, p in row.items()) - q[x])
+                 for x, row in kernel.rows.items()}
     worst = max(residuals.values())
     return HarmonicReport(residuals, worst, worst < tol)
 

@@ -305,8 +305,8 @@ def ifs_measure(diagram: DiagramSpec, p,
         raise NotZeroOne("IFS measures require a 0-1 diagram")
     if diagram.domain != FINITE:
         raise MeasureError("IFS measures are materialized on finite levels")
-    verts = diagram.vertices()
-    p = {(w, v): float(x) for (w, v), x in _as_edge_dict(p).items()}
+    verts = diagram.vertices()        # 0 .. n-1 on a finite level
+    p = _as_edge_dict(p)
     f = diagram.matrix(0)
     for (w, v), x in p.items():
         if f.entry(v, w) == 0:
@@ -318,11 +318,10 @@ def ifs_measure(diagram: DiagramSpec, p,
             if (e.source, e.target) not in p:
                 raise MeasureError(f"missing weight for edge ({e.source}->{e.target})")
     m = np.zeros((len(verts), len(verts)))
-    idx = {v: i for i, v in enumerate(verts)}
     for (w, v), x in p.items():
-        m[idx[w], idx[v]] = x
+        m[w, v] = x
     harmonic = solve_harmonic(m, tol, max_iter)
-    q = {v: float(harmonic.q[idx[v]]) for v in verts}
+    q = dict(zip(verts, harmonic.q.tolist()))
     cols = {w: sum(x for (_, v), x in p.items() if v == w) for w in verts}
     return IFSWeights(diagram, p, q, cols, harmonic.residual, harmonic.total_mass)
 
@@ -620,12 +619,10 @@ def measure_from_dict(diagram: DiagramSpec, obj: dict):
             return tail_measure_from_vectors(diagram, obj["vectors"])
         return stationary_tail_measure(diagram)
     if kind == "markov":
-        if "P" in obj:
-            table = {(int(w), int(v), int(k)): float(p) for w, v, k, p in obj["P"]}
-            return markov_measure(diagram, obj["q"], table)
-        levels = [{(int(w), int(v), int(k)): float(p) for w, v, k, p in lvl}
-                  for lvl in obj["P_levels"]]
-        return markov_measure(diagram, obj["q"], levels)
+        def table(rows):
+            return {(int(w), int(v), int(k)): float(p) for w, v, k, p in rows}
+        p = table(obj["P"]) if "P" in obj else [table(lvl) for lvl in obj["P_levels"]]
+        return markov_measure(diagram, obj["q"], p)
     if kind == "ifs":
         return ifs_measure(diagram, obj["p"])
     raise MeasureError(f"unknown measure type {kind!r}")

@@ -187,11 +187,8 @@ def cell(spec: DiagramSpec, n: int, v: int, window: int | None = None) -> LevelP
 def parse_path_literal(text: str, spec: DiagramSpec) -> FinitePath:
     """Parse the CLI path literal ``v0-v1-...:k0,k1,...`` (multiplicity
     indices optional, default 0)."""
-    if ":" in text:
-        vert_part, mult_part = text.split(":", 1)
-        mults = [int(k) for k in mult_part.split(",")] if mult_part else []
-    else:
-        vert_part, mults = text, []
+    vert_part, _, mult_part = text.partition(":")
+    mults = [int(k) for k in mult_part.split(",")] if mult_part else []
     verts = [int(v) for v in vert_part.split("-")]
     if len(verts) < 2:
         raise PathError("path literal needs at least two vertices")

@@ -32,6 +32,7 @@ class EigenPair:
     window: int | None = None
     iterations: int = 0
     trace: list | None = None
+    bracket: tuple | None = None  # finite levels: min, max of (A t)_v / t_v
 
     def vector(self, vertices) -> np.ndarray:
         return np.array([self.t[v] for v in vertices])
@@ -55,44 +56,42 @@ class StationaryDistribution:
     non_unique: bool = False
 
 
-def _power_iterate(matvec, t0, tol, max_iter, norm, trace=None):
-    """Normalized power iteration, polished once it converges; returns
-    (t, lam, iterations).
+def _step(matvec, mt, norm, shift):
+    """One normalized step from the product M t: (s, M s, mu, residual of
+    A = M - shift I at s), with mu = norm(M t) and lam = mu - shift."""
+    mu = norm(mt)
+    if mu == shift:
+        raise DegenerateSolution("iterate vanished; no positive eigenvector")
+    s = mt / mu
+    ms = matvec(s)
+    return s, ms, mu, float(np.max(np.abs(ms - mu * s)) / (mu - shift))
 
-    ``trace``, when given, collects (iteration, residual) rows for
-    convergence tables.
+
+def _power_iterate(matvec, t0, tol, max_iter, norm, trace=None, shift=0.0):
+    """Normalized power iteration on M = A + shift I; returns (t, lam,
+    iterations).  One product per step: the M s taken for the residual
+    |M s - mu s| / lam = |A s - lam s| / lam is the next step's product.
+    Once converged it polishes, stepping on (at most 200 steps) while the
+    residual keeps improving, down toward machine precision.  ``trace``,
+    when given, collects (iteration, residual) rows for convergence tables.
     """
     t = t0 / norm(t0)
-    lam = 1.0
+    mt = matvec(t)
     for k in range(1, max_iter + 1):
-        s = matvec(t)
-        lam = norm(s)
-        if lam == 0.0:
-            raise DegenerateSolution("iterate vanished; no positive eigenvector")
-        s = s / lam
-        residual = float(np.max(np.abs(matvec(s) - lam * s)) / lam)
+        s, ms, mu, residual = _step(matvec, mt, norm, shift)
         if trace is not None:
             trace.append((k, residual))
-        if np.max(np.abs(s - t)) < tol and residual < tol:
-            return (*_polish(matvec, s, lam, norm), k)
-        t = s
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
-
-
-def _polish(matvec, t, lam, norm, extra: int = 200):
-    """Continue iterating past the stopping tolerance while the residual
-    keeps improving, down toward machine precision."""
-    best_t, best_lam = t, lam
-    best_res = float(np.max(np.abs(matvec(t) - lam * t)) / lam)
-    for _ in range(extra):
-        s = matvec(best_t)
-        lam = norm(s)
-        s = s / lam
-        res = float(np.max(np.abs(matvec(s) - lam * s)) / lam)
-        if res >= best_res:
+        if residual < tol and np.max(np.abs(s - t)) < tol:
             break
-        best_t, best_lam, best_res = s, lam, res
-    return best_t, best_lam
+        t, mt = s, ms
+    else:
+        raise NoConvergence(f"no convergence after {max_iter} iterations")
+    for _ in range(200):
+        polished = _step(matvec, ms, norm, shift)
+        if polished[3] >= residual:
+            break
+        s, ms, mu, residual = polished
+    return s, mu - shift, k
 
 
 def _stencil_matvec(stencil, t):
@@ -114,26 +113,37 @@ def perron_eigenpair(f: IncidenceMatrix, window_schedule=None,
                      max_iter: int = DEFAULT_MAX_ITER) -> EigenPair:
     """Perron eigenpair of A = F^T by power iteration.
 
-    Finite domains use the full level with sum-one normalization.
+    Finite domains iterate on A + I over the full level with sum-one
+    normalization: the shift makes an irreducible A primitive, periodic
+    ones included, and each product gathers the level's cached transpose
+    arrays.  The result carries the Collatz-Wielandt bracket
+    min/max (A t)_v / t_v, which holds the Perron root.  A level graph
+    without a cycle (nilpotent A) raises DegenerateSolution at once.
     Infinite domains run a schedule of growing windows (sup-one
     normalization) until the eigenvalue drift between windows drops below
     tolerance, and classify summability of the eigenvector from the tail
     behavior across the schedule.
     """
     if f.domain == FINITE:
-        verts = f.vertices()
-        a = f.to_dense(verts, verts).T
-        ones = np.ones(len(verts))
+        rows, cols, counts, cyclic = f.transpose_arrays
+        if not cyclic:
+            raise DegenerateSolution("level graph has no cycle: A = F^T is nilpotent")
+
+        def a_mul(x):
+            return np.bincount(rows, weights=counts * x[cols], minlength=len(x))
         trace = []
-        t, lam, k = _power_iterate(lambda x: a @ x, ones, tol, max_iter,
-                                   lambda x: float(np.sum(np.abs(x))), trace)
+        # iterates of the nonnegative A + I stay nonnegative: sum is the 1-norm
+        t, lam, k = _power_iterate(lambda x: a_mul(x) + x, np.ones(f.size), tol,
+                                   max_iter, lambda x: float(x.sum()), trace, 1.0)
         if np.min(t) <= 1e-13 * np.max(t):
-            raise ReducibleSuspected(
-                "eigenvector support is a proper vertex subset")
+            raise ReducibleSuspected("eigenvector support is a proper vertex subset")
         t = t / np.sum(t)
-        residual = float(np.max(np.abs(a @ t - lam * t)) / lam)
-        return EigenPair(float(lam), dict(zip(verts, t)), "sum-one",
-                         residual, "yes", window=None, iterations=k, trace=trace)
+        at = a_mul(t)
+        lo, hi = float(np.min(at / t)), float(np.max(at / t))
+        lam = min(max(lam, lo), hi)    # the Perron root lies in [lo, hi]
+        residual = float(np.max(np.abs(at - lam * t)) / lam)
+        return EigenPair(lam, dict(enumerate(t)), "sum-one", residual, "yes",
+                         iterations=k, trace=trace, bracket=(lo, hi))
 
     schedule = list(window_schedule or DEFAULT_SCHEDULE)
     prev_lam = None
@@ -141,10 +151,9 @@ def perron_eigenpair(f: IncidenceMatrix, window_schedule=None,
     result = None
     for radius in schedule:
         verts = f.vertices(radius)
-        ones = np.ones(len(verts))
         trace = []
         t, lam, k = _power_iterate(
-            lambda x: _stencil_matvec(f.stencil, x), ones, tol, max_iter,
+            lambda x: _stencil_matvec(f.stencil, x), np.ones(len(verts)), tol, max_iter,
             lambda x: float(np.max(np.abs(x))), trace)
         t = t / np.max(t)
         residual = float(np.max(np.abs(_stencil_matvec(f.stencil, t) - lam * t)) / lam)
@@ -174,12 +183,10 @@ def solve_harmonic(m: np.ndarray, tol: float = DEFAULT_TOL,
     (spectral radius < 1 collapses iterates toward zero).
     """
     m = np.asarray(m, dtype=float)
-    ones = np.ones(m.shape[0])
-    q, rho, k = _power_iterate(lambda x: m @ x, ones, tol, max_iter,
+    q, rho, k = _power_iterate(lambda x: m @ x, np.ones(m.shape[0]), tol, max_iter,
                                lambda x: float(np.max(np.abs(x))))
     if abs(rho - 1.0) > max(1e-8, 10 * tol):
-        raise DegenerateSolution(
-            f"spectral radius {rho:.6g} != 1; no positive fixed vector")
+        raise DegenerateSolution(f"spectral radius {rho:.6g} != 1; no positive fixed vector")
     q = q / np.max(q)
     if np.min(q) <= 0:
         raise DegenerateSolution("fixed vector is not strictly positive")
@@ -191,13 +198,9 @@ def recurrent_classes(p: np.ndarray):
     """Strongly connected components with no outgoing edges."""
     n_comp, labels = csgraph.connected_components(
         csr_matrix(p > 0), directed=True, connection="strong")
-    closed = []
-    for c in range(n_comp):
-        members = np.where(labels == c)[0]
-        outside = np.setdiff1d(np.arange(p.shape[0]), members)
-        if outside.size == 0 or not np.any(p[np.ix_(members, outside)] > 0):
-            closed.append(members)
-    return closed
+    rows, cols = np.nonzero(p > 0)
+    leaving = set(labels[rows][labels[rows] != labels[cols]].tolist())
+    return [np.where(labels == c)[0] for c in range(n_comp) if c not in leaving]
 
 
 def stationary_distribution(p: np.ndarray, tol: float = DEFAULT_TOL,

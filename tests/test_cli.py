@@ -86,6 +86,26 @@ def test_eigen_fib(files):
     assert "residual" in out and "summable" in out
 
 
+def test_eigen_bracket(files):
+    out = json.loads(run(["eigen", "--diagram", files["fib"]]).output)
+    lo, hi = out["bracket"]
+    assert lo <= out["lambda"] <= hi and hi - lo <= 1e-8 * hi
+    assert json.loads(run(["eigen", "--diagram", files["nat"]]).output)["bracket"] is None
+
+
+@pytest.mark.parametrize("count", [-1, 1.5])
+@pytest.mark.parametrize("command", ["validate", "eigen"])
+def test_bad_edge_count_exit1(tmp_path, command, count):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "stationary",
+                                "vertices": {"type": "finite", "count": 2},
+                                "matrices": [{"triplets": [[0, 0, count], [0, 1, 1],
+                                                           [1, 0, 1]]}]}))
+    res = run([command, "--diagram", str(path)])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "DiagramError"
+
+
 def test_eigen_csv(files):
     res = run(["eigen", "--diagram", files["fib"], "--format", "csv"])
     assert res.exit_code == 0

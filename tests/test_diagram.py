@@ -242,3 +242,29 @@ def test_finite_negative_vertex_rejected():
     with pytest.raises(pm.DiagramError, match="nonnegative"):
         diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": 2},
                            "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1], [-1, 1, 1]]}]})
+
+
+@pytest.mark.parametrize("count", [-1, 1.5, float("nan"), float("inf"), "2"])
+def test_bad_edge_count_rejected(count):
+    with pytest.raises(pm.DiagramError, match="nonnegative integer"):
+        IncidenceMatrix(FINITE, entries={(0, 0): 1, (0, 1): count})
+    with pytest.raises(pm.DiagramError, match="nonnegative integer"):
+        IncidenceMatrix(pm.INTEGERS, stencil={0: 1, 1: count})
+
+
+@pytest.mark.parametrize("domain", ["finite", "naturals"])
+def test_bad_edge_count_rejected_at_load(domain):
+    # a negative count once passed validate (and gave a Perron root of
+    # 0.618); a fractional one was truncated to an integer
+    for bad in (-1, 1.5):
+        with pytest.raises(pm.DiagramError):
+            diagram_from_dict({"kind": "stationary",
+                               "vertices": {"type": domain, "count": 2},
+                               "matrices": [{"triplets": [[0, 0, bad], [0, 1, 1],
+                                                          [1, 0, 1]]}]})
+
+
+def test_integral_float_count_accepted():
+    f = IncidenceMatrix(FINITE, entries={(0, 0): 2.0, (0, 1): 1, (1, 0): 0.0})
+    assert f.entries == {(0, 0): 2, (0, 1): 1}
+    assert all(type(c) is int for c in f.entries.values())

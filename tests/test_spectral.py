@@ -4,11 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 
 import pathmeas as pm
 from pathmeas import perron_eigenpair, solve_harmonic, stationary_distribution
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def finite_matrix(f):
+    """IncidenceMatrix of a dense count array F (entry F[v, w]: w -> v)."""
+    n = f.shape[0]
+    m = pm.IncidenceMatrix("finite", entries={
+        (v, w): int(f[v, w]) for v in range(n) for w in range(n) if f[v, w]})
+    m.size = n
+    return m
+
+
+def assert_bracketed(pair):
+    lo, hi = pair.bracket
+    assert lo <= pair.lam <= hi
+    assert hi - lo <= 1e-8 * hi
 
 
 def test_allones_eigenpair(allones2):
@@ -26,6 +42,8 @@ def test_fib_eigenpair(fib):
     assert abs(pair.lam - PHI) < 1e-10
     assert abs(pair.t[0] / pair.t[1] - PHI) < 1e-9
     assert abs(pair.t[0] + pair.t[1] - 1.0) < 1e-12
+    assert_bracketed(pair)
+    assert pair.bracket[0] - 1e-15 <= PHI <= pair.bracket[1] + 1e-15
 
 
 def test_eigen_residual_recomputed_independently(fib):
@@ -60,6 +78,7 @@ def test_tri_z_eigenpair(tri_z):
     assert pair.summable == "no"
     assert pair.normalization == "sup-one"
     assert pair.window is not None
+    assert pair.bracket is None
 
 
 def test_tri_z_small_window(tri_z):
@@ -78,6 +97,93 @@ def test_perron_dominates_row_bounds(entries):
     a = np.array(entries, dtype=float).reshape(2, 2).T
     sums = a.sum(axis=1)
     assert sums.min() - 1e-9 <= pair.lam <= sums.max() + 1e-9
+
+
+@st.composite
+def irreducible_counts(draw):
+    """Random irreducible F on 2-6 vertices: the cycle w -> w+1 (mod n) plus
+    random edges, all from class w % p to class (w + 1) % p for a period p
+    dividing n, so p > 1 gives a periodic matrix."""
+    n = draw(st.integers(2, 6))
+    p = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    f = np.zeros((n, n))
+    for v in range(n):
+        for w in range(n):
+            if v == (w + 1) % n:
+                f[v, w] = draw(st.integers(1, 3))
+            elif v % p == (w + 1) % p:
+                f[v, w] = draw(st.integers(0, 3))
+    return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(irreducible_counts())
+def test_perron_matches_eigvals(f):
+    pair = perron_eigenpair(finite_matrix(f))
+    rho = float(np.max(np.abs(np.linalg.eigvals(f.T))))
+    assert abs(pair.lam - rho) <= 1e-9 * rho
+    assert_bracketed(pair)
+    lo, hi = pair.bracket
+    assert lo - 1e-12 * hi <= rho <= hi + 1e-12 * hi
+    t = pair.vector(range(f.shape[0]))
+    assert np.all(t > 0) and abs(np.sum(t) - 1.0) < 1e-12
+
+
+def test_periodic_converges_to_sqrt2():
+    # F = [[0,2],[1,0]]: A = F^T has eigenvalues +-sqrt(2), so plain power
+    # iteration oscillates; A + I does not
+    pair = perron_eigenpair(finite_matrix(np.array([[0, 2], [1, 0]])))
+    assert abs(pair.lam - math.sqrt(2)) <= 1e-12 * math.sqrt(2)
+    assert pair.iterations < 100
+    assert_bracketed(pair)
+
+
+@pytest.mark.parametrize("entries", [{(0, 1): 1}, {}])
+def test_nilpotent_level_is_degenerate_at_once(entries):
+    # no cycle in the level graph: A is nilpotent and has no Perron vector;
+    # max_iter=1 shows that no iteration runs before the error
+    f = pm.IncidenceMatrix("finite", entries=entries)
+    with pytest.raises(pm.DegenerateSolution):
+        perron_eigenpair(f, max_iter=1)
+
+
+def test_large_sparse_level_agrees_with_bracket():
+    # a primitive 2000-vertex level: the cycle, a self-loop at every vertex
+    # and two random sources per row; the bracket is recomputed with scipy
+    rng = np.random.default_rng(2000)
+    n = 2000
+    entries = {}
+    for v in range(n):
+        entries[(v, (v - 1) % n)] = int(rng.integers(1, 4))
+        entries[(v, v)] = int(rng.integers(1, 4))
+        for w in rng.choice(n, size=2, replace=False):
+            entries.setdefault((v, int(w)), int(rng.integers(1, 4)))
+    pair = perron_eigenpair(pm.IncidenceMatrix("finite", entries=entries))
+    assert_bracketed(pair)
+    v, w = zip(*entries)
+    a = coo_matrix((list(entries.values()), (w, v)), shape=(n, n)).tocsr()
+    t = pair.vector(range(n))
+    ratios = (a @ t) / t
+    assert ratios.min() == pytest.approx(pair.bracket[0], rel=1e-13)
+    assert ratios.max() == pytest.approx(pair.bracket[1], rel=1e-13)
+    assert pair.residual < 1e-12
+
+
+def test_trace_rows_are_residuals_of_a():
+    # the finite solver iterates on A + I; each trace row must still be
+    # A's residual |A s - lam s| / lam with lam = mu - 1, not a shifted one
+    f = np.array([[0, 1, 2], [3, 0, 1], [0, 2, 1]])
+    pair = perron_eigenpair(finite_matrix(f))
+    a = f.T.astype(float)
+    t = np.full(3, 1 / 3)
+    for k, res in pair.trace:
+        m_t = a @ t + t
+        mu = np.sum(m_t)
+        s = m_t / mu
+        expected = np.max(np.abs(a @ s - (mu - 1) * s)) / (mu - 1)
+        assert res == pytest.approx(expected, rel=1e-6, abs=1e-15)
+        t = s
+    assert pair.trace[-1][1] < 1e-10
 
 
 def test_solve_harmonic_symmetric():
