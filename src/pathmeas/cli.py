@@ -16,7 +16,7 @@ import click
 from . import kernel as kernelmod
 from . import measures as measmod
 from . import sfs as sfsmod
-from .diagram import load_diagram, validate_diagram
+from .diagram import DEFAULT_WINDOW, load_diagram, validate_diagram
 from .errors import PathmeasError
 from .pathspace import enumerate_paths, parse_path_literal
 from .spectral import DEFAULT_TOL, perron_eigenpair
@@ -91,14 +91,14 @@ def validate(diagram_path):
 @main.command()
 @click.option("--diagram", "diagram_path", required=True, type=click.Path())
 @click.option("--tol", default=DEFAULT_TOL, show_default=True)
-@click.option("--window", default=None, type=int)
+@click.option("--window", default=DEFAULT_WINDOW, show_default=True,
+              help="vertex radius of a stencil eigenvector")
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
 @guarded
 def eigen(diagram_path, tol, window, fmt):
     """Perron eigenpair of A = F^T."""
     spec = load_diagram(diagram_path)
-    schedule = [window] if window is not None else None
-    pair = perron_eigenpair(spec.matrix(0), schedule, tol)
+    pair = perron_eigenpair(spec.matrix(0), window, tol)
     if fmt == "csv":
         emit_csv(("iteration", "residual"), pair.trace)
         return

@@ -129,6 +129,8 @@ class IncidenceMatrix:
             return list(range(self.size))
         if window is None:
             window = DEFAULT_WINDOW
+        elif window < 0:
+            raise WindowTooSmall(f"window radius {window} is negative")
         if self.domain == NATURALS:
             return list(range(0, window + 1))
         return list(range(-window, window + 1))
@@ -173,6 +175,18 @@ def _count(c) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise DiagramError(f"edge count {c!r} is not a nonnegative integer")
+
+
+def _index(x) -> int:
+    """A vertex index as an int (2.0 is 2); others raise DiagramError."""
+    if type(x) is int:                 # the common case, checked cheaply
+        return x
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DiagramError(f"vertex index {x!r} is not an integer")
 
 
 @dataclass
@@ -367,14 +381,15 @@ def is_irreducible(spec: DiagramSpec, window: int | None = None,
 def _matrix_from_json(obj, vert) -> IncidenceMatrix:
     triplets = obj["triplets"]
     if vert["type"] == "finite":
-        m = IncidenceMatrix(FINITE, entries={(int(v), int(w)): c for v, w, c in triplets})
+        m = IncidenceMatrix(FINITE, entries={(_index(v), _index(w)): c for v, w, c in triplets})
         m.size = max(m.size, int(vert["count"]))
         return m
     # Infinite domains: triplets are read as a translation-invariant
     # stencil, offset = target - source.
     stencil = {}
     for v, w, c in triplets:
-        stencil[int(v) - int(w)] = stencil.get(int(v) - int(w), 0) + _count(c)
+        d = _index(v) - _index(w)
+        stencil[d] = stencil.get(d, 0) + _count(c)
     domain = NATURALS if vert["type"] == "naturals" else INTEGERS
     return IncidenceMatrix(domain, stencil=stencil, band=vert.get("band"))
 

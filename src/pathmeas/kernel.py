@@ -22,7 +22,7 @@ from .errors import (
     NotStochastic,
     ZeroMarginal,
 )
-from .measures import FixedPointReport
+from .measures import FixedPointReport, require_masses
 from .spectral import recurrent_classes
 
 KERNEL_TOL = 1e-12
@@ -50,9 +50,8 @@ class EdgeMeasure:
     mass: dict                     # (x, y) -> positive mass
 
     def __post_init__(self):
-        for (x, y), m in self.mass.items():
-            if m <= 0:
-                raise MeasureError(f"edge mass must be positive on ({x},{y})")
+        require_masses(self.mass, "edge mass", positive=True)
+        for x, y in self.mass:
             if x not in self.cells0.cells or y not in self.cells1.cells:
                 raise MeasureError(f"edge ({x},{y}) off the cell spaces")
         if {x for x, _ in self.mass} != set(self.cells0.cells):
@@ -127,8 +126,7 @@ class KernelHarmonic:
     non_unique: bool
 
 
-def solve_harmonic_kernel(kernel: CellKernel, tol: float = 1e-10,
-                          max_iter: int = 100_000) -> KernelHarmonic:
+def solve_harmonic_kernel(kernel: CellKernel, tol: float = 1e-10) -> KernelHarmonic:
     """Positive harmonic function of a stochastic kernel.
 
     Stochastic rows make the constant function harmonic; it is returned

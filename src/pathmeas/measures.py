@@ -16,7 +16,7 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .diagram import FINITE, DiagramSpec, Edge, height_vector
+from .diagram import DEFAULT_WINDOW, FINITE, DiagramSpec, Edge, height_vector
 from .errors import (
     InconsistentVectors,
     InfiniteMass,
@@ -113,6 +113,8 @@ def tail_measure_from_vectors(diagram: DiagramSpec, vectors,
                               window=None) -> TailInvariantMeasure:
     """Wrap an explicit vector sequence, enforcing A_n mu^(n+1) = mu^(n)."""
     vecs = [_as_vertex_dict(diagram, v, window) for v in vectors]
+    for n, vec in enumerate(vecs):
+        require_masses(vec, f"level-{n} vertex mass")
     for n in range(len(vecs) - 1):
         f = diagram.matrix(n)
         for w, target in vecs[n].items():
@@ -125,11 +127,11 @@ def tail_measure_from_vectors(diagram: DiagramSpec, vectors,
 
 def stationary_tail_measure(diagram: DiagramSpec, tol: float = DEFAULT_TOL,
                             max_iter: int = DEFAULT_MAX_ITER,
-                            window_schedule=None) -> TailInvariantMeasure:
+                            window: int = DEFAULT_WINDOW) -> TailInvariantMeasure:
     """The tail-invariant measure of a stationary diagram from the Perron
     eigenpair of A = F^T: cylinders of n edges ending at v get t_v/lam^n."""
     diagram.require_stationary()
-    eigen = perron_eigenpair(diagram.matrix(0), window_schedule, tol, max_iter)
+    eigen = perron_eigenpair(diagram.matrix(0), window, tol, max_iter)
     return TailInvariantMeasure(diagram, "perron", eigen=eigen)
 
 
@@ -235,8 +237,10 @@ def markov_measure(diagram: DiagramSpec, q, p_levels,
     levels = [p_levels] if stationary else list(p_levels)
     if stationary:
         diagram.require_stationary()
+    require_masses(q, "initial mass")
     full_support = all(x > 0 for x in q.values())
     for n, table in enumerate(levels):
+        require_masses(table, f"level-{n} transition")
         f = diagram.matrix(n if not stationary else 0)
         for (w, v, k), p in table.items():
             if p > 0 and not (0 <= k < f.entry(v, w)):
@@ -307,12 +311,11 @@ def ifs_measure(diagram: DiagramSpec, p,
         raise MeasureError("IFS measures are materialized on finite levels")
     verts = diagram.vertices()        # 0 .. n-1 on a finite level
     p = _as_edge_dict(p)
+    require_masses(p, "edge weight", positive=True)
     f = diagram.matrix(0)
-    for (w, v), x in p.items():
+    for w, v in p:
         if f.entry(v, w) == 0:
             raise SupportMismatch(f"weight on missing edge ({w}->{v})")
-        if x <= 0:
-            raise MeasureError(f"edge weight must be positive on ({w}->{v})")
     for w in verts:
         for e in diagram.edges_from(w, 0):
             if (e.source, e.target) not in p:
@@ -588,6 +591,15 @@ def check_kolmogorov(measure, max_len: int = 5, tol: float = IDENTITY_TOL,
 
 # ---------------------------------------------------------------------------
 # helpers / JSON interchange
+
+def require_masses(values: dict, what: str, positive: bool = False):
+    """Raise MeasureError at the first value (key -> number) that is NaN,
+    infinite or negative, or zero when ``positive``."""
+    for key, x in values.items():
+        if not (x > 0 if positive else x >= 0) or x == math.inf:
+            sign = "positive" if positive else "nonnegative"
+            raise MeasureError(f"{what} {x!r} at {key!r} is not finite and {sign}")
+
 
 def _as_vertex_dict(diagram: DiagramSpec, values, window=None) -> dict:
     if isinstance(values, dict):

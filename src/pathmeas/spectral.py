@@ -1,8 +1,9 @@
 """Perron eigenpairs and harmonic (fixed-point) vectors.
 
-All solvers are deterministic: the start vector is all-ones on the window,
-iteration order is fixed, and results carry the residual of the equation
-they claim to solve, recomputable by an independent multiply.
+All solvers are deterministic: iterations start from all-ones in a fixed
+order, stencil eigenpairs are closed form, and results carry the residual
+of the equation they claim to solve, recomputable by an independent
+multiply.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .diagram import FINITE, IncidenceMatrix
+from .diagram import DEFAULT_WINDOW, FINITE, NATURALS, IncidenceMatrix
 from .errors import DegenerateSolution, NoConvergence, NotStochastic, ReducibleSuspected
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
-DEFAULT_SCHEDULE = (8, 16, 32, 64)
 
 
 @dataclass
@@ -27,8 +27,8 @@ class EigenPair:
     lam: float
     t: dict                  # vertex -> component
     normalization: str       # "sum-one" | "sup-one"
-    residual: float          # sup |A t - lam t| / lam on the window
-    summable: str            # "yes" | "no" | "unknown"
+    residual: float          # sup |A t - lam t| / lam over the level
+    summable: str            # "yes" (finite level) | "no" (stencil)
     window: int | None = None
     iterations: int = 0
     trace: list | None = None
@@ -94,24 +94,10 @@ def _power_iterate(matvec, t0, tol, max_iter, norm, trace=None, shift=0.0):
     return s, mu - shift, k
 
 
-def _stencil_matvec(stencil, t):
-    """(A t)_w = sum_d c_d t_{w+d} with nearest-value boundary extension.
-
-    Translation invariance of banded matrices makes the replication exact
-    away from the boundary and keeps constant eigenvectors exact globally.
-    """
-    n = len(t)
-    out = np.zeros(n)
-    for d, c in stencil.items():
-        idx = np.clip(np.arange(n) + d, 0, n - 1)
-        out += c * t[idx]
-    return out
-
-
-def perron_eigenpair(f: IncidenceMatrix, window_schedule=None,
+def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
                      tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> EigenPair:
-    """Perron eigenpair of A = F^T by power iteration.
+    """Perron eigenpair of A = F^T.
 
     Finite domains iterate on A + I over the full level with sum-one
     normalization: the shift makes an irreducible A primitive, periodic
@@ -119,10 +105,12 @@ def perron_eigenpair(f: IncidenceMatrix, window_schedule=None,
     arrays.  The result carries the Collatz-Wielandt bracket
     min/max (A t)_v / t_v, which holds the Perron root.  A level graph
     without a cycle (nilpotent A) raises DegenerateSolution at once.
-    Infinite domains run a schedule of growing windows (sup-one
-    normalization) until the eigenvalue drift between windows drops below
-    tolerance, and classify summability of the eigenvector from the tail
-    behavior across the schedule.
+
+    A stencil (infinite domain) has every row sum equal to sum_d c_d, so
+    its pair is closed form: lam = sum_d c_d and t = 1 on the window's
+    vertices, sup-one normalized and not summable.  The residual is that
+    of the whole level: 0 on the integers; on the naturals vertex 0 has no
+    sources w < 0, so (A t)_0 falls short of lam by sum_{d<0} c_d.
     """
     if f.domain == FINITE:
         rows, cols, counts, cyclic = f.transpose_arrays
@@ -145,32 +133,13 @@ def perron_eigenpair(f: IncidenceMatrix, window_schedule=None,
         return EigenPair(lam, dict(enumerate(t)), "sum-one", residual, "yes",
                          iterations=k, trace=trace, bracket=(lo, hi))
 
-    schedule = list(window_schedule or DEFAULT_SCHEDULE)
-    prev_lam = None
-    tails = []
-    result = None
-    for radius in schedule:
-        verts = f.vertices(radius)
-        trace = []
-        t, lam, k = _power_iterate(
-            lambda x: _stencil_matvec(f.stencil, x), np.ones(len(verts)), tol, max_iter,
-            lambda x: float(np.max(np.abs(x))), trace)
-        t = t / np.max(t)
-        residual = float(np.max(np.abs(_stencil_matvec(f.stencil, t) - lam * t)) / lam)
-        quarter = max(1, len(verts) // 4)
-        tails.append(float((np.sum(t[:quarter]) + np.sum(t[-quarter:])) / np.sum(t)))
-        result = EigenPair(float(lam), dict(zip(verts, t)), "sup-one",
-                           residual, "unknown", window=radius, iterations=k,
-                           trace=trace)
-        if prev_lam is not None and abs(lam - prev_lam) < tol:
-            break
-        prev_lam = lam
-    t_arr = result.vector(f.vertices(result.window))
-    if np.min(t_arr) > 0.5 * np.max(t_arr):
-        result.summable = "no"       # bounded below on an infinite level
-    elif len(tails) >= 2 and all(b <= 0.6 * a for a, b in zip(tails, tails[1:])):
-        result.summable = "yes"      # geometric tail decay over the schedule
-    return result
+    verts = f.vertices(window)
+    lam = float(sum(f.stencil.values()))
+    if lam == 0:
+        raise DegenerateSolution("stencil has no edges: A = F^T is zero")
+    lost = sum(c for d, c in f.stencil.items() if d < 0) if f.domain == NATURALS else 0
+    return EigenPair(lam, dict.fromkeys(verts, 1.0), "sup-one", lost / lam, "no",
+                     window=window, trace=[])
 
 
 def solve_harmonic(m: np.ndarray, tol: float = DEFAULT_TOL,

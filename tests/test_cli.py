@@ -17,6 +17,8 @@ KERNEL = {"cells0": ["a", "b"], "cells1": ["a", "b"],
                     ["b", "a", 0.25], ["b", "b", 0.25]]}
 NAT = {"kind": "stationary", "vertices": {"type": "naturals"},
        "matrices": [{"triplets": [[-1, 0, 1], [0, 0, 1], [1, 0, 1]]}]}
+TRI_Z = {"kind": "stationary", "vertices": {"type": "integers", "band": 1},
+         "matrices": [{"triplets": [[-1, 0, 1], [0, 0, 1], [1, 0, 1]]}]}
 IFS = {"type": "ifs", "p": [[0, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]}
 TAIL = {"type": "tail"}
 HALF = [[w, v, 0, 0.5] for w in (0, 1) for v in (0, 1)]
@@ -28,7 +30,7 @@ TAIL3 = {"type": "tail", "vectors": [[0.5, 0.5], [0.25, 0.25], [0.125, 0.125]]}
 def files(tmp_path):
     paths = {}
     for name, obj in [("allones", ALLONES), ("fib", FIB), ("zerorow", ZERO_ROW),
-                      ("nat", NAT), ("kernel", KERNEL), ("ifs", IFS), ("tail", TAIL),
+                      ("nat", NAT), ("tri_z", TRI_Z), ("kernel", KERNEL), ("ifs", IFS), ("tail", TAIL),
                       ("markov2", MARKOV2), ("tail3", TAIL3)]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(obj))
@@ -112,6 +114,60 @@ def test_eigen_csv(files):
     lines = res.output.strip().splitlines()
     assert lines[0] == "iteration,residual"
     assert len(lines) > 2
+
+
+def test_eigen_stencil_window(files):
+    out = json.loads(run(["eigen", "--diagram", files["tri_z"], "--window", "8"]).output)
+    assert len(out["t"]) == 17 and out["window"] == 8
+    assert out["lambda"] == 3.0 and out["residual"] == 0.0
+
+
+def test_eigen_stencil_csv_is_header_only(files):
+    res = run(["eigen", "--diagram", files["nat"], "--format", "csv"])
+    assert res.exit_code == 0
+    assert res.output == "iteration,residual\n"
+
+
+def test_eigen_negative_window_exit1(files):
+    res = run(["eigen", "--diagram", files["tri_z"], "--window", "-1"])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "WindowTooSmall"
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("measure", [
+    {"type": "markov", "q": [NAN, 0.5], "P": HALF},
+    {"type": "markov", "q": [0.5, 0.5], "P": [[0, 0, 0, -0.5], [0, 1, 0, 1.5]] + HALF[2:]},
+    {"type": "tail", "vectors": [[-2, -2], [-1, -1]]},
+    {"type": "ifs", "p": [[0, 0, NAN]] + IFS["p"][1:]},
+])
+def test_bad_mass_exit1(files, tmp_path, measure):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(measure))
+    res = run(["measure", "eval", "--diagram", files["allones"], "--measure", str(path),
+               "--len", "1"])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "MeasureError"
+
+
+def test_bad_kernel_mass_exit1(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**KERNEL, "edges": [["a", "a", NAN]] + KERNEL["edges"][1:]}))
+    res = run(["kernel", "disintegrate", "--kernel", str(path)])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "MeasureError"
+
+
+@pytest.mark.parametrize("index", [1.7, NAN, "x"])
+def test_bad_vertex_index_exit1(tmp_path, index):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**FIB, "matrices": [{"triplets": [[0, 0, 1], [0, index, 1],
+                                                                  [1, 0, 1]]}]}))
+    res = run(["validate", "--diagram", str(path)])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "DiagramError"
 
 
 def test_eigen_deterministic_bytes(files):

@@ -268,3 +268,22 @@ def test_integral_float_count_accepted():
     f = IncidenceMatrix(FINITE, entries={(0, 0): 2.0, (0, 1): 1, (1, 0): 0.0})
     assert f.entries == {(0, 0): 2, (0, 1): 1}
     assert all(type(c) is int for c in f.entries.values())
+
+
+@pytest.mark.parametrize("domain", ["finite", "naturals", "integers"])
+@pytest.mark.parametrize("index", [1.7, float("nan"), float("inf"), "1", None])
+def test_bad_vertex_index_rejected_at_load(domain, index):
+    # a fractional index was truncated, so [0, 1.7, 1] became an edge from 1
+    with pytest.raises(pm.DiagramError, match="vertex index"):
+        diagram_from_dict({"kind": "stationary", "vertices": {"type": domain, "count": 2},
+                           "matrices": [{"triplets": [[0, index, 1], [1, 0, 1]]}]})
+
+
+@pytest.mark.parametrize("domain", ["finite", "naturals"])
+def test_integral_float_index_accepted(domain):
+    def load(triplets):
+        return diagram_from_dict({"kind": "stationary", "vertices": {"type": domain, "count": 2},
+                                  "matrices": [{"triplets": triplets}]}).matrix(0)
+    f = load([[0, 1.0, 1], [1.0, 0, 1]])
+    g = load([[0, 1, 1], [1, 0, 1]])
+    assert (f.entries, f.stencil) == (g.entries, g.stencil)

@@ -172,3 +172,10 @@ def test_fixed_point_property_random_kernels(ra, rb, ma, mb):
     k = disintegrate(p)
     m = measurable_ifs_measure(k, {"a": 1.0, "b": 1.0})
     assert check_ifs_fixed_point_measurable(m, max_len=3, tol=1e-10).holds
+
+
+@pytest.mark.parametrize("mass", [float("nan"), float("inf"), 0.0, -0.1])
+def test_edge_measure_rejects_bad_mass(mass):
+    with pytest.raises(pm.MeasureError, match="not finite and positive"):
+        edge_measure_from_dict({"cells0": ["a"], "cells1": ["a"],
+                                "edges": [["a", "a", mass]]})

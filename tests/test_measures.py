@@ -398,3 +398,30 @@ def test_markov_kolmogorov_property(a, b, q0):
     table = {(0, 0, 0): a, (0, 1, 0): 1 - a, (1, 0, 0): b, (1, 1, 0): 1 - b}
     m = markov_measure(spec, [q0, 1 - q0], table)
     assert check_kolmogorov(m, max_len=4, tol=1e-10).holds
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("q, table", [
+    ([NAN, 0.5], {}), ([-0.5, 1.5], {}), ([INF, 1.0], {}),
+    ([0.5, 0.5], {(0, 0, 0): NAN}), ([0.5, 0.5], {(0, 0, 0): -0.5, (0, 1, 0): 1.5}),
+])
+def test_markov_rejects_bad_masses(allones2, q, table):
+    # each case once built a measure; the last one's rows still sum to 1
+    half = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
+    with pytest.raises(pm.MeasureError, match="not finite and nonnegative"):
+        markov_measure(allones2, q, {**half, **table})
+
+
+@pytest.mark.parametrize("vectors", [[[-2, -2], [-1, -1]], [[NAN, 1.0], [0.5, 0.5]]])
+def test_tail_vectors_reject_bad_masses(allones2, vectors):
+    with pytest.raises(pm.MeasureError, match="not finite and nonnegative"):
+        tail_measure_from_vectors(allones2, vectors)
+
+
+@pytest.mark.parametrize("weight", [NAN, INF, 0.0, -0.5])
+def test_ifs_rejects_bad_weight_at_once(allones2, weight):
+    # a NaN weight once ran the harmonic solver to its 100k-step limit
+    with pytest.raises(pm.MeasureError, match="not finite and positive"):
+        ifs_measure(allones2, [[0, 0, weight]] + SYMMETRIC_P[1:], max_iter=1)

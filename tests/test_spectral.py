@@ -82,8 +82,41 @@ def test_tri_z_eigenpair(tri_z):
 
 
 def test_tri_z_small_window(tri_z):
-    pair = perron_eigenpair(tri_z.matrix(0), window_schedule=[4, 8])
+    pair = perron_eigenpair(tri_z.matrix(0), window=8)
     assert abs(pair.lam - 3.0) < 1e-10
+
+
+@st.composite
+def stencils(draw):
+    """A random stencil on the integers or the naturals: offsets -3..3,
+    counts 0..3 (so possibly no edge at all)."""
+    domain = draw(st.sampled_from([pm.INTEGERS, pm.NATURALS]))
+    counts = draw(st.lists(st.integers(0, 3), min_size=7, max_size=7))
+    return pm.IncidenceMatrix(domain, stencil=dict(zip(range(-3, 4), counts)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stencils(), st.integers(0, 10))
+def test_stencil_pair_closed_form(f, window):
+    c = f.stencil
+    if not c:
+        with pytest.raises(pm.DegenerateSolution):
+            perron_eigenpair(f, window)
+        return
+    pair = perron_eigenpair(f, window)
+    lam = sum(c.values())
+    assert pair.lam == lam
+    assert list(pair.t) == f.vertices(window)
+    assert (pair.window, pair.iterations, pair.trace) == (window, 0, [])
+    assert (pair.normalization, pair.summable, pair.bracket) == ("sup-one", "no", None)
+    # (A t)_w = sum_d c_d t_{w+d}, summed on every row whose stencil stays
+    # in the window (on the naturals that leaves out rows near 0 when an
+    # offset is negative)
+    for w in pair.t:
+        if all(w + d in pair.t for d in c):
+            assert sum(n * pair.t[w + d] for d, n in c.items()) == lam * pair.t[w]
+    lost = sum(n for d, n in c.items() if d < 0) if f.domain == pm.NATURALS else 0
+    assert pair.residual == lost / lam
 
 
 @settings(max_examples=50, deadline=None)
