@@ -165,8 +165,8 @@ class IncidenceMatrix:
         return all(c <= 1 for c in values)
 
 
-def _count(c) -> int:
-    """An edge count as an int (2.0 is 2); others raise DiagramError."""
+def _count(c, what: str = "edge count") -> int:
+    """A count as an int (2.0 is 2); others raise DiagramError."""
     if type(c) is int and c >= 0:      # the common case, checked cheaply
         return c
     try:
@@ -174,7 +174,7 @@ def _count(c) -> int:
             return int(c)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DiagramError(f"edge count {c!r} is not a nonnegative integer")
+    raise DiagramError(f"{what} {c!r} is not a nonnegative integer")
 
 
 def _index(x) -> int:
@@ -382,7 +382,7 @@ def _matrix_from_json(obj, vert) -> IncidenceMatrix:
     triplets = obj["triplets"]
     if vert["type"] == "finite":
         m = IncidenceMatrix(FINITE, entries={(_index(v), _index(w)): c for v, w, c in triplets})
-        m.size = max(m.size, int(vert["count"]))
+        m.size = max(m.size, _count(vert["count"], "vertex count"))
         return m
     # Infinite domains: triplets are read as a translation-invariant
     # stencil, offset = target - source.

@@ -23,6 +23,7 @@ from .errors import (
     MeasureError,
     NotStochastic,
     NotZeroOne,
+    PathmeasError,
     SupportMismatch,
     TooShort,
     WindowTooSmall,
@@ -145,8 +146,8 @@ class MarkovMeasure:
 
     ``levels[n]`` maps an edge key (source, target, mult) at level n to its
     transition probability; a stationary measure reuses ``levels[0]``.
-    ``rows[n]`` maps each source vertex to its out-edge keys and their
-    cumulative probabilities, and ``starts`` does the same for q.
+    ``starts`` holds the vertices of q and their cumulative masses; ``row``
+    builds each vertex's out-edges the first time a walk reaches it.
     """
 
     diagram: DiagramSpec
@@ -156,12 +157,12 @@ class MarkovMeasure:
     full_support: bool = True
     total_mass: float = field(init=False)
     starts: tuple | None = field(init=False, repr=False)
-    rows: list = field(init=False, repr=False)
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.total_mass = math.fsum(self.q.values())
         self.starts = _cumulative(list(self.q), list(self.q.values()))
-        self.rows = [_rows(table) for table in self.levels]
+        self._rows = {}
 
     @property
     def markov(self) -> "MarkovMeasure":
@@ -181,11 +182,21 @@ class MarkovMeasure:
         return self.level_table(edge.level).get(edge.key(), 0.0)
 
     def row(self, w: int, n: int) -> tuple:
-        """Out-edge keys of w at level n and their cumulative probabilities."""
-        row = self.rows[self._level(n)].get(w)
+        """The out-edges of w at level n, as shared Edge objects, and their
+        cumulative probabilities; built on the first visit and kept.  The
+        cache grows with the walks: after walks of length L it holds at most
+        one row per vertex on each of levels 0..L-1, stationary or not."""
+        try:
+            return self._rows[n, w]
+        except KeyError:
+            pass
+        table = self.level_table(n)
+        out = tuple(self.diagram.edges_from(w, n))
+        row = _cumulative(out, [table.get(e.key(), 0.0) for e in out])
         if row is None:
             err = MeasureError if self.diagram.domain == FINITE else WindowTooSmall
             raise err(f"no transition row for vertex {w} at level {n}")
+        self._rows[n, w] = row
         return row
 
     def level_ratios(self, path: FinitePath, n_terms: int) -> list:
@@ -217,14 +228,6 @@ def _cumulative(items, weights):
     if not cum or not 0 < cum[-1] < math.inf:
         return None
     return tuple(items), [c / cum[-1] for c in cum]
-
-
-def _rows(table: dict) -> dict:
-    """Each source vertex's out-edge keys, in order, with cumulative probabilities."""
-    keys = {}
-    for key in sorted(table):
-        keys.setdefault(key[0], []).append(key)
-    return {w: _cumulative(ks, [table[k] for k in ks]) for w, ks in keys.items()}
 
 
 def markov_measure(diagram: DiagramSpec, q, p_levels,
@@ -493,35 +496,87 @@ def _vertex_transition_residual(m: MarkovMeasure) -> float:
 # ---------------------------------------------------------------------------
 # Sampling
 
-def sample_paths(measure, length: int, count: int, seed: int,
-                 start: int | None = None) -> list:
-    """Draw ``count`` admissible paths of ``length`` edges by inverse-CDF
-    steps over the measure's Markov form; deterministic per seed.  Without
-    ``start`` the first vertex is drawn from q, which needs finite mass."""
+def _draw_form(measure, length: int, count: int, start) -> MarkovMeasure:
+    """The measure's Markov form, once the draw's sizes and start are checked."""
+    if length < 0 or count < 0:
+        raise MeasureError(f"cannot draw {count} paths of {length} edges")
     form = measure.markov
     if start is None and not math.isfinite(measure.total_mass):
         raise InfiniteMass("supply a starting vertex for sigma-finite sampling")
     if start is None and form.starts is None:
         raise ZeroMass("q carries no mass to draw a starting vertex from")
-    paths = []
-    for u in np.random.default_rng(seed).random((count, length + 1)).tolist():
-        w = start
-        if w is None:
-            verts, cum = form.starts
-            w = verts[bisect_right(cum, u[0])]
-        edges = []
-        for n in range(length):
-            keys, cum = form.row(w, n)
-            key = keys[bisect_right(cum, u[n + 1])]
-            edges.append(Edge(n, *key))
-            w = key[1]
-        paths.append(FinitePath(tuple(edges)) if edges else empty_path(w))
-    return paths
+    return form
+
+
+def _walk(form: MarkovMeasure, u: list, start) -> FinitePath:
+    """The path that the uniforms u (one for the start, one per edge) pick
+    by inverse-CDF steps over the form's rows."""
+    w = start
+    if w is None:
+        verts, cum = form.starts
+        w = verts[bisect_right(cum, u[0])]
+    row, edges = form.row, []
+    for n in range(len(u) - 1):
+        out, cum = row(w, n)
+        e = out[bisect_right(cum, u[n + 1])]
+        edges.append(e)
+        w = e.target
+    return FinitePath(tuple(edges)) if edges else empty_path(w)
+
+
+def sample_paths(measure, length: int, count: int, seed: int,
+                 start: int | None = None) -> list:
+    """Draw ``count`` admissible paths of ``length`` edges by inverse-CDF
+    steps over the measure's Markov form; deterministic per seed.  Without
+    ``start`` the first vertex is drawn from q, which needs finite mass."""
+    form = _draw_form(measure, length, count, start)
+    block = np.random.default_rng(seed).random((count, length + 1)).tolist()
+    return [_walk(form, u, start) for u in block]
 
 
 def sample_path(measure, length: int, seed: int, start: int | None = None) -> FinitePath:
     """Draw one admissible path of the given length; deterministic per seed."""
     return sample_paths(measure, length, 1, seed, start)[0]
+
+
+def _count_paths(measure, length: int, count: int, seed: int) -> dict:
+    """str(path) -> how often ``sample_paths(measure, length, count, seed)``
+    draws it, drawn with one numpy pass per level instead of a walk per path.
+
+    At each level the reached rows' cumulative probabilities are laid end
+    to end, and one np.searchsorted(side="right") finds each walk's edge
+    within its own row, with the comparisons bisect_right makes, in
+    O(count + edges) memory.  The keys are integers, row * len(values) +
+    the value's rank among all values, so the comparisons stay exact.  Each
+    walk carries a code of its start and edges so far, re-coded by
+    np.unique at every level.
+    """
+    form = _draw_form(measure, length, count, None)
+    u = np.random.default_rng(seed).random((count, length + 1))
+    verts, cum = form.starts
+    at = np.searchsorted(cum, u[:, 0], side="right")
+    code = at
+    for n in range(length):
+        reached = np.flatnonzero(np.bincount(at, minlength=len(verts)))
+        try:
+            rows = [form.row(verts[i], n) for i in reached.tolist()]
+        except PathmeasError:
+            sample_paths(measure, length, count, seed)    # raises the walk's own error
+            raise
+        sizes = [len(out) for out, _ in rows]
+        edges = sum(sizes)
+        rank = np.unique(np.concatenate([c for _, c in rows] + [u[:, n + 1]]),
+                         return_inverse=True)[1]
+        keys = np.repeat(np.arange(len(rows)), sizes) * len(rank) + rank[:edges]
+        row = np.searchsorted(reached, at)
+        k = np.searchsorted(keys, row * len(rank) + rank[edges:], side="right")
+        index = {}
+        targets = np.array([index.setdefault(e.target, len(index)) for out, _ in rows for e in out])
+        at, verts = targets[k], list(index)
+        code = np.unique(code * edges + k, return_inverse=True)[1]
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    return {str(_walk(form, u[i].tolist(), None)): int(c)
+            for i, c in zip(first.tolist(), counts.tolist())}
 
 
 @dataclass
@@ -543,24 +598,24 @@ class EmpiricalReport:
 def empirical_check(measure, length: int, n_samples: int, seed: int,
                     z_max: float = 4.0) -> EmpiricalReport:
     """Compare seeded empirical cylinder frequencies against exact
-    probabilities using binomial standard errors."""
-    counts = {}
-    for path in sample_paths(measure, length, n_samples, seed):
-        key = tuple(e.key() for e in path.edges)
-        counts[key] = counts.get(key, 0) + 1
+    probabilities using binomial standard errors.  The frequencies count
+    the paths ``sample_paths(measure, length, n_samples, seed)`` draws."""
+    if n_samples < 1:
+        raise MeasureError(f"an empirical check needs samples, got {n_samples}")
+    counts = _count_paths(measure, length, n_samples, seed)
     cylinders = enumerate_paths(measure.diagram, length)
     values = [measure.value(c) for c in cylinders]
     total = sum(values)
     rows, worst = [], 0.0
     for c, value in zip(cylinders, values):
-        exact = value / total
-        freq = counts.get(tuple(e.key() for e in c.edges), 0) / n_samples
+        exact, name = value / total, str(c)
+        freq = counts.get(name, 0) / n_samples
         if exact in (0.0, 1.0):
             z = 0.0 if freq == exact else math.inf
         else:
             z = (freq - exact) / math.sqrt(exact * (1 - exact) / n_samples)
         worst = max(worst, abs(z))
-        rows.append(EmpiricalRow(str(c), exact, freq, z))
+        rows.append(EmpiricalRow(name, exact, freq, z))
     return EmpiricalReport(rows, n_samples, worst, worst <= z_max)
 
 

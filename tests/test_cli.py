@@ -170,6 +170,20 @@ def test_bad_vertex_index_exit1(tmp_path, index):
     assert json.loads(res.output)["error"]["kind"] == "DiagramError"
 
 
+CYCLE3 = [[0, 0, 1], [1, 0, 1], [2, 1, 1], [0, 2, 1]]
+
+
+@pytest.mark.parametrize("count, code", [(3.7, 1), (-1, 1), (NAN, 1), ("3", 1), (3.0, 0)])
+def test_vertex_count_validate(tmp_path, count, code):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"kind": "stationary", "vertices": {"type": "finite", "count": count},
+                                "matrices": [{"triplets": CYCLE3}]}))
+    res = run(["validate", "--diagram", str(path)])
+    assert res.exit_code == code
+    out = json.loads(res.output)
+    assert out["valid"] if code == 0 else out["error"]["kind"] == "DiagramError"
+
+
 def test_eigen_deterministic_bytes(files):
     a = run(["eigen", "--diagram", files["fib"]]).output
     b = run(["eigen", "--diagram", files["fib"]]).output
@@ -234,6 +248,39 @@ def test_sample_count_matches_library(files):
     assert json.loads(res.output)["paths"] == want
 
 
+IFS_ASYM = {"type": "ifs", "p": [[0, 0, 0.6], [0, 1, 0.4], [1, 0, 0.4], [1, 1, 0.6]]}
+DOUBLE = {"kind": "stationary", "vertices": {"type": "finite", "count": 2},
+          "matrices": [{"triplets": [[0, 0, 1], [1, 0, 2], [0, 1, 1], [1, 1, 1]]}]}
+MARKOV_DOUBLE = {"type": "markov", "q": [0.25, 0.75],
+                 "P": [[0, 0, 0, 0.2], [0, 1, 0, 0.3], [0, 1, 1, 0.5],
+                       [1, 0, 0, 0.3], [1, 1, 0, 0.7]]}
+# `measure sample --seed 7 --count 5` stdout, recorded once; the seeded
+# stream is part of the CLI's contract, so these bytes must never move.
+PINNED_SAMPLES = {
+    ("allones", "ifs", 3): '{"len":3,"paths":["1-1-1-0:0,0,0","0-1-0-1:0,0,0","1-1-0-0:0,0,0","0-0-0-0:0,0,0","1-1-1-1:0,0,0"],"seed":7}',
+    ("allones", "ifs", 10): '{"len":10,"paths":["1-1-1-0-0-1-0-1-1-1-0:0,0,0,0,0,0,0,0,0,0","0-0-0-0-0-1-1-1-1-0-0:0,0,0,0,0,0,0,0,0,0","1-0-0-0-0-1-1-1-1-0-0:0,0,0,0,0,0,0,0,0,0","0-1-0-0-0-1-0-0-1-1-1:0,0,0,0,0,0,0,0,0,0","1-1-0-0-0-1-0-0-0-0-0:0,0,0,0,0,0,0,0,0,0"],"seed":7}',
+    ("double", "markov", 3): '{"len":3,"paths":["1-1-1-0:0,0,0","1-1-0-1:0,0,1","1-1-1-0:0,0,0","1-1-1-1:0,0,0","1-1-1-1:0,0,0"],"seed":7}',
+    ("double", "markov", 10): '{"len":10,"paths":["1-1-1-0-1-1-0-1-1-1-1:0,0,0,0,0,0,1,0,0,0","1-0-1-1-1-1-1-1-1-0-0:0,0,0,0,0,0,0,0,0,0","1-0-0-1-1-1-1-1-1-0-0:0,0,1,0,0,0,0,0,0,0","0-1-0-1-0-1-0-1-1-1-1:1,0,0,0,1,0,0,0,0,0","1-1-0-1-1-1-1-1-0-1-1:0,0,1,0,0,0,0,0,0,0"],"seed":7}',
+    ("fib", "tail", 3): '{"len":3,"paths":["1-0-1-0:0,0,0","0-1-0-1:0,0,0","1-0-0-0:0,0,0","0-0-0-0:0,0,0","1-0-1-0:0,0,0"],"seed":7}',
+    ("fib", "tail", 10): '{"len":10,"paths":["1-0-1-0-0-1-0-1-0-0-0:0,0,0,0,0,0,0,0,0,0","0-0-0-0-0-1-0-1-0-0-0:0,0,0,0,0,0,0,0,0,0","0-0-0-0-0-1-0-0-0-0-0:0,0,0,0,0,0,0,0,0,0","0-1-0-0-0-1-0-0-1-0-1:0,0,0,0,0,0,0,0,0,0","1-0-0-0-0-1-0-0-0-0-0:0,0,0,0,0,0,0,0,0,0"],"seed":7}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SAMPLES))
+def test_sample_pinned_bytes(tmp_path, case):
+    objs = {"allones": ALLONES, "double": DOUBLE, "fib": FIB,
+            "ifs": IFS_ASYM, "markov": MARKOV_DOUBLE, "tail": TAIL}
+    diagram, measure, length = case
+    paths = []
+    for name in (diagram, measure):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(objs[name]))
+    res = run(["measure", "sample", "--diagram", str(paths[0]), "--measure", str(paths[1]),
+               "--len", str(length), "--seed", "7", "--count", "5"])
+    assert res.exit_code == 0
+    assert res.output.strip() == PINNED_SAMPLES[case]
+
+
 @pytest.mark.parametrize("args, kind", [
     (["measure", "eval", "--diagram", "allones", "--measure", "markov2", "--len", "3"],
      "MeasureError"),
@@ -247,6 +294,10 @@ def test_sample_count_matches_library(files):
       "--start", "64"], "WindowTooSmall"),
     (["sfs", "qstat", "--diagram", "allones", "--measure", "tail",
       "--path", "0-0-0-0-0", "--terms", "4"], "TooShort"),
+    (["measure", "sample", "--diagram", "allones", "--measure", "ifs", "--len", "-1"],
+     "MeasureError"),
+    (["measure", "sample", "--diagram", "allones", "--measure", "ifs", "--count", "-1"],
+     "MeasureError"),
 ])
 def test_typed_error_exit1(files, args, kind):
     res = run([files.get(a, a) for a in args])

@@ -287,3 +287,18 @@ def test_integral_float_index_accepted(domain):
     f = load([[0, 1.0, 1], [1.0, 0, 1]])
     g = load([[0, 1, 1], [1, 0, 1]])
     assert (f.entries, f.stencil) == (g.entries, g.stencil)
+
+
+@pytest.mark.parametrize("count", [3.7, -1, float("nan"), "3"])
+def test_bad_vertex_count_rejected_at_load(count):
+    # 3.7 was truncated to 3 vertices and a negative count was ignored
+    with pytest.raises(pm.DiagramError, match="vertex count"):
+        diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": count},
+                           "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1], [0, 1, 1]]}]})
+
+
+def test_integral_float_vertex_count_accepted():
+    spec = diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": 3.0},
+                              "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1]]}]})
+    assert spec.vertices() == [0, 1, 2]
+    assert type(spec.matrix(0).size) is int

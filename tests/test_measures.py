@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -382,6 +384,135 @@ def test_empirical_ifs(allones2):
     nu = ifs_measure(allones2, ASYMMETRIC_P)
     report = empirical_check(nu, length=3, n_samples=20000, seed=12)
     assert report.passed
+
+
+@pytest.mark.parametrize("length, count", [(-1, 1), (2, -1)])
+def test_negative_draw_sizes_rejected(allones2, length, count):
+    # length -1 once died with an IndexError, count -1 with numpy's ValueError
+    nu = ifs_measure(allones2, ASYMMETRIC_P)
+    with pytest.raises(pm.MeasureError):
+        sample_paths(nu, length, count, seed=0)
+    assert sample_paths(nu, 2, 0, seed=0) == []
+
+
+def test_empirical_needs_samples(allones2):
+    # zero samples once raised ZeroDivisionError
+    with pytest.raises(pm.MeasureError):
+        empirical_check(ifs_measure(allones2, ASYMMETRIC_P), 2, 0, 0)
+
+
+def test_empirical_length_zero_counts_start_vertices(allones2):
+    # every empty path once shared one key, so each start vertex read frequency 1
+    m = markov_measure(allones2, [0.25, 0.75], {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)})
+    report = empirical_check(m, 0, 4000, seed=3)
+    starts = Counter(str(p) for p in sample_paths(m, 0, 4000, seed=3))
+    assert {r.cylinder: round(r.empirical * 4000) for r in report.rows} == starts
+    assert report.passed
+
+
+TRI_Z = {"kind": "stationary", "vertices": {"type": "integers", "band": 1},
+         "matrices": [{"triplets": [[-1, 0, 1], [0, 0, 1], [1, 0, 1]]}]}
+
+
+def _weights(draw, n):
+    """n nonnegative weights that sum to one (a zero weight is allowed)."""
+    x = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]), min_size=n, max_size=n))
+    total = sum(x)
+    return [v / total for v in x] if total else [1.0] + [0.0] * (n - 1)
+
+
+@st.composite
+def finite_markov(draw):
+    """A Markov measure on a random finite stationary diagram (multi-edges
+    and sinks allowed), stationary or with 1-3 stored levels."""
+    n = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+    counts[0] = counts[0] or 1
+    spec = pm.diagram_from_dict({
+        "kind": "stationary", "vertices": {"type": "finite", "count": n},
+        "matrices": [{"triplets": [[i // n, i % n, c] for i, c in enumerate(counts) if c]}]})
+
+    def table():
+        out = {}
+        for w in spec.vertices():
+            edges = spec.edges_from(w, 0)
+            out.update({e.key(): p for e, p in zip(edges, _weights(draw, len(edges)))})
+        return out
+
+    n_levels = draw(st.integers(0, 3))
+    p = table() if n_levels == 0 else [table() for _ in range(n_levels)]
+    return markov_measure(spec, _weights(draw, n), p)
+
+
+@st.composite
+def stencil_markov(draw):
+    """A Markov measure on the tridiagonal integer stencil whose q sits
+    near the right end of the window, so walks may leave it."""
+    spec = pm.diagram_from_dict(TRI_Z)
+    step = _weights(draw, 3)
+    table = {(w, w + d, 0): p for w in spec.vertices() for d, p in zip((-1, 0, 1), step)}
+    q = dict(zip(range(61, 65), _weights(draw, 4)))
+    return markov_measure(spec, q, table)
+
+
+def _same_draws(m, length, n, seed):
+    """The counted draw behind empirical_check against the path draw: equal
+    counts, or the same error."""
+    try:
+        want = Counter(str(p) for p in sample_paths(m, length, n, seed))
+    except pm.PathmeasError as e:
+        with pytest.raises(type(e)) as info:
+            empirical_check(m, length, n, seed)
+        assert type(info.value) is type(e) and str(info.value) == str(e)
+        return e
+    report = empirical_check(m, length, n, seed)
+    assert {r.cylinder: round(r.empirical * n) for r in report.rows if r.empirical} == want
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_markov(), st.integers(0, 6), st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_counted_draw_matches_path_draw(m, length, n, seed):
+    e = _same_draws(m, length, n, seed)
+    assert e is None or type(e) is pm.MeasureError   # past the stored levels, or a sink
+
+
+@settings(max_examples=30, deadline=None)
+@given(stencil_markov(), st.integers(0, 3), st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+def test_counted_draw_matches_path_draw_on_stencil(m, length, n, seed):
+    e = _same_draws(m, length, n, seed)
+    assert e is None or type(e) is pm.WindowTooSmall
+
+
+def test_counted_draw_errors_match(allones2):
+    half = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
+    two_levels = markov_measure(allones2, [0.5, 0.5], [half, half])
+    assert type(_same_draws(two_levels, 3, 50, 1)) is pm.MeasureError
+    assert _same_draws(two_levels, 2, 50, 1) is None
+    spec = pm.diagram_from_dict(TRI_Z)
+    right = markov_measure(spec, {64: 1.0}, {(w, w + 1, 0): 1.0 for w in spec.vertices()})
+    assert _same_draws(right, 1, 50, 1) is None
+    assert type(_same_draws(right, 2, 50, 1)) is pm.WindowTooSmall
+
+
+def test_counted_draw_wide_row_memory():
+    # vertex 0 has a 2,000-edge row; padding each of 100k walks to it would
+    # take a 1.6 GB float matrix, and the counted draw must stay near O(count)
+    spec = pm.diagram_from_dict({
+        "kind": "stationary", "vertices": {"type": "finite", "count": 2},
+        "matrices": [{"triplets": [[0, 0, 1000], [0, 1, 1000], [1, 0, 1]]}]})
+    table = {e.key(): 1 / len(out) for w in (0, 1)
+             for out in [spec.edges_from(w, 0)] for e in out}
+    m = markov_measure(spec, [0.5, 0.5], table)
+    tracemalloc.start()
+    try:
+        report = empirical_check(m, 1, 100_000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    want = Counter(str(p) for p in sample_paths(m, 1, 100_000, seed=4))
+    assert {r.cylinder: round(r.empirical * 100_000) for r in report.rows if r.empirical} == want
 
 
 # ---------------------------------------------------------------------------
