@@ -26,13 +26,17 @@ EXIT_INPUT_ERROR = 2
 
 
 def emit(obj):
-    click.echo(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    # print, not click.echo: click caches each sys.stdout it meets in a
+    # WeakKeyDictionary whose value is the stream itself, so every stream an
+    # in-process caller redirects stdout to would stay alive with its output
+    print(json.dumps(obj, sort_keys=True, separators=(",", ":")), flush=True)
 
 
 def emit_csv(header, rows):
-    click.echo(",".join(header))
+    print(",".join(header))
     for row in rows:
-        click.echo(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+        print(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+    sys.stdout.flush()
 
 
 def fail(code, kind, message):

@@ -10,6 +10,7 @@ frequency check live here as well.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
@@ -30,7 +31,7 @@ from .errors import (
     ZeroMass,
     ZeroTransition,
 )
-from .pathspace import FinitePath, empty_path, enumerate_paths, path_levels, prepend, shift
+from .pathspace import FinitePath, PathColumns, column_level, empty_path, path_columns
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -85,6 +86,15 @@ class TailInvariantMeasure:
             return _in_window(self.eigen.t, path.end) / self.eigen.lam ** len(path)
         return _in_window(self.level_vector(len(path)), path.end)
 
+    def values(self, level: PathColumns) -> np.ndarray:
+        """``value`` of every row of a columnar level, bit for bit."""
+        if not len(level):
+            return np.zeros(0)
+        n = len(level.edges)
+        if self.provenance == "perron":
+            return _in_window_at(self.eigen.t, level.end) / self.eigen.lam ** n
+        return _in_window_at(self.level_vector(n), level.end)
+
     def cell_value(self, n: int, v: int, window=None) -> float:
         """Mass of the partition cell X_v^(n) = H^(n)_v cylinders."""
         h = height_vector(self.diagram, n, window)
@@ -95,6 +105,28 @@ def _in_window(vector: dict, v: int) -> float:
     if v not in vector:
         raise WindowTooSmall(f"vertex {v} lies outside the measure's vertex window")
     return vector[v]
+
+
+def _in_window_at(vector: dict, keys: np.ndarray) -> np.ndarray:
+    """vector[v] for every vertex of ``keys``, raising as _in_window does
+    at the first one outside the window."""
+    vals = _lookup(vector, keys, math.nan)
+    for v in keys[np.isnan(vals)].tolist():         # NaN: no value stored
+        _in_window(vector, v)
+    return vals
+
+
+def _lookup(table: dict, keys: np.ndarray, default: float = 0.0) -> np.ndarray:
+    """table.get(k, default) for every entry of an integer array, one dict
+    lookup per integer of its range."""
+    lo = int(keys.min(initial=0))
+    span = range(lo, int(keys.max(initial=lo - 1)) + 1)
+    return np.array([table.get(k, default) for k in span], dtype=float)[keys - lo]
+
+
+def _column(weight, edges: tuple, ids: np.ndarray) -> np.ndarray:
+    """weight(e) for the edge of one column at every row."""
+    return np.array([weight(e) for e in edges], dtype=float)[ids]
 
 
 def _tail_table(diagram: DiagramSpec, level: int, cur: dict, nxt: dict) -> dict:
@@ -221,6 +253,17 @@ class MarkovMeasure:
             m *= self.transition(e)
         return m
 
+    def values(self, level: PathColumns) -> np.ndarray:
+        """``value`` of every row of a columnar level, reading position j
+        as level j, multiplied in the same order: q, then p_0, p_1, ..."""
+        if not len(level):
+            return np.zeros(0)
+        vals = _lookup(self.q, level.start)
+        for j, (edges, ids) in enumerate(zip(level.edges, level.ids.T)):
+            table = self.level_table(j)
+            vals *= _column(lambda e: table.get(e.key(), 0.0), edges, ids)
+        return vals
+
 
 def _cumulative(items, weights):
     """(items, cumulative weights over their total), or None without mass."""
@@ -301,6 +344,14 @@ class IFSWeights:
             m *= self.weight(e)
         return m
 
+    def values(self, level: PathColumns) -> np.ndarray:
+        """``value`` of every row of a columnar level, multiplied in the
+        same order: q at the end, then p_{f_0}, p_{f_1}, ..."""
+        vals = _lookup(self.q, level.end)
+        for edges, ids in zip(level.edges, level.ids.T):
+            vals *= _column(self.weight, edges, ids)
+        return vals
+
 
 def ifs_measure(diagram: DiagramSpec, p,
                 tol: float = DEFAULT_TOL,
@@ -351,12 +402,10 @@ def check_ifs_fixed_point(ifs: IFSWeights, max_len: int = 4,
     single edge).
     """
     worst, count = 0.0, 0
-    for level in islice(path_levels(ifs.diagram, max_len), 1, None):
-        for path in level:
-            rest = shift(path) if len(path) > 1 else empty_path(path.end)
-            lhs = ifs.weight(path.edges[0]) * ifs.value(rest)
-            worst = max(worst, abs(lhs - ifs.value(path)))
-            count += 1
+    for level in islice(path_columns(ifs.diagram, max_len), 1, None):
+        lhs = _column(ifs.weight, level.edges[0], level.ids[:, 0]) * ifs.values(level.shift())
+        worst = max(worst, float(np.abs(lhs - ifs.values(level)).max(initial=0.0)))
+        count += len(level)
     return FixedPointReport(float(worst), count, bool(worst < tol))
 
 
@@ -373,15 +422,20 @@ def check_tail_invariance(measure, n: int, tol: float = IDENTITY_TOL,
                           window=None) -> TailInvarianceReport:
     """Group length-n cylinders by range vertex and report the within-group
     value spread; zero spread is exactly tail invariance at this depth."""
-    groups = {}
-    for path in enumerate_paths(measure.diagram, n, window):
-        groups.setdefault(path.end, []).append(measure.value(path))
-    spread = float(max((max(vals) - min(vals) for vals in groups.values()),
-                       default=0.0))
+    level = column_level(measure.diagram, n, window)
+    vals = measure.values(level)
+    ends, first, group, sizes = np.unique(level.end, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    ranked = vals[np.lexsort((vals, group))]        # by group, then by value
+    highs = ranked[np.cumsum(sizes) - 1]
+    lows = ranked[np.cumsum(sizes) - sizes]
+    spread = float((highs - lows).max(initial=0.0))
+    order = np.argsort(first)                        # groups in order of appearance
     return TailInvarianceReport(
         n, spread, bool(spread <= tol),
-        {v: (float(min(vals)), float(max(vals)), len(vals))
-         for v, vals in groups.items()},
+        {v: (lo, hi, size) for v, lo, hi, size in zip(
+            ends[order].tolist(), lows[order].tolist(), highs[order].tolist(),
+            sizes[order].tolist())},
         _ratio_law_deviation(measure, window))
 
 
@@ -428,15 +482,14 @@ def check_shift_invariance(measure, max_len: int = 4,
     measure.diagram.require_stationary()
     worst = 0.0
     factors = {}
-    for level in islice(path_levels(measure.diagram, max_len, window), 1, None):
-        for path in level:
-            val = measure.value(path)
-            if val == 0:
-                continue
-            pre = sum(measure.value(prepend(f, path))
-                      for f in measure.diagram.edges_into(path.start, 0))
-            worst = max(worst, abs(pre - val) / val)
-            factors[path.start] = float(pre / val)
+    for level in islice(path_columns(measure.diagram, max_len, window), 1, None):
+        vals = measure.values(level)
+        keep = vals != 0
+        live, vals = level[keep], vals[keep]
+        prefixed = live.prepend(measure.diagram)
+        pre = _block_sums(measure.values(prefixed), prefixed.degree)
+        worst = max(worst, float((np.abs(pre - vals) / vals).max(initial=0.0)))
+        factors.update(zip(live.start.tolist(), (pre / vals).tolist()))   # the last path from v wins
     q = measure.markov.q
     _, inflow = _form_weights(measure.markov)
     predicted = {v: inflow.get(v, 0.0) / q[v] for v in measure.diagram.vertices(window)
@@ -501,6 +554,8 @@ def _draw_form(measure, length: int, count: int, start) -> MarkovMeasure:
     if length < 0 or count < 0:
         raise MeasureError(f"cannot draw {count} paths of {length} edges")
     form = measure.markov
+    if start is not None and not measure.diagram.matrix(0).in_domain(start):
+        raise MeasureError(f"start {start} is not a vertex of level 0")
     if start is None and not math.isfinite(measure.total_mass):
         raise InfiniteMass("supply a starting vertex for sigma-finite sampling")
     if start is None and form.starts is None:
@@ -539,9 +594,11 @@ def sample_path(measure, length: int, seed: int, start: int | None = None) -> Fi
     return sample_paths(measure, length, 1, seed, start)[0]
 
 
-def _count_paths(measure, length: int, count: int, seed: int) -> dict:
-    """str(path) -> how often ``sample_paths(measure, length, count, seed)``
-    draws it, drawn with one numpy pass per level instead of a walk per path.
+def _draw_keys(measure, length: int, count: int, seed: int) -> tuple:
+    """The distinct paths ``sample_paths(measure, length, count, seed)``
+    draws, as rows of vertices then multiplicities (the layout of
+    PathColumns.keys), and how often each is drawn; drawn with one numpy
+    pass per level instead of a walk per path.
 
     At each level the reached rows' cumulative probabilities are laid end
     to end, and one np.searchsorted(side="right") finds each walk's edge
@@ -555,7 +612,7 @@ def _count_paths(measure, length: int, count: int, seed: int) -> dict:
     u = np.random.default_rng(seed).random((count, length + 1))
     verts, cum = form.starts
     at = np.searchsorted(cum, u[:, 0], side="right")
-    code = at
+    vert_cols, mult_cols, code = [np.array(verts)[at]], [], at
     for n in range(length):
         reached = np.flatnonzero(np.bincount(at, minlength=len(verts)))
         try:
@@ -570,13 +627,28 @@ def _count_paths(measure, length: int, count: int, seed: int) -> dict:
         keys = np.repeat(np.arange(len(rows)), sizes) * len(rank) + rank[:edges]
         row = np.searchsorted(reached, at)
         k = np.searchsorted(keys, row * len(rank) + rank[edges:], side="right")
+        out = [e for out, _ in rows for e in out]
         index = {}
-        targets = np.array([index.setdefault(e.target, len(index)) for out, _ in rows for e in out])
+        targets = np.array([index.setdefault(e.target, len(index)) for e in out])
         at, verts = targets[k], list(index)
+        vert_cols.append(np.array(verts)[at])
+        mult_cols.append(np.array([e.mult for e in out])[k])
         code = np.unique(code * edges + k, return_inverse=True)[1]
     _, first, counts = np.unique(code, return_index=True, return_counts=True)
-    return {str(_walk(form, u[i].tolist(), None)): int(c)
-            for i, c in zip(first.tolist(), counts.tolist())}
+    return np.column_stack(vert_cols + mult_cols)[first], counts
+
+
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """One integer per row of an integer array, equal exactly where the
+    rows are equal (np.unique(axis=0) gives the same grouping, several
+    times slower)."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    code = np.empty(len(rows), np.intp)
+    code[order] = np.cumsum(new) - 1
+    return code
 
 
 @dataclass
@@ -602,14 +674,20 @@ def empirical_check(measure, length: int, n_samples: int, seed: int,
     the paths ``sample_paths(measure, length, n_samples, seed)`` draws."""
     if n_samples < 1:
         raise MeasureError(f"an empirical check needs samples, got {n_samples}")
-    counts = _count_paths(measure, length, n_samples, seed)
-    cylinders = enumerate_paths(measure.diagram, length)
-    values = [measure.value(c) for c in cylinders]
+    drawn, counts = _draw_keys(measure, length, n_samples, seed)
+    level = column_level(measure.diagram, length)
+    named = level.keys()
+    # one code per distinct path on both sides; a cylinder's count is its code's
+    code = _row_codes(np.concatenate((named, drawn)))
+    hits = np.zeros(len(code), np.intp)
+    hits[code[len(named):]] = counts
+    hits = hits[code[:len(named)]]
+    values = measure.values(level).tolist()
     total = sum(values)
     rows, worst = [], 0.0
-    for c, value in zip(cylinders, values):
+    for c, value, hit in zip(level.paths(), values, hits.tolist()):
         exact, name = value / total, str(c)
-        freq = counts.get(name, 0) / n_samples
+        freq = hit / n_samples
         if exact in (0.0, 1.0):
             z = 0.0 if freq == exact else math.inf
         else:
@@ -628,20 +706,40 @@ def check_kolmogorov(measure, max_len: int = 5, tol: float = IDENTITY_TOL,
     max_len edges (length 0 anchors included).  Each level is valued once;
     a parent's extensions are the next level's consecutive block."""
     worst, count = 0.0, 0
-    levels = path_levels(measure.diagram, max_len, window)
-    parents = next(levels)
-    vals = [measure.value(p) for p in parents] if max_len else []
-    for n, level in enumerate(levels):
-        kids = [measure.value(x) for x in level]
-        degree = {v: len(measure.diagram.edges_from(v, n)) for v in {p.end for p in parents}}
-        blocks = iter(kids)
-        for path, val in zip(parents, vals):
-            ext = sum(islice(blocks, degree[path.end]))
-            scale = max(abs(val), 1e-300)
-            worst = max(worst, abs(ext - val) / scale)
-            count += 1
-        parents, vals = level, kids
+    levels = path_columns(measure.diagram, max_len, window)
+    roots = next(levels)
+    vals = measure.values(roots) if max_len else None    # the empty paths
+    for level in levels:
+        kids = measure.values(level)
+        ext = _block_sums(kids, level.degree)
+        worst = max(worst, float((np.abs(ext - vals) / np.maximum(np.abs(vals), 1e-300))
+                                 .max(initial=0.0)))
+        count += len(vals)
+        vals = kids
     return FixedPointReport(float(worst), count, bool(worst < tol))
+
+
+COMPENSATED_SUM = sys.version_info >= (3, 12)   # sum() of floats compensates there
+
+
+def _block_sums(values: np.ndarray, sizes: np.ndarray,
+                compensated: bool = COMPENSATED_SUM) -> np.ndarray:
+    """sum() of each consecutive block of ``values`` (block i holds sizes[i]
+    of them), added position by position in sum()'s order, so each result
+    is what sum() returns for the block of floats: left to right, with
+    Neumaier's compensation where sum() applies it."""
+    total, comp = np.zeros(len(sizes)), np.zeros(len(sizes))
+    first = sizes.cumsum() - sizes
+    for r in range(int(sizes.max(initial=0))):
+        live = (sizes > r).nonzero()[0]
+        s, x = total[live], values[first[live] + r]
+        total[live] = t = s + x
+        if compensated:
+            comp[live] += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+    if compensated:
+        fix = (comp != 0) & np.isfinite(comp)
+        total[fix] += comp[fix]
+    return total
 
 
 # ---------------------------------------------------------------------------

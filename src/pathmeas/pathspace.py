@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagram import DiagramSpec, Edge
 from .errors import (
     DomainViolation,
@@ -146,23 +148,120 @@ def tail_equivalent_on_prefix(x: FinitePath, y: FinitePath, m: int) -> bool:
     return all(x.edges[i].key() == y.edges[i].key() for i in range(m, len(x)))
 
 
+@dataclass(frozen=True, eq=False)
+class PathColumns:
+    """The paths of one length n as columns: row i is a path whose
+    position j holds vertex ``verts[i, j]`` and edge ``edges[j][ids[i, j]]``.
+
+    Each ``edges[j]`` is a tuple of shared Edge objects.  ``degree`` gives,
+    for each row of the level this one was grown from, how many consecutive
+    rows here extend it (None at level 0).
+    """
+
+    verts: np.ndarray            # N x (n + 1) vertices
+    ids: np.ndarray              # N x n edge indices into edges[j]
+    edges: tuple                 # n tuples of Edge
+    degree: np.ndarray | None = None
+
+    def __len__(self):
+        return len(self.verts)
+
+    def __getitem__(self, rows) -> "PathColumns":
+        return PathColumns(self.verts[rows], self.ids[rows], self.edges)
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.verts[:, 0]
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.verts[:, -1]
+
+    def keys(self) -> np.ndarray:
+        """N x (2n + 1) integers that name each row as str(path) does: its
+        vertices, then the multiplicity of each edge."""
+        mults = [np.array([e.mult for e in col], dtype=np.intp)[ids]
+                 for col, ids in zip(self.edges, self.ids.T)]
+        return np.column_stack([self.verts] + mults)
+
+    def paths(self) -> list:
+        """The rows as FinitePath objects, sharing the Edge objects."""
+        if not self.edges:
+            return [empty_path(v) for v in self.start.tolist()]
+        cols = [[col[k] for k in ids] for col, ids in zip(self.edges, self.ids.T.tolist())]
+        return [FinitePath(edges) for edges in zip(*cols)]
+
+    def shift(self) -> "PathColumns":
+        """Drop the first edge of every row (one edge leaves the empty path
+        at its end); position j now holds what position j + 1 held."""
+        return PathColumns(self.verts[:, 1:], self.ids[:, 1:], self.edges[1:])
+
+    def prepend(self, spec: DiagramSpec) -> "PathColumns":
+        """Each row prefixed with every level-0 edge into its start, in
+        edges_into order: tau_f of each row as one consecutive block, the
+        row's edges now at positions 1 .. n (stationary diagrams).  The
+        Edge objects keep their own level."""
+        edges, parent, ids, degree = _fan_out(self.start, spec.edges_into, 0)
+        sources = np.array([e.source for e in edges], dtype=np.intp)
+        return PathColumns(np.concatenate((sources[ids, None], self.verts[parent]), axis=1),
+                           np.concatenate((ids[:, None], self.ids[parent]), axis=1),
+                           (edges,) + self.edges, degree)
+
+
+def _fan_out(at: np.ndarray, edges_at, level: int) -> tuple:
+    """Fan each vertex of ``at`` out to its edges ``edges_at(v, level)``.
+    The edges of the distinct vertices are laid end to end; returns them,
+    each new row's source entry and edge index, and each entry's degree."""
+    lo = int(at.min(initial=0))
+    hits = np.bincount(at - lo)
+    reached = hits.nonzero()[0]
+    rows = [edges_at(v, level) for v in (reached + lo).tolist()]
+    sizes = np.array([len(r) for r in rows], dtype=np.intp)
+    slot = np.zeros(len(hits), np.intp)
+    slot[reached] = np.arange(len(reached))
+    k = slot[at - lo]
+    degree = sizes[k]
+    first = (sizes.cumsum() - sizes)[k] - (degree.cumsum() - degree)
+    parent = np.arange(len(at)).repeat(degree)
+    ids = np.arange(len(parent)) + first.repeat(degree)
+    return tuple(e for r in rows for e in r), parent, ids, degree
+
+
+def path_columns(spec: DiagramSpec, n: int, window: int | None = None):
+    """Yield the paths of 0, 1, ..., n edges starting inside the window as
+    columns, each level grown from the one before with np.repeat: a row's
+    one-edge extensions are consecutive rows of the next level, in order."""
+    verts = np.array(spec.vertices(window), dtype=np.intp)
+    level = PathColumns(verts[:, None], np.zeros((len(verts), 0), np.intp), ())
+    yield level
+    for j in range(n):
+        edges, parent, ids, degree = _fan_out(level.end, spec.edges_from, j)
+        targets = np.array([e.target for e in edges], dtype=np.intp)
+        level = PathColumns(np.concatenate((level.verts[parent], targets[ids, None]), axis=1),
+                            np.concatenate((level.ids[parent], ids[:, None]), axis=1),
+                            level.edges + (edges,), degree)
+        yield level
+
+
+def column_level(spec: DiagramSpec, n: int, window: int | None = None) -> PathColumns:
+    """The paths of n edges starting inside the window, as columns."""
+    for level in path_columns(spec, n, window):
+        pass
+    return level
+
+
 def path_levels(spec: DiagramSpec, n: int, window: int | None = None):
     """Yield the paths of 0, 1, ..., n edges starting inside the window,
     each level built once from the one before: a parent's one-edge
     extensions are a consecutive block of the next level, in order."""
-    paths = [empty_path(v) for v in spec.vertices(window)]
-    yield paths
-    for _ in range(n):
-        paths = [q for p in paths for q in one_edge_extensions(p, spec)]
-        yield paths
+    for level in path_columns(spec, n, window):
+        yield level.paths()
 
 
 def enumerate_paths(spec: DiagramSpec, n: int, window: int | None = None):
     """All admissible paths of n edges starting inside the window
     (finite domains: the whole level)."""
-    for paths in path_levels(spec, n, window):
-        pass
-    return paths
+    return column_level(spec, n, window).paths()
 
 
 def cell(spec: DiagramSpec, n: int, v: int, window: int | None = None) -> LevelPartitionCell:

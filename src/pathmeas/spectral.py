@@ -130,7 +130,7 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
         lo, hi = float(np.min(at / t)), float(np.max(at / t))
         lam = min(max(lam, lo), hi)    # the Perron root lies in [lo, hi]
         residual = float(np.max(np.abs(at - lam * t)) / lam)
-        return EigenPair(lam, dict(enumerate(t)), "sum-one", residual, "yes",
+        return EigenPair(lam, dict(enumerate(t.tolist())), "sum-one", residual, "yes",
                          iterations=k, trace=trace, bracket=(lo, hi))
 
     verts = f.vertices(window)

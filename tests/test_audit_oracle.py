@@ -109,6 +109,19 @@ def ref_ifs_fixed_point(ifs, max_len=4, tol=IDENTITY_TOL):
 ASYMMETRIC_P = [[0, 0, 0.6], [0, 1, 0.4], [1, 0, 0.4], [1, 1, 0.6]]
 HALF = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
 FIB_P = {(0, 0, 0): 0.618, (0, 1, 0): 0.382, (1, 0, 0): 1.0}
+# F = [[2, 1], [1, 1]]: two loops at vertex 0
+DOUBLE_LOOP = {"kind": "stationary", "vertices": {"type": "finite", "count": 2},
+               "matrices": [{"triplets": [[0, 0, 2], [1, 0, 1], [0, 1, 1], [1, 1, 1]]}]}
+
+
+def _loop_levels():
+    """Five level tables that move mass between the loops at vertex 0.  A
+    prepended path reads table j + 1 at position j, so the shift audit's
+    answer depends on re-leveling.  Each vertex's last out-edge keeps its
+    weight on every level, so the last path from each start (the one
+    ``factors`` records) still has the factor (qP_0)_v / q_v."""
+    return [{(0, 0, 0): a, (0, 0, 1): 0.5 - a, (0, 1, 0): 0.5, (1, 0, 0): 0.4, (1, 1, 0): 0.6}
+            for a in (0.1, 0.3, 0.2, 0.4, 0.25)]
 
 
 @pytest.fixture
@@ -121,6 +134,8 @@ def measures(allones2, fib, tri_z):
         ("fib markov q=[1,0]", markov_measure(fib, [1.0, 0.0], FIB_P, tol=1e-3), None),
         ("allones ifs", ifs_measure(allones2, ASYMMETRIC_P), None),
         ("tri_z tail", stationary_tail_measure(tri_z), 3),
+        ("double loop markov P_levels",
+         markov_measure(pm.diagram_from_dict(DOUBLE_LOOP), [0.3, 0.7], _loop_levels()), None),
     ]
 
 

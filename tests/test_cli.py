@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -298,6 +302,8 @@ def test_sample_pinned_bytes(tmp_path, case):
      "MeasureError"),
     (["measure", "sample", "--diagram", "allones", "--measure", "ifs", "--count", "-1"],
      "MeasureError"),
+    (["measure", "sample", "--diagram", "fib", "--measure", "tail", "--len", "0",
+      "--start", "99"], "MeasureError"),
 ])
 def test_typed_error_exit1(files, args, kind):
     res = run([files.get(a, a) for a in args])
@@ -369,3 +375,19 @@ def test_kernel_iterate_depth_exhausted_exit1(files):
                "--depth", "2", "--iters", "2"])
     assert res.exit_code == 1
     assert json.loads(res.output)["error"]["kind"] == "DepthExhausted"
+
+
+def test_in_process_output_stream_released(files):
+    # a caller that redirects stdout per command must get its stream back;
+    # click.echo keeps every stream it writes to alive, with its output
+    refs = []
+    for _ in range(3):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main.main(args=["eigen", "--diagram", files["fib"]], prog_name="pathmeas",
+                      standalone_mode=False)
+        assert json.loads(buf.getvalue())["lambda"] == pytest.approx(1.618033988749895)
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]

@@ -355,6 +355,18 @@ def test_sample_paths_first_is_sample_path(allones2, fib):
             pm.validate_path(p.edges)
 
 
+@pytest.mark.parametrize("length", [0, 1, 3])
+@pytest.mark.parametrize("start", [99, 2, -5])
+def test_sample_start_outside_domain(fib, nat, length, start):
+    # a start outside the level-0 domain is refused at every length, 0 included
+    with pytest.raises(pm.MeasureError, match="not a vertex"):
+        sample_path(stationary_tail_measure(fib), length, 1, start=start)
+    if start < 0:
+        with pytest.raises(pm.MeasureError, match="not a vertex"):
+            sample_path(stationary_tail_measure(nat), length, 1, start=start)
+    assert str(sample_path(stationary_tail_measure(fib), 0, 1, start=1)) == "[1]"
+
+
 def test_ifs_sampling_requires_start_when_infinite(allones2):
     nu = ifs_measure(allones2, SYMMETRIC_P)
     nu.total_mass = math.inf
