@@ -10,7 +10,9 @@ transfer operator contracts cylinder tables toward it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -64,6 +66,20 @@ class EdgeMeasure:
         return sum(self.mass.values())
 
 
+@dataclass(frozen=True)
+class CellArrays:
+    """A kernel in cells0 order: p-hat, the dense c x c rows P, the
+    products p-hat(x) p(x, y), and each row's targets in its dict order as
+    flat indices into a c x c array behind a leading pad (index c*c, read
+    as 0.0).  Targets outside cells0 get no column; ``off`` lists them."""
+
+    mhat: np.ndarray
+    P: np.ndarray
+    mp: np.ndarray
+    order: np.ndarray
+    off: list
+
+
 @dataclass
 class CellKernel:
     """Marginal p-hat on source cells plus conditional stochastic rows."""
@@ -72,6 +88,25 @@ class CellKernel:
     cells1: CellSpace
     marginal: dict                 # x -> p-hat(x)
     rows: dict                     # x -> {y: p(x, y)}, each row sums to 1
+    _arrays: CellArrays | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def arrays(self) -> CellArrays:
+        """The kernel as CellArrays, built on first use and kept; the
+        commands that read only the dicts never pay for them."""
+        if self._arrays is None:
+            cells = self.cells0.cells
+            c = len(cells)
+            index = {x: i for i, x in enumerate(cells)}
+            mhat = np.array([self.marginal[x] for x in cells], dtype=float)
+            rows = [self.rows[x] for x in cells]
+            P = np.array([[row.get(y, 0.0) for y in cells] for row in rows], dtype=float)
+            flat = [[i * c + index[y] for y in row if y in index] for i, row in enumerate(rows)]
+            width, pad = max(map(len, flat)), c * c
+            order = np.array([[pad, *f] + [pad] * (width - len(f)) for f in flat])
+            off = [y for row in rows for y in row if y not in index]
+            self._arrays = CellArrays(mhat, P, mhat[:, None] * P, order, off)
+        return self._arrays
 
     def row(self, x) -> dict:
         return self.rows[x]
@@ -113,11 +148,23 @@ class HarmonicReport:
 
 def harmonic_check(kernel: CellKernel, q: dict,
                    tol: float = KERNEL_TOL) -> HarmonicReport:
-    """Per-cell residual of sum_y p(x,y) q(y) - q(x)."""
+    """Per-cell residual of sum_y p(x,y) q(y) - q(x); a NaN residual is
+    the worst one and fails the check."""
     residuals = {x: abs(sum(p * q[y] for y, p in row.items()) - q[x])
                  for x, row in kernel.rows.items()}
-    worst = max(residuals.values())
+    values = residuals.values()
+    # max() keeps a NaN only when it comes first
+    worst = math.nan if any(math.isnan(r) for r in values) else max(values)
     return HarmonicReport(residuals, worst, worst < tol)
+
+
+def require_q(kernel: CellKernel, q: dict):
+    """Raise MeasureError unless q gives every cell of both levels a finite,
+    nonnegative value."""
+    for c in (*kernel.cells0.cells, *kernel.cells1.cells):
+        if c not in q:
+            raise MeasureError(f"q has no value at cell {c!r}")
+    require_masses(q, "q value")
 
 
 @dataclass
@@ -139,10 +186,9 @@ def solve_harmonic_kernel(kernel: CellKernel, tol: float = 1e-10) -> KernelHarmo
                             tol=max(tol, 1e-12))
     if not report.passed:
         raise NoConvergence("constant function failed the harmonic check")
-    cells = list(kernel.cells0.cells)
     closed = 1
-    if set(cells) == set(kernel.cells1.cells):
-        closed = len(recurrent_classes(np.array([[kernel.p(x, y) for y in cells] for x in cells])))
+    if set(kernel.cells0.cells) == set(kernel.cells1.cells):
+        closed = len(recurrent_classes(kernel.arrays.P))
     return KernelHarmonic(q, non_unique=closed > 1)
 
 
@@ -157,54 +203,95 @@ class MeasurableIFSMeasure:
 
     kernel: CellKernel
     q: dict
+    _q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        require_q(self.kernel, self.q)
         if not harmonic_check(self.kernel, self.q, tol=1e-9).passed:
             raise NotHarmonic("q fails the harmonic condition")
+        self._q = np.array([self.q[x] for x in self.kernel.cells0.cells], dtype=float)
 
     def _cells_at(self, spec, level: int):
         space = self.kernel.cells0 if level == 0 else self.kernel.cells1
         if spec is None or spec == "*":
             return list(space.cells)
-        if isinstance(spec, (list, tuple, set)):
-            return list(spec)
-        return [spec]
+        cells = list(spec) if isinstance(spec, (list, tuple, set)) else [spec]
+        # past level 0 a cells0 label outside cells1 names an empty cylinder
+        known = space.cells if level == 0 else (*self.kernel.cells0.cells, *space.cells)
+        for c in cells:
+            if c not in known:
+                raise MeasureError(f"unknown cell {c!r} at level {level}")
+        return cells
+
+    def _require_depth(self, n: int):
+        if n > 2 and set(self.kernel.cells0.cells) != set(self.kernel.cells1.cells):
+            raise MeasureError("deep cylinders need matching level cell spaces")
 
     def value(self, cylinder) -> float:
         """Mass of [C_0, ..., C_N]; each entry is a cell label, a
         collection of labels, or "*" for the whole level."""
+        if len(cylinder) == 0:
+            raise MeasureError("a cylinder names at least one level")
         cyl = [self._cells_at(c, i) for i, c in enumerate(cylinder)]
-        if len(cyl) > 2 and set(self.kernel.cells0.cells) != set(self.kernel.cells1.cells):
-            raise MeasureError("deep cylinders need matching level cell spaces")
+        self._require_depth(len(cyl))
         g = {y: self.q[y] for y in cyl[-1]}
         for level in range(len(cyl) - 2, -1, -1):
             g = {x: sum(self.kernel.p(x, y) * g[y] for y in cyl[level + 1])
                  for x in cyl[level]}
         return sum(self.kernel.marginal[x] * g[x] for x in cyl[0])
 
+    def levels(self, n: int):
+        """Values of every atomic cylinder of 1..n cells, one flat array per
+        length L: the C order of a c^L array, which is atomic_cylinders
+        order.  Built from the right with ``value``'s products: S_1 = q,
+        S_{L+1}[x, y, ...] = p(x, y) S_L[y, ...], mu = p-hat(x) S_L[x, ...]."""
+        _require_size(n, "cylinder length")
+        self._require_depth(n)
+        a = self.kernel.arrays
+        c = len(a.mhat)
+        s = self._q
+        for length in range(1, n + 1):
+            if length > 1:
+                s = (a.P[:, :, None] * s.reshape(c, -1)).ravel()
+            yield (a.mhat[:, None] * s.reshape(c, -1)).ravel()
+
 
 def measurable_ifs_measure(kernel: CellKernel, q: dict) -> MeasurableIFSMeasure:
     return MeasurableIFSMeasure(kernel, dict(q))
 
 
+def _require_size(n: int, what: str):
+    if n < 0:
+        raise MeasureError(f"{what} {n} is negative")
+
+
 def atomic_cylinders(cells, max_len):
-    """Every tuple of 1..max_len cells, shortest first."""
-    out = [[(c,) for c in cells]]
-    for _ in range(max_len - 1):
-        out.append([t + (c,) for t in out[-1] for c in cells])
-    return [t for level in out for t in level]
+    """Every tuple of 1..max_len cells, shortest first; none for 0."""
+    _require_size(max_len, "cylinder length")
+    return [t for n in range(1, max_len + 1) for t in product(cells, repeat=n)]
 
 
-def _transfer(kernel: CellKernel, cyl: tuple, lookup) -> float:
-    """(L nu)([cyl]): sum of p-hat(x) p(x, y) nu([y, cyl[2:]]) / p-hat(y) over
-    edges (x, y) with x = cyl[0] and y = cyl[1] if given; ``lookup`` gives nu."""
-    x = cyl[0]
-    total = 0.0
-    for y, p in kernel.rows[x].items():
-        if len(cyl) > 1 and y != cyl[1]:
-            continue
-        total += kernel.marginal[x] * p * lookup((y,) + tuple(cyl[2:])) / kernel.marginal[y]
-    return total
+def _transfer(kernel: CellKernel, levels: list) -> list:
+    """(L nu) at lengths 1..len(levels) from a table's flat levels nu_1,
+    nu_2, ... (``MeasurableIFSMeasure.levels`` order).
+
+    Length 1 sums p-hat(x) p(x, y) nu([y]) / p-hat(y) over each row x in
+    its own order, from 0.0; at length L >= 2 only the edge (x, y) of the
+    cylinder's first two cells counts, with nu_{L-1}([y, ...]) in place of
+    nu([y]).
+    """
+    if not levels:
+        return []
+    a = kernel.arrays
+    if a.off:
+        raise MeasureError(f"kernel target {a.off[0]!r} is not a level-0 cell; "
+                           "the transfer needs p-hat there")
+    c = len(a.mhat)
+    terms = np.append((a.mp * levels[0]) / a.mhat, 0.0)
+    out = [np.cumsum(terms[a.order], axis=1)[:, -1]]
+    for prev in levels[:-1]:
+        out.append(((a.mp[:, :, None] * prev.reshape(c, -1)) / a.mhat[:, None]).ravel())
+    return out
 
 
 def check_ifs_fixed_point_measurable(m: MeasurableIFSMeasure, max_len: int = 3,
@@ -214,15 +301,13 @@ def check_ifs_fixed_point_measurable(m: MeasurableIFSMeasure, max_len: int = 3,
 
     The pullback under tau_e for e = (x, y) restricts the first two cells
     to x, y and continues from the fiber at y; its density against the
-    marginal reference is mu([{y}, C_2..]) / p-hat(y).
+    marginal reference is mu([{y}, C_2..]) / p-hat(y).  A NaN deviation
+    fails the check.
     """
-    worst, count = 0.0, 0
-    for cyl in atomic_cylinders(list(m.kernel.cells0.cells), max_len):
-        total = _transfer(m.kernel, cyl, m.value)
-        val = m.value(cyl)
-        worst = max(worst, abs(total - val) / max(abs(val), 1e-300))
-        count += 1
-    return FixedPointReport(worst, count, worst < tol)
+    values = list(m.levels(max_len))
+    worst = float(np.max([0.0] + [np.max(np.abs(t - v) / np.maximum(np.abs(v), 1e-300))
+                                  for t, v in zip(_transfer(m.kernel, values), values)]))
+    return FixedPointReport(worst, sum(v.size for v in values), worst < tol)
 
 
 @dataclass
@@ -238,20 +323,27 @@ def fixed_point_iterate(kernel: CellKernel, nu0: dict, iterations: int) -> Itera
     ``nu0`` maps atomic cell tuples (lengths 1..d) to nonnegative values.
     Each application consumes one depth level; ``iterations`` >= d raises
     DepthExhausted.  Successive sup distances are reported; the iterates
-    approach the harmonic IFS values.
+    approach the harmonic IFS values; a NaN the iteration reads makes its
+    distance NaN.  The table is read once, at lengths 1..d-1, and written
+    once, in atomic_cylinders order.
     """
-    depth = max((len(t) for t in nu0), default=0)
+    _require_size(iterations, "iterations")
+    depth = max(map(len, nu0), default=0)
     if iterations >= depth:
         raise DepthExhausted(f"{iterations} applications exceed table depth {depth}")
-    cells = list(kernel.cells0.cells)
-    table = dict(nu0)
+    if not iterations:
+        return IterationResult(dict(nu0), [])
+    cells = kernel.cells0.cells
+    levels = [np.fromiter(map(nu0.__getitem__, product(cells, repeat=n)), float,
+                          len(cells) ** n) for n in range(1, depth)]
     distances = []
     for _ in range(iterations):
         depth -= 1
-        new = {cyl: _transfer(kernel, cyl, table.__getitem__)
-               for cyl in atomic_cylinders(cells, depth)}
-        distances.append(max(abs(new[c] - table[c]) for c in new))
-        table = new
+        old = levels[:depth]
+        levels = _transfer(kernel, old)
+        new = np.concatenate(levels)
+        distances.append(float(np.abs(new - np.concatenate(old)).max()))
+    table = dict(zip(atomic_cylinders(cells, depth), new.tolist()))
     return IterationResult(table, distances)
 
 

@@ -377,6 +377,71 @@ def test_kernel_iterate_depth_exhausted_exit1(files):
     assert json.loads(res.output)["error"]["kind"] == "DepthExhausted"
 
 
+# Three cells, missing pairs, edges out of row order.
+KERNEL3 = {"cells0": ["x", "y", "z"], "cells1": ["x", "y", "z"],
+           "edges": [["y", "x", 0.7], ["x", "z", 0.4], ["z", "z", 1.1],
+                     ["x", "x", 0.2], ["y", "z", 0.3], ["z", "y", 0.5]]}
+
+# stdout of the per-cylinder transfer these commands ran before the level code
+ITERATE_STDOUT = [
+    ("kernel", ["--depth", "4", "--iters", "2"],
+     '{"depth":4,"distances":[0.04999999999999999,0.0],"iters":2,"table":{"a":0.5,'
+     '"a|a":0.3,"a|b":0.2,"b":0.5,"b|a":0.25,"b|b":0.25}}\n'),
+    ("kernel", ["--depth", "4", "--iters", "2", "--format", "csv"],
+     "iteration,distance\n1,0.04999999999999999\n2,0.0\n"),
+    ("kernel3", ["--depth", "3", "--iters", "1"],
+     '{"depth":3,"distances":[0.2777777777777777],"iters":1,"table":{"x":0.19444444444444442,'
+     '"x|x":0.11111111111111109,"x|y":0.0,"x|z":0.08333333333333333,"y":0.4513888888888888,'
+     '"y|x":0.3888888888888888,"y|y":0.0,"y|z":0.06249999999999999,"z":0.39583333333333337,'
+     '"z|x":0.0,"z|y":0.16666666666666666,"z|z":0.22916666666666669}}\n'),
+    ("kernel3", ["--depth", "4", "--iters", "3", "--format", "csv"],
+     "iteration,distance\n1,0.2777777777777777\n2,0.16203703703703703\n"
+     "3,0.016658830054012308\n"),
+]
+
+
+@pytest.mark.parametrize("name,args,stdout", ITERATE_STDOUT)
+def test_kernel_iterate_stdout_pinned(files, tmp_path, name, args, stdout):
+    path = tmp_path / "kernel3.json"
+    path.write_text(json.dumps(KERNEL3))
+    kernel = files["kernel"] if name == "kernel" else str(path)
+    res = run(["kernel", "iterate", "--kernel", kernel, *args])
+    assert res.exit_code == 0
+    assert res.output == stdout
+
+
+FROM_A = {"cells0": ["a", "b"], "cells1": ["a", "b"],
+          "edges": [["a", "a", 1.0], ["b", "a", 1.0], ["b", "b", 1.0]]}
+OFF_LEVEL = {"cells0": ["a", "b"], "cells1": ["a", "c"],
+             "edges": [["a", "a", 0.5], ["b", "c", 0.5]]}
+
+
+@pytest.mark.parametrize("kernel,args", [
+    (OFF_LEVEL, ["iterate", "--depth", "3", "--iters", "1"]),
+    (KERNEL, ["eval", "--cells", "a,zz"]),
+    (KERNEL, ["eval", "--cells", ""]),
+    (KERNEL, ["eval", "--cells", "a", "--q", '{"a": 1.0}']),
+    (KERNEL, ["eval", "--cells", "a", "--q", "[1.0, 1.0]"]),
+    (FROM_A, ["check", "--q", '{"a": 1.0, "b": NaN}']),
+    (FROM_A, ["eval", "--cells", "b,b", "--q", '{"a": 1.0, "b": NaN}']),
+    (FROM_A, ["eval", "--cells", "b,b", "--q", '{"a": 1.0, "b": Infinity}']),
+    (KERNEL, ["iterate", "--depth", "3", "--iters", "-1"]),
+    (KERNEL, ["iterate", "--depth", "-1", "--iters", "0"]),
+])
+def test_kernel_bad_input_measure_error_exit1(tmp_path, kernel, args):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(kernel))
+    res = run(["kernel", args[0], "--kernel", str(path), *args[1:]])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "MeasureError"
+
+
+def test_kernel_iterate_depth0_has_no_cylinders(files):
+    res = run(["kernel", "iterate", "--kernel", files["kernel"], "--depth", "0", "--iters", "0"])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "DepthExhausted"
+
+
 def test_in_process_output_stream_released(files):
     # a caller that redirects stdout per command must get its stream back;
     # click.echo keeps every stream it writes to alive, with its output
