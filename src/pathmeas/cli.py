@@ -18,7 +18,7 @@ from . import measures as measmod
 from . import sfs as sfsmod
 from .diagram import DEFAULT_WINDOW, load_diagram, validate_diagram
 from .errors import MeasureError, PathmeasError
-from .pathspace import enumerate_paths, parse_path_literal
+from .pathspace import column_level, parse_path_literal
 from .spectral import DEFAULT_TOL, perron_eigenpair
 
 EXIT_CHECK_FAILED = 1
@@ -139,8 +139,12 @@ def measure_eval(diagram_path, measure_path, path_literal, length):
         return
     if length is None:
         fail(EXIT_INPUT_ERROR, "usage", "give --path or --len")
-    values = {str(p): m.value(p) for p in enumerate_paths(spec, length)}
-    emit({"len": length, "values": values})
+    level = column_level(spec, length)
+    # each name as str(path) gives it: vertices, then edge multiplicities
+    name = ("-".join(["{}"] * level.verts.shape[1]) + ":" + ",".join(["{}"] * len(level.edges))
+            if level.edges else "[{}]")
+    names = [name.format(*key) for key in level.keys().tolist()]
+    emit({"len": length, "values": dict(zip(names, m.values(level).tolist()))})
 
 
 @measure.command("check")

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .errors import DiagramError, NonStationary, WindowTooSmall
 
@@ -153,9 +152,8 @@ class IncidenceMatrix:
         if self._transpose is None:
             cols, rows = np.array(list(self.entries), dtype=np.intp).reshape(-1, 2).T
             counts = np.array(list(self.entries.values()), dtype=float)
-            cyclic = bool(np.any(rows == cols)) or csgraph.connected_components(
-                csr_matrix((counts, (rows, cols)), shape=(self.size, self.size)),
-                directed=True, connection="strong", return_labels=False) < self.size
+            cyclic = bool(np.any(rows == cols)) or (
+                strong_components(self.size, rows, cols)[0] < self.size)
             self._transpose = rows, cols, counts, cyclic
         return self._transpose
 
@@ -163,6 +161,56 @@ class IncidenceMatrix:
     def is_zero_one(self) -> bool:
         values = self.entries.values() if self.domain == FINITE else self.stencil.values()
         return all(c <= 1 for c in values)
+
+
+def strong_components(n: int, sources, targets) -> tuple:
+    """Strongly connected components of the digraph on vertices 0 .. n-1
+    with edges sources[i] -> targets[i]: (count, labels), by Tarjan's
+    depth-first search (R. Tarjan, "Depth-first search and linear graph
+    algorithms", SIAM J. Comput. 1, 1972), run on an explicit stack.
+
+    Components are labelled in the order they complete, so every edge runs
+    to a component with the same or a smaller label.  O(n + edges).
+    """
+    sources = np.asarray(sources, dtype=np.intp)
+    order = np.argsort(sources, kind="stable")
+    succ = np.asarray(targets, dtype=np.intp)[order].tolist()
+    first = np.searchsorted(sources[order], np.arange(n + 1)).tolist()
+    nxt = first[:n]                   # each vertex's next unexplored edge
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    stack, count, found = [], 0, 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        walk = [root]                 # the depth-first path from root
+        while walk:
+            v = walk[-1]
+            i = nxt[v]
+            if i < first[v + 1]:
+                nxt[v] = i + 1
+                w = succ[i]
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    walk.append(w)
+                elif label[w] < 0:    # visited, unlabelled: w is on the stack
+                    low[v] = min(low[v], index[w])
+                continue
+            walk.pop()
+            if walk:
+                low[walk[-1]] = min(low[walk[-1]], low[v])
+            if low[v] == index[v]:    # v is the root of a component
+                while True:
+                    w = stack.pop()
+                    label[w] = found
+                    if w == v:
+                        break
+                found += 1
+    return found, np.array(label, dtype=np.intp)
 
 
 def _count(c, what: str = "edge count") -> int:
@@ -351,14 +399,25 @@ def edge_graph_01(spec: DiagramSpec) -> DiagramSpec:
 
 def is_irreducible(spec: DiagramSpec, window: int | None = None,
                    max_m: int = 16) -> str:
-    """Tri-state irreducibility test on a finite window.
+    """Tri-state irreducibility test: is every ordered vertex pair, a
+    vertex and itself included, joined by a path of one or more edges?
 
-    Returns ``"yes"`` if every ordered vertex pair in the window is joined
-    by a path of at most ``max_m`` levels staying inside the window,
-    ``"no-within-horizon"`` for finite domains with an unreachable pair,
-    and ``"unknown"`` for infinite domains where the truncation could hide
-    connecting paths.
+    On a stationary finite level the answer is exact, in O(V + E): the
+    level graph must be one strong component that holds a cycle.  Returns
+    ``"yes"``, or ``"no-within-horizon"`` when some pair is not joined;
+    ``window`` and ``max_m`` play no part there.
+
+    Sequence diagrams and stencil windows are tested up to a horizon:
+    ``"yes"`` when every pair in the window is joined by a path of at most
+    ``max_m`` levels staying inside it, else ``"no-within-horizon"`` on
+    finite domains and ``"unknown"`` on infinite ones, where the
+    truncation could hide connecting paths.
     """
+    if spec.is_stationary and spec.domain == FINITE:
+        f = spec.matrix(0)
+        rows, cols, _, cyclic = f.transpose_arrays
+        joined = f.size == 0 or (cyclic and strong_components(f.size, rows, cols)[0] == 1)
+        return "yes" if joined else "no-within-horizon"
     verts = spec.vertices(window)
     k = len(verts)
     mats = [m.to_dense(verts, verts) > 0 for m in spec.matrices]

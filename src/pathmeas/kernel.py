@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, chain, product
 
 import numpy as np
 
@@ -323,9 +323,9 @@ def fixed_point_iterate(kernel: CellKernel, nu0: dict, iterations: int) -> Itera
     ``nu0`` maps atomic cell tuples (lengths 1..d) to nonnegative values.
     Each application consumes one depth level; ``iterations`` >= d raises
     DepthExhausted.  Successive sup distances are reported; the iterates
-    approach the harmonic IFS values; a NaN the iteration reads makes its
-    distance NaN.  The table is read once, at lengths 1..d-1, and written
-    once, in atomic_cylinders order.
+    approach the harmonic IFS values.  The table is read once, at lengths
+    1..d-1, where a value that is not finite and nonnegative raises
+    MeasureError, and written once, in atomic_cylinders order.
     """
     _require_size(iterations, "iterations")
     depth = max(map(len, nu0), default=0)
@@ -334,15 +334,24 @@ def fixed_point_iterate(kernel: CellKernel, nu0: dict, iterations: int) -> Itera
     if not iterations:
         return IterationResult(dict(nu0), [])
     cells = kernel.cells0.cells
-    levels = [np.fromiter(map(nu0.__getitem__, product(cells, repeat=n)), float,
-                          len(cells) ** n) for n in range(1, depth)]
+    sizes = [len(cells) ** n for n in range(1, depth)]
+    read = np.fromiter(map(nu0.__getitem__, chain.from_iterable(
+        product(cells, repeat=n) for n in range(1, depth))), float, sum(sizes))
+    if not 0 <= read.min() <= read.max() < math.inf:    # a NaN fails both
+        bad = int(np.flatnonzero(~((read >= 0) & (read < math.inf)))[0])
+        raise MeasureError(f"table value {float(read[bad])!r} at "
+                           f"{atomic_cylinders(cells, depth - 1)[bad]!r} "
+                           "is not finite and nonnegative")
+    ends = list(accumulate(sizes))
+    levels = [read[end - size:end] for end, size in zip(ends, sizes)]
     distances = []
     for _ in range(iterations):
         depth -= 1
-        old = levels[:depth]
-        levels = _transfer(kernel, old)
+        # each application's input levels are a prefix of the last output
+        levels = _transfer(kernel, levels[:depth])
         new = np.concatenate(levels)
-        distances.append(float(np.abs(new - np.concatenate(old)).max()))
+        distances.append(float(np.abs(new - read[:new.size]).max()))
+        read = new
     table = dict(zip(atomic_cylinders(cells, depth), new.tolist()))
     return IterationResult(table, distances)
 

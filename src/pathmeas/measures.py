@@ -457,9 +457,10 @@ def _ratio_law_deviation(measure, window) -> float:
 def _form_weights(form: MarkovMeasure) -> tuple:
     """IFS weights w_e = q_{s(e)} p_e / q_{r(e)} of a Markov form's level 0
     (edges whose range has positive mass) and the inflow (qP)_v of each
-    vertex; the measure is the IFS measure of these weights."""
+    vertex; the measure is the IFS measure of these weights.  A form that
+    stores no level-0 table has neither."""
     weights, inflow = {}, {}
-    for (w, v, k), p in form.level_table(0).items():
+    for (w, v, k), p in (form.levels[0] if form.levels else {}).items():
         inflow[v] = inflow.get(v, 0.0) + form.q.get(w, 0.0) * p
         if form.q.get(v, 0.0) > 0:
             weights[(w, v, k)] = form.q.get(w, 0.0) * p / form.q[v]

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
-from .diagram import DEFAULT_WINDOW, FINITE, NATURALS, IncidenceMatrix
+from .diagram import DEFAULT_WINDOW, FINITE, NATURALS, IncidenceMatrix, strong_components
 from .errors import DegenerateSolution, NoConvergence, NotStochastic, ReducibleSuspected
 
 DEFAULT_TOL = 1e-10
@@ -164,12 +163,13 @@ def solve_harmonic(m: np.ndarray, tol: float = DEFAULT_TOL,
 
 
 def recurrent_classes(p: np.ndarray):
-    """Strongly connected components with no outgoing edges."""
-    n_comp, labels = csgraph.connected_components(
-        csr_matrix(p > 0), directed=True, connection="strong")
+    """Strongly connected components of the graph of p > 0 with no outgoing
+    edges, ordered by smallest member, each as a sorted index array."""
     rows, cols = np.nonzero(p > 0)
+    n_comp, labels = strong_components(p.shape[0], rows, cols)
     leaving = set(labels[rows][labels[rows] != labels[cols]].tolist())
-    return [np.where(labels == c)[0] for c in range(n_comp) if c not in leaving]
+    classes = [np.flatnonzero(labels == c) for c in range(n_comp) if c not in leaving]
+    return sorted(classes, key=lambda members: members[0])
 
 
 def stationary_distribution(p: np.ndarray, tol: float = DEFAULT_TOL,

@@ -2,6 +2,9 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -207,6 +210,39 @@ def test_measure_eval_len(files):
     out = json.loads(res.output)
     assert len(out["values"]) == 8
     assert all(v == pytest.approx(0.25, abs=1e-12) for v in out["values"].values())
+
+
+QUAD4 = {"kind": "stationary", "vertices": {"type": "finite", "count": 4},
+         "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [3, 2, 1], [0, 2, 1],
+                                    [1, 3, 1], [2, 3, 1], [3, 3, 1]]}]}
+QUAD4_MARKOV = {"type": "markov", "q": [0.1, 0.2, 0.3, 0.4],
+                "P": [[0, 0, 0, 0.3], [0, 1, 0, 0.7], [1, 2, 0, 1.0], [2, 3, 0, 0.55],
+                      [2, 0, 0, 0.45], [3, 1, 0, 0.2], [3, 2, 0, 0.3], [3, 3, 0, 0.5]]}
+
+
+@pytest.mark.parametrize("diagram,measure", [(FIB, TAIL), (QUAD4, QUAD4_MARKOV)])
+@pytest.mark.parametrize("length", [0, 1, 6])
+def test_measure_eval_len_bytes(tmp_path, diagram, measure, length):
+    """Stdout is what naming and valuing each path on its own prints."""
+    (tmp_path / "d.json").write_text(json.dumps(diagram))
+    (tmp_path / "m.json").write_text(json.dumps(measure))
+    spec = pm.diagram_from_dict(diagram)
+    m = pm.measure_from_dict(spec, measure)
+    values = {str(p): m.value(p) for p in pm.enumerate_paths(spec, length)}
+    expected = json.dumps({"len": length, "values": values}, sort_keys=True,
+                          separators=(",", ":")) + "\n"
+    res = run(["measure", "eval", "--diagram", str(tmp_path / "d.json"),
+               "--measure", str(tmp_path / "m.json"), "--len", str(length)])
+    assert res.exit_code == 0
+    assert res.output == expected
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(pm.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import pathmeas.cli, sys; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_measure_check_ifs(files):

@@ -14,7 +14,7 @@ from pathmeas import (
     is_irreducible,
     validate_diagram,
 )
-from pathmeas.diagram import FINITE
+from pathmeas.diagram import FINITE, strong_components
 
 
 def test_allones_valid_no_warnings(allones2):
@@ -105,6 +105,58 @@ def test_irreducible(fib, allones2, identity2):
     assert is_irreducible(fib) == "yes"
     assert is_irreducible(allones2) == "yes"
     assert is_irreducible(identity2) == "no-within-horizon"
+
+
+def test_irreducible_long_cycle():
+    """Exact on stationary finite levels: a 20-cycle needs 20 steps to
+    join a vertex to itself, past the horizon sequence diagrams use."""
+    cycle = diagram_from_dict({"kind": "stationary",
+                               "vertices": {"type": "finite", "count": 20},
+                               "matrices": [{"triplets": [[(w + 1) % 20, w, 1]
+                                                          for w in range(20)]}]})
+    assert is_irreducible(cycle) == "yes"
+
+
+def _closure(n, edges):
+    """reach[i][j]: a path of one or more edges runs from i to j (Warshall)."""
+    reach = [[False] * n for _ in range(n)]
+    for s, t in edges:
+        reach[s][t] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return reach
+
+
+digraphs = st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n) if n else st.just([])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs)
+def test_strong_components_match_reachability(graph):
+    n, edges = graph
+    count, labels = strong_components(n, [s for s, _ in edges], [t for _, t in edges])
+    reach = _closure(n, edges)
+    assert sorted(set(labels.tolist())) == list(range(count))
+    for i in range(n):
+        for j in range(n):
+            assert (labels[i] == labels[j]) == (i == j or reach[i][j] and reach[j][i])
+    # labels follow completion order: no edge climbs to a later component
+    assert all(labels[t] <= labels[s] for s, t in edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs)
+def test_irreducible_matches_reachability(graph):
+    n, edges = graph
+    spec = diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": n},
+                              "matrices": [{"triplets": [[t, s, 1] for s, t in set(edges)]}]})
+    joined = all(all(row) for row in _closure(n, edges))
+    assert is_irreducible(spec) == ("yes" if joined else "no-within-horizon")
 
 
 def test_irreducible_tri_z(tri_z):

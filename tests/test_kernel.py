@@ -152,6 +152,14 @@ def test_iterate_depth_exhausted(kern):
         fixed_point_iterate(kern, table, 3)
 
 
+@pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
+def test_iterate_rejects_bad_table_value(kern, bad):
+    table = {cyl: 0.25 for cyl in atomic_cylinders(["a", "b"], 3)}
+    table[("a", "b")] = bad
+    with pytest.raises(pm.MeasureError, match=r"\('a', 'b'\) is not finite and nonnegative"):
+        fixed_point_iterate(kern, table, 1)
+
+
 def test_zero_marginal_rejected():
     with pytest.raises(pm.MeasureError):
         disintegrate(edge_measure_from_dict({

@@ -216,9 +216,3 @@ def test_harmonic_check_nan_residual_fails():
     report = pm.harmonic_check(k, {"a": 1.0, "b": float("nan")})
     assert np.isnan(report.max_residual)
     assert not report.passed
-
-
-def test_iterate_nan_entry_gives_nan_distance(kern):
-    table = {cyl: 0.25 for cyl in ref_atomic_cylinders(["a", "b"], 3)}
-    table[("a", "b")] = float("nan")
-    assert np.isnan(fixed_point_iterate(kern, table, 1).distances[0])

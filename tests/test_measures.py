@@ -164,6 +164,15 @@ def test_levels_past_stored_tables(allones2):
         sample_path(tm, 5, seed=0)
 
 
+def test_audits_without_level0_table(fib):
+    """A single stored tail vector gives a Markov form with no transition
+    table at all; the level-0 audits need none."""
+    tm = tail_measure_from_vectors(fib, [[0.5, 0.5]])
+    rep = check_tail_invariance(tm, 0)
+    assert rep.tail_invariant and rep.ratio_law_deviation == 0.0
+    assert check_shift_invariance(tm, 0).invariant
+
+
 def test_perron_window_typed_errors(nat):
     tm = stationary_tail_measure(nat)
     edge = max(tm.eigen.t)

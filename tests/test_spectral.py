@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import pathmeas as pm
 from pathmeas import perron_eigenpair, solve_harmonic, stationary_distribution
+from pathmeas.spectral import recurrent_classes
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -262,3 +264,22 @@ def test_stationary_distribution_non_unique():
 def test_stationary_distribution_rejects_substochastic():
     with pytest.raises(pm.NotStochastic):
         stationary_distribution(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.floats(0.05, 0.9), st.integers(0, 2**32 - 1))
+def test_recurrent_classes_match_scipy(n, density, seed):
+    """Closed strong components of random stochastic matrices, against
+    scipy's components as an independent reference, in the documented
+    order: by smallest member, members sorted."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((n, n)) * (rng.random((n, n)) < density)
+    p[np.arange(n), rng.integers(0, n, n)] += 0.5      # every row gets mass
+    p /= p.sum(axis=1, keepdims=True)
+    count, labels = connected_components(coo_matrix(p > 0), directed=True,
+                                         connection="strong")
+    rows, cols = np.nonzero(p > 0)
+    leaving = set(labels[rows][labels[rows] != labels[cols]].tolist())
+    expected = sorted(np.flatnonzero(labels == c).tolist()
+                      for c in range(count) if c not in leaving)
+    assert [c.tolist() for c in recurrent_classes(p)] == expected
