@@ -353,9 +353,7 @@ class IFSWeights:
         return vals
 
 
-def ifs_measure(diagram: DiagramSpec, p,
-                tol: float = DEFAULT_TOL,
-                max_iter: int = DEFAULT_MAX_ITER) -> IFSWeights:
+def ifs_measure(diagram: DiagramSpec, p, tol: float = DEFAULT_TOL) -> IFSWeights:
     """Solve M q = q for the vertex matrix M_{w,v} = p_{(w,v)} and build
     the IFS measure of a stationary 0-1 diagram."""
     diagram.require_stationary()
@@ -377,7 +375,7 @@ def ifs_measure(diagram: DiagramSpec, p,
     m = np.zeros((len(verts), len(verts)))
     for (w, v), x in p.items():
         m[w, v] = x
-    harmonic = solve_harmonic(m, tol, max_iter)
+    harmonic = solve_harmonic(m, tol)
     q = dict(zip(verts, harmonic.q.tolist()))
     cols = {w: sum(x for (_, v), x in p.items() if v == w) for w in verts}
     return IFSWeights(diagram, p, q, cols, harmonic.residual, harmonic.total_mass)

@@ -230,7 +230,10 @@ def _fan_out(at: np.ndarray, edges_at, level: int) -> tuple:
 def path_columns(spec: DiagramSpec, n: int, window: int | None = None):
     """Yield the paths of 0, 1, ..., n edges starting inside the window as
     columns, each level grown from the one before with np.repeat: a row's
-    one-edge extensions are consecutive rows of the next level, in order."""
+    one-edge extensions are consecutive rows of the next level, in order.
+    A negative n raises PathError."""
+    if n < 0:
+        raise PathError(f"path length {n} is negative")
     verts = np.array(spec.vertices(window), dtype=np.intp)
     level = PathColumns(verts[:, None], np.zeros((len(verts), 0), np.intp), ())
     yield level

@@ -340,6 +340,10 @@ def test_sample_pinned_bytes(tmp_path, case):
      "MeasureError"),
     (["measure", "sample", "--diagram", "fib", "--measure", "tail", "--len", "0",
       "--start", "99"], "MeasureError"),
+    (["measure", "eval", "--diagram", "fib", "--measure", "tail", "--len", "-1"],
+     "PathError"),
+    (["measure", "check", "--diagram", "fib", "--measure", "tail", "--what", "kolmogorov",
+      "--len", "-1"], "PathError"),
 ])
 def test_typed_error_exit1(files, args, kind):
     res = run([files.get(a, a) for a in args])

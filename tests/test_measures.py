@@ -212,6 +212,19 @@ def test_ifs_degenerate(allones2):
         ifs_measure(allones2, DEGENERATE_P)
 
 
+def test_ifs_two_final_vertices_feeding_a_third():
+    # edges 0->0, 1->1, 2->0, 2->1, 2->2: M = [[1,0,0],[0,1,0],[10,2,0.5]]
+    # has the positive fixed vector (1, 1, 24) among a plane of fixed vectors
+    diagram = pm.diagram_from_dict({
+        "kind": "stationary",
+        "vertices": {"type": "finite", "count": 3},
+        "matrices": [{"triplets": [[0, 0, 1], [1, 1, 1], [0, 2, 1], [1, 2, 1], [2, 2, 1]]}],
+    })
+    nu = ifs_measure(diagram, [[0, 0, 1], [1, 1, 1], [2, 0, 10], [2, 1, 2], [2, 2, 0.5]])
+    assert nu.q == pytest.approx({0: 1 / 24, 1: 1 / 24, 2: 1.0}, rel=0, abs=1e-15)
+    assert check_ifs_fixed_point(nu, max_len=4).holds
+
+
 def test_ifs_fixed_point(allones2):
     for weights in (SYMMETRIC_P, ASYMMETRIC_P):
         nu = ifs_measure(allones2, weights)
@@ -574,6 +587,9 @@ def test_tail_vectors_reject_bad_masses(allones2, vectors):
 
 @pytest.mark.parametrize("weight", [NAN, INF, 0.0, -0.5])
 def test_ifs_rejects_bad_weight_at_once(allones2, weight):
-    # a NaN weight once ran the harmonic solver to its 100k-step limit
+    # a NaN weight once ran the harmonic solver to its 100k-step limit; the
+    # weight check must fire before the solve, which would raise SolverError
+    # on a NaN, infinite or negative weight, and on 0.0 would return a result
+    # or raise DegenerateSolution, never MeasureError
     with pytest.raises(pm.MeasureError, match="not finite and positive"):
-        ifs_measure(allones2, [[0, 0, weight]] + SYMMETRIC_P[1:], max_iter=1)
+        ifs_measure(allones2, [[0, 0, weight]] + SYMMETRIC_P[1:])

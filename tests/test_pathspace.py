@@ -117,6 +117,12 @@ def test_enumerate_counts(allones2, fib):
     assert [len(enumerate_paths(fib, n)) for n in range(4)] == [2, 3, 5, 8]
 
 
+def test_negative_length_is_a_path_error(fib):
+    # not read as 0, which would return the level-0 empty paths
+    with pytest.raises(pm.PathError, match="negative"):
+        enumerate_paths(fib, -1)
+
+
 def test_path_levels_extend_parents_in_blocks(fib, tri_z):
     for spec, window in ((fib, None), (tri_z, 2)):
         levels = list(path_levels(spec, 4, window))

@@ -246,6 +246,140 @@ def test_harmonic_residual_scale_invariant(scale):
             solve_harmonic(scale * m)
 
 
+def numpy_perron_vector(m):
+    """Sup-one eigenvector of the real eigenvalue of largest modulus (the
+    Perron root), from numpy's dense eigensolver."""
+    vals, vecs = np.linalg.eig(m)
+    v = np.abs(vecs[:, np.argmax(vals.real)].real)
+    return v / v.max()
+
+
+@st.composite
+def irreducible_unit_radius(draw):
+    """A random irreducible nonnegative matrix scaled to spectral radius 1:
+    a weighted n-cycle (periodic when nothing else is added) plus random
+    entries."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.zeros((n, n))
+    m[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(0.2, 5.0, n)
+    if not draw(st.booleans()):
+        m += rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < draw(st.floats(0.0, 1.0)))
+    return m / np.max(np.abs(np.linalg.eigvals(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(irreducible_unit_radius(), st.floats(0.1, 10.0).filter(lambda s: abs(s - 1) >= 0.05))
+def test_solve_harmonic_certificate(m, scale):
+    h = solve_harmonic(m)
+    assert np.all(h.q > 0) and h.q.max() == 1.0
+    assert np.max(np.abs(m @ h.q - h.q)) <= 1e-12
+    assert h.residual == np.max(np.abs(m @ h.q - h.q))
+    # the bracket is recomputable and holds rho = 1 (to the rounding of the
+    # scaled matrix)
+    ratios = (m @ h.q) / h.q
+    assert h.bracket == (ratios.min(), ratios.max())
+    assert h.bracket[0] - 1e-13 <= 1.0 <= h.bracket[1] + 1e-13
+    assert np.max(np.abs(h.q - numpy_perron_vector(m))) <= 1e-10
+    with pytest.raises(pm.DegenerateSolution, match="spectral radius"):
+        solve_harmonic(scale * m)
+
+
+def test_solve_harmonic_periodic_at_once():
+    # periodic: eigenvalues +-1, so no power iteration converges here
+    h = solve_harmonic(np.array([[0, 0.5], [2, 0]]))
+    assert np.allclose(h.q, [0.5, 1.0], rtol=0, atol=1e-15)
+    assert h.residual <= 1e-15
+
+
+def test_solve_harmonic_nilpotent_is_degenerate():
+    with pytest.raises(pm.DegenerateSolution, match="spectral radius 0 "):
+        solve_harmonic(np.array([[0, 1], [0, 0]]))
+
+
+def test_solve_harmonic_reducible_radius_one_without_positive_vector():
+    # rho = 1, but every fixed vector vanishes on vertex 1
+    with pytest.raises(pm.DegenerateSolution, match="no strictly positive"):
+        solve_harmonic(np.array([[1, 1], [0, 0.5]]))
+
+
+def test_solve_harmonic_root_one_class_that_is_not_final_is_degenerate():
+    # the block on {0, 1} has root 1 but feeds vertex 2, so I - M_TT is singular
+    m = np.array([[0.5, 0.5, 0.1], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(pm.DegenerateSolution, match="no strictly positive"):
+        solve_harmonic(m)
+
+
+@pytest.mark.parametrize("m", [np.eye(3), np.kron(np.eye(2), np.full((2, 2), 0.5))])
+def test_solve_harmonic_several_fixed_directions_give_all_ones(m):
+    # each final class contributes its sup-one fixed vector
+    h = solve_harmonic(m)
+    assert np.allclose(h.q, 1.0, rtol=0, atol=1e-14)
+    assert h.residual <= 1e-14
+
+
+def test_solve_harmonic_several_final_classes_feeding_a_transient_vertex():
+    # fixed space {(a, b, 20a + 4b)}: its least-norm point with sum 1 has a
+    # negative first entry, but the positive (1, 1, 24) exists
+    h = solve_harmonic(np.array([[1, 0, 0], [0, 1, 0], [10, 2, 0.5]]))
+    assert np.allclose(h.q, np.array([1, 1, 24]) / 24, rtol=0, atol=1e-15)
+    assert h.residual <= 1e-15 and h.bracket == (1.0, 1.0)
+
+
+@st.composite
+def reducible_with_positive_fixed_vector(draw):
+    """A reducible nonnegative matrix with a strictly positive fixed vector,
+    vertices shuffled, and that vector built class by class with numpy's
+    eigensolver: final irreducible blocks scaled to root 1, the other
+    vertices a block of root 0.9 each of whose rows reaches a final class
+    directly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n_rest = draw(st.integers(0, 3))
+    n_final = sum(sizes)
+    n = n_final + n_rest
+    m = np.zeros((n, n))
+    q = np.zeros(n)
+    at = 0
+    for k in sizes:
+        block = rng.uniform(0.1, 1.0, (k, k))
+        m[at:at + k, at:at + k] = block / np.max(np.abs(np.linalg.eigvals(block)))
+        q[at:at + k] = numpy_perron_vector(m[at:at + k, at:at + k])
+        at += k
+    if n_rest:
+        rest = slice(n_final, n)
+        block = rng.uniform(0.0, 1.0, (n_rest, n_rest))
+        m[rest, rest] = 0.9 * block / np.max(np.abs(np.linalg.eigvals(block)))
+        m[rest, :n_final] = rng.uniform(0.0, 2.0, (n_rest, n_final)) * (
+            rng.random((n_rest, n_final)) < 0.5)
+        m[np.arange(n_final, n), rng.integers(0, n_final, n_rest)] += 1.0
+        q[rest] = np.linalg.solve(np.eye(n_rest) - m[rest, rest], m[rest, :n_final] @ q[:n_final])
+    perm = rng.permutation(n)
+    return m[np.ix_(perm, perm)], q[perm] / q.max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducible_with_positive_fixed_vector())
+def test_solve_harmonic_reducible_certificate(case):
+    m, expected = case
+    h = solve_harmonic(m)
+    assert np.all(h.q > 0) and h.q.max() == 1.0
+    assert np.max(np.abs(m @ h.q - h.q)) <= 1e-12
+    assert h.bracket[0] - 1e-13 <= 1.0 <= h.bracket[1] + 1e-13
+    assert np.max(np.abs(h.q - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [
+    np.full((2, 3), 1 / 3), np.array([0.5, 0.5]), np.ones((2, 2, 2)), np.zeros((0, 0)),
+    np.array([[np.nan, 1.0], [1.0, 0.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[1.5, -0.5], [0.0, 1.0]]), [[1, "a"], [0, 1]], [[1.0], [0.5, 0.5]],
+])
+@pytest.mark.parametrize("solver", [solve_harmonic, stationary_distribution])
+def test_solvers_require_finite_nonnegative_square_matrix(solver, m):
+    with pytest.raises(pm.SolverError, match="matrix"):
+        solver(m)
+
+
 def test_stationary_distribution_oracle():
     p = np.array([[0.9, 0.1], [0.5, 0.5]])
     sd = stationary_distribution(p)
