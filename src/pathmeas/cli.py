@@ -74,7 +74,10 @@ def load_kernel(kernel_path, q_json=None):
     obj = json.loads(q_json)
     if not isinstance(obj, dict):
         raise MeasureError("--q is not a JSON object of cell values")
-    q = {str(c): float(v) for c, v in obj.items()}
+    try:
+        q = {str(c): float(v) for c, v in obj.items()}
+    except (TypeError, ValueError) as exc:
+        raise MeasureError(f"--q holds a cell value that is not a number: {exc}") from exc
     kernelmod.require_q(k, q)
     return k, q
 

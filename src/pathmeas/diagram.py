@@ -61,6 +61,7 @@ class IncidenceMatrix:
     def __init__(self, domain, entries=None, stencil=None, band=None):
         self.domain = domain
         self._transpose = None    # set here: a later new attribute slows every lookup
+        self._edge_index = [None, None]     # edge_arrays' tables: out-edges, in-edges
         if domain == FINITE:
             if entries is None:
                 raise DiagramError("finite matrix needs explicit entries")
@@ -144,6 +145,55 @@ class IncidenceMatrix:
                 if j is not None:
                     a[i, j] = c
         return a
+
+    def edge_arrays(self, at: np.ndarray, into: bool = False) -> tuple:
+        """The out-edges (with ``into``, the in-edges) of the sorted distinct
+        vertices ``at`` of a level, laid end to end in column (row) order,
+        the order of ``DiagramSpec.edges_from`` (``edges_into``): arrays
+        (sources, targets, mults, sizes), where sizes[i] edges belong to
+        at[i].  Stencils take any vertex."""
+        index = self._edge_index[into]
+        if index is None:
+            index = self._edge_index[into] = self._edge_table(into)
+        if self.domain == FINITE:
+            first, table, sizes = index   # table rows: source, target, mult
+            if len(at) != self.size or self.size and at[0]:    # else at is the whole level
+                starts = first[at]
+                sizes = first[at + 1] - starts
+                shift = starts - (sizes.cumsum() - sizes)   # a block's start there, less here
+                table = table[:, np.arange(sizes.sum()) + shift.repeat(sizes)]
+            return table[0], table[1], table[2], sizes
+        offsets, mults = index            # each edge's offset d = target - source
+        ends = at[:, None] - offsets if into else at[:, None] + offsets
+        here = at[:, None].repeat(len(offsets), axis=1)
+        sources, targets = (ends, here) if into else (here, ends)
+        mults = np.broadcast_to(mults, ends.shape)
+        if self.domain == NATURALS:      # no edge ends or starts below 0
+            keep = ends >= 0
+            return sources[keep], targets[keep], mults[keep], keep.sum(axis=1)
+        return (sources.ravel(), targets.ravel(), mults.ravel(),
+                np.full(len(at), len(offsets), dtype=np.intp))
+
+    def _edge_table(self, into: bool) -> tuple:
+        """What edge_arrays reads.  On finite levels: where each vertex's
+        edges start, every edge's (source, target, mult) as the rows of
+        one array, grouped by source (with ``into``, by target), and each
+        vertex's edge count.  On stencils: each edge's offset and mult, in
+        one vertex's edge order."""
+        if self.domain == FINITE:
+            lines = self._rows if into else self._cols
+            edges, sizes = [], []
+            for u in range(self.size):
+                line = lines.get(u, ())
+                edges += [(x, u, k) if into else (u, x, k) for x, c in line for k in range(c)]
+                sizes.append(sum(c for _, c in line))
+            sizes = np.array(sizes, dtype=np.intp)
+            table = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+            sizes.flags.writeable = table.flags.writeable = False   # handed out as they are
+            return np.concatenate(([0], sizes.cumsum())), table, sizes
+        offsets = sorted(self.stencil, reverse=into)
+        return (np.array([d for d in offsets for _ in range(self.stencil[d])], dtype=np.intp),
+                np.array([k for d in offsets for k in range(self.stencil[d])], dtype=np.intp))
 
     @property
     def transpose_arrays(self):
@@ -437,26 +487,63 @@ def is_irreducible(spec: DiagramSpec, window: int | None = None,
 # ---------------------------------------------------------------------------
 # JSON interchange
 
+def json_field(obj, key: str, what: str, error=DiagramError):
+    """obj[key] of a JSON object; ``error`` names the key when obj is not an
+    object or lacks it."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} is not a JSON object")
+    if key not in obj:
+        raise error(f"{what} has no {key!r}")
+    return obj[key]
+
+
+def json_rows_error(rows, width: int, what: str, exc: Exception, error=DiagramError):
+    """The typed error for JSON rows that failed to parse with ``exc``: it
+    names the first row that is not a list of ``width`` entries, else the
+    value the parse rejected."""
+    if not isinstance(rows, (list, tuple)):
+        return error(f"{what} rows are not a list")
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            return error(f"{what} row {row!r} does not have {width} entries")
+    return error(f"{what} row holds a bad value: {exc}")
+
+
 def _matrix_from_json(obj, vert) -> IncidenceMatrix:
-    triplets = obj["triplets"]
-    if vert["type"] == "finite":
-        m = IncidenceMatrix(FINITE, entries={(_index(v), _index(w)): c for v, w, c in triplets})
-        m.size = max(m.size, _count(vert["count"], "vertex count"))
+    triplets = json_field(obj, "triplets", "matrix")
+    domain = json_field(vert, "type", "vertices")
+    if domain not in (FINITE, NATURALS, INTEGERS):
+        raise DiagramError(f"unknown vertex type {domain!r}")
+    try:
+        if domain == FINITE:
+            entries = {(_index(v), _index(w)): c for v, w, c in triplets}
+        else:
+            # Infinite domains: triplets are read as a translation-invariant
+            # stencil, offset = target - source.
+            stencil = {}
+            for v, w, c in triplets:
+                d = _index(v) - _index(w)
+                stencil[d] = stencil.get(d, 0) + _count(c)
+    except (TypeError, ValueError) as exc:
+        raise json_rows_error(triplets, 3, "triplet", exc) from exc
+    if domain == FINITE:
+        m = IncidenceMatrix(FINITE, entries=entries)
+        m.size = max(m.size, _count(json_field(vert, "count", "finite vertices"), "vertex count"))
         return m
-    # Infinite domains: triplets are read as a translation-invariant
-    # stencil, offset = target - source.
-    stencil = {}
-    for v, w, c in triplets:
-        d = _index(v) - _index(w)
-        stencil[d] = stencil.get(d, 0) + _count(c)
-    domain = NATURALS if vert["type"] == "naturals" else INTEGERS
-    return IncidenceMatrix(domain, stencil=stencil, band=vert.get("band"))
+    band = vert.get("band")
+    return IncidenceMatrix(domain, stencil=stencil,
+                           band=None if band is None else _count(band, "band"))
 
 
 def diagram_from_dict(obj: dict) -> DiagramSpec:
-    kind = obj["kind"]
-    vert = obj["vertices"]
-    matrices = [_matrix_from_json(m, vert) for m in obj["matrices"]]
+    """The diagram a JSON object describes; a missing key or a malformed
+    row raises DiagramError naming it."""
+    kind = json_field(obj, "kind", "diagram")
+    vert = json_field(obj, "vertices", "diagram")
+    matrices = json_field(obj, "matrices", "diagram")
+    if not isinstance(matrices, (list, tuple)):
+        raise DiagramError("diagram matrices are not a list")
+    matrices = [_matrix_from_json(m, vert) for m in matrices]
     if kind == "stationary" and len(matrices) != 1:
         raise DiagramError("stationary diagram takes exactly one matrix")
     return DiagramSpec(kind, matrices)

@@ -16,6 +16,7 @@ from itertools import accumulate, chain, product
 
 import numpy as np
 
+from .diagram import json_field, json_rows_error
 from .errors import (
     DepthExhausted,
     MeasureError,
@@ -360,10 +361,20 @@ def fixed_point_iterate(kernel: CellKernel, nu0: dict, iterations: int) -> Itera
 # JSON interchange: {"cells0":[...],"cells1":[...],"edges":[[x,y,mass],...]}
 
 def edge_measure_from_dict(obj: dict) -> EdgeMeasure:
-    mass = {(str(x), str(y)): float(m) for x, y, m in obj["edges"]}
-    return EdgeMeasure(CellSpace(tuple(str(c) for c in obj["cells0"])),
-                       CellSpace(tuple(str(c) for c in obj["cells1"])),
-                       mass)
+    """The edge measure a JSON object describes; a missing key or a
+    malformed row raises MeasureError naming it."""
+    rows = json_field(obj, "edges", "edge measure", MeasureError)
+    try:
+        mass = {(str(x), str(y)): float(m) for x, y, m in rows}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise json_rows_error(rows, 3, "edge", exc, MeasureError) from exc
+    cells = []
+    for key in ("cells0", "cells1"):
+        labels = json_field(obj, key, "edge measure", MeasureError)
+        if not isinstance(labels, (list, tuple)):
+            raise MeasureError(f"edge measure {key} is not a list of cell labels")
+        cells.append(CellSpace(tuple(str(c) for c in labels)))
+    return EdgeMeasure(*cells, mass)
 
 
 def load_edge_measure(path) -> EdgeMeasure:

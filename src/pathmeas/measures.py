@@ -13,11 +13,19 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
-from .diagram import DEFAULT_WINDOW, FINITE, DiagramSpec, Edge, height_vector
+from .diagram import (
+    DEFAULT_WINDOW,
+    FINITE,
+    DiagramSpec,
+    Edge,
+    height_vector,
+    json_field,
+    json_rows_error,
+)
 from .errors import (
     InconsistentVectors,
     InfiniteMass,
@@ -31,7 +39,14 @@ from .errors import (
     ZeroMass,
     ZeroTransition,
 )
-from .pathspace import FinitePath, PathColumns, column_level, empty_path, path_columns
+from .pathspace import (
+    EdgeColumn,
+    FinitePath,
+    PathColumns,
+    column_level,
+    empty_path,
+    path_columns,
+)
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -124,9 +139,16 @@ def _lookup(table: dict, keys: np.ndarray, default: float = 0.0) -> np.ndarray:
     return np.array([table.get(k, default) for k in span], dtype=float)[keys - lo]
 
 
-def _column(weight, edges: tuple, ids: np.ndarray) -> np.ndarray:
-    """weight(e) for the edge of one column at every row."""
-    return np.array([weight(e) for e in edges], dtype=float)[ids]
+def _column(weights, ids: np.ndarray) -> np.ndarray:
+    """The weight of the edge of one column at every row, from one weight
+    per distinct edge of the column, in its order."""
+    return np.fromiter(weights, dtype=float)[ids]
+
+
+def _table_weights(table: dict, edges: EdgeColumn):
+    """table.get(key, 0.0) for the key (source, target, mult) of each edge
+    of a column."""
+    return map(table.get, edges.keys(), repeat(0.0))
 
 
 def _tail_table(diagram: DiagramSpec, level: int, cur: dict, nxt: dict) -> dict:
@@ -260,8 +282,7 @@ class MarkovMeasure:
             return np.zeros(0)
         vals = _lookup(self.q, level.start)
         for j, (edges, ids) in enumerate(zip(level.edges, level.ids.T)):
-            table = self.level_table(j)
-            vals *= _column(lambda e: table.get(e.key(), 0.0), edges, ids)
+            vals *= _column(_table_weights(self.level_table(j), edges), ids)
         return vals
 
 
@@ -349,8 +370,12 @@ class IFSWeights:
         same order: q at the end, then p_{f_0}, p_{f_1}, ..."""
         vals = _lookup(self.q, level.end)
         for edges, ids in zip(level.edges, level.ids.T):
-            vals *= _column(self.weight, edges, ids)
+            vals *= _column(self._weights(edges), ids)
         return vals
+
+    def _weights(self, edges: EdgeColumn):
+        """p[(source, target)] of each edge of a column."""
+        return map(self.p.__getitem__, zip(edges.sources.tolist(), edges.targets.tolist()))
 
 
 def ifs_measure(diagram: DiagramSpec, p, tol: float = DEFAULT_TOL) -> IFSWeights:
@@ -399,9 +424,12 @@ def check_ifs_fixed_point(ifs: IFSWeights, max_len: int = 4,
     p_{f_0} nu([f_1..f_n]) = nu([f_0..f_n]) (with nu([r(f_0)]) = q for a
     single edge).
     """
+    if not isinstance(ifs, IFSWeights):
+        raise MeasureError(f"the IFS fixed-point audit needs an IFS measure, "
+                           f"not a {type(ifs).__name__}")
     worst, count = 0.0, 0
     for level in islice(path_columns(ifs.diagram, max_len), 1, None):
-        lhs = _column(ifs.weight, level.edges[0], level.ids[:, 0]) * ifs.values(level.shift())
+        lhs = _column(ifs._weights(level.edges[0]), level.ids[:, 0]) * ifs.values(level.shift())
         worst = max(worst, float(np.abs(lhs - ifs.values(level)).max(initial=0.0)))
         count += len(level)
     return FixedPointReport(float(worst), count, bool(worst < tol))
@@ -420,7 +448,10 @@ def check_tail_invariance(measure, n: int, tol: float = IDENTITY_TOL,
                           window=None) -> TailInvarianceReport:
     """Group length-n cylinders by range vertex and report the within-group
     value spread; zero spread is exactly tail invariance at this depth."""
-    level = column_level(measure.diagram, n, window)
+    one = None                      # level 1 of the walk, for the ratio law
+    for level in path_columns(measure.diagram, n, window):
+        if len(level.edges) == 1:
+            one = level
     vals = measure.values(level)
     ends, first, group, sizes = np.unique(level.end, return_index=True,
                                           return_inverse=True, return_counts=True)
@@ -434,20 +465,22 @@ def check_tail_invariance(measure, n: int, tol: float = IDENTITY_TOL,
         {v: (lo, hi, size) for v, lo, hi, size in zip(
             ends[order].tolist(), lows[order].tolist(), highs[order].tolist(),
             sizes[order].tolist())},
-        _ratio_law_deviation(measure, window))
+        _ratio_law_deviation(
+            measure, one if one is not None else column_level(measure.diagram, 1, window)))
 
 
-def _ratio_law_deviation(measure, window) -> float:
-    """max |nu[f]/nu[e] - w_f/w_e| over level-1 cylinders with a common
-    range vertex, each valued once; edges without a weight or without
-    mass take no part."""
+def _ratio_law_deviation(measure, level: PathColumns) -> float:
+    """max |nu[f]/nu[e] - w_f/w_e| over the level-1 cylinders of ``level``
+    with a common range vertex, each valued once; edges without a weight
+    or without mass take no part."""
     weights, _ = _form_weights(measure.markov)
+    w = _column(_table_weights(weights, level.edges[0]), level.ids[:, 0])
+    keep = w != 0                      # only the rows with a weight are valued
     by_range = {}
-    for e in measure.diagram.all_edges(0, window):
-        w = weights.get(e.key(), 0.0)
-        val = measure.value(FinitePath((e,))) if w else 0.0
+    for v, val, wv in zip(level.end[keep].tolist(), measure.values(level[keep]).tolist(),
+                          w[keep].tolist()):
         if val:
-            by_range.setdefault(e.target, []).append((val, w))
+            by_range.setdefault(v, []).append((val, wv))
     return float(max((abs(vf / ve - wf / we) for pairs in by_range.values()
                       for ve, we in pairs for vf, wf in pairs), default=0.0))
 
@@ -775,18 +808,44 @@ def measure_from_dict(diagram: DiagramSpec, obj: dict):
     {"type":"tail"} (stationary Perron) or {"type":"tail","vectors":[...]},
     {"type":"markov","q":[...],"P":[[w,v,k,p],...]} (stationary) or
     {"type":"markov","q":[...],"P_levels":[[[w,v,k,p],...],...]},
-    {"type":"ifs","p":[[w,v,weight],...]}.
+    {"type":"ifs","p":[[w,v,weight],...]}.  A missing key or a malformed
+    row raises MeasureError naming it.
     """
-    kind = obj["type"]
+    kind = json_field(obj, "type", "measure", MeasureError)
     if kind == "tail":
         if "vectors" in obj:
-            return tail_measure_from_vectors(diagram, obj["vectors"])
+            try:
+                vectors = [_as_vertex_dict(diagram, v) for v in obj["vectors"]]
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MeasureError(f"tail vectors hold a bad value: {exc}") from exc
+            return tail_measure_from_vectors(diagram, vectors)
         return stationary_tail_measure(diagram)
     if kind == "markov":
-        def table(rows):
-            return {(int(w), int(v), int(k)): float(p) for w, v, k, p in rows}
-        p = table(obj["P"]) if "P" in obj else [table(lvl) for lvl in obj["P_levels"]]
-        return markov_measure(diagram, obj["q"], p)
+        q = json_field(obj, "q", "markov measure", MeasureError)
+        try:
+            q = _as_vertex_dict(diagram, q)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MeasureError(f"q holds a bad value: {exc}") from exc
+        if "P" in obj:
+            return markov_measure(diagram, q, _json_table(obj["P"], "P"))
+        levels = obj.get("P_levels")
+        if not isinstance(levels, (list, tuple)):
+            raise MeasureError("markov measure has no 'P' and no list 'P_levels'")
+        return markov_measure(diagram, q, [_json_table(rows, f"P_levels[{n}]")
+                                           for n, rows in enumerate(levels)])
     if kind == "ifs":
-        return ifs_measure(diagram, obj["p"])
+        rows = json_field(obj, "p", "ifs measure", MeasureError)
+        try:
+            p = {(int(w), int(v)): float(x) for w, v, x in rows}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise json_rows_error(rows, 3, "ifs weight", exc, MeasureError) from exc
+        return ifs_measure(diagram, p)
     raise MeasureError(f"unknown measure type {kind!r}")
+
+
+def _json_table(rows, what: str) -> dict:
+    """Transition rows [w, v, k, p] as a table (w, v, k) -> p."""
+    try:
+        return {(int(w), int(v), int(k)): float(p) for w, v, k, p in rows}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise json_rows_error(rows, 4, what, exc, MeasureError) from exc

@@ -149,18 +149,39 @@ def tail_equivalent_on_prefix(x: FinitePath, y: FinitePath, m: int) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
+class EdgeColumn:
+    """The edges one position of a PathColumns level can hold: edge i runs
+    from ``sources[i]`` to ``targets[i]`` with multiplicity ``mults[i]``,
+    all at ``level``.  The edges are distinct."""
+
+    level: int
+    sources: np.ndarray
+    targets: np.ndarray
+    mults: np.ndarray
+
+    def keys(self) -> list:
+        """Each edge's (source, target, mult), as Edge.key() gives it."""
+        return list(zip(self.sources.tolist(), self.targets.tolist(), self.mults.tolist()))
+
+    def edge_list(self) -> list:
+        """The edges as Edge objects."""
+        level = self.level
+        return [Edge(level, s, t, k) for s, t, k in self.keys()]
+
+
+@dataclass(frozen=True, eq=False)
 class PathColumns:
     """The paths of one length n as columns: row i is a path whose
-    position j holds vertex ``verts[i, j]`` and edge ``edges[j][ids[i, j]]``.
+    position j holds vertex ``verts[i, j]`` and edge ``ids[i, j]`` of the
+    edge column ``edges[j]``.
 
-    Each ``edges[j]`` is a tuple of shared Edge objects.  ``degree`` gives,
-    for each row of the level this one was grown from, how many consecutive
-    rows here extend it (None at level 0).
+    ``degree`` gives, for each row of the level this one was grown from,
+    how many consecutive rows here extend it (None at level 0).
     """
 
     verts: np.ndarray            # N x (n + 1) vertices
     ids: np.ndarray              # N x n edge indices into edges[j]
-    edges: tuple                 # n tuples of Edge
+    edges: tuple                 # n EdgeColumns
     degree: np.ndarray | None = None
 
     def __len__(self):
@@ -180,15 +201,16 @@ class PathColumns:
     def keys(self) -> np.ndarray:
         """N x (2n + 1) integers that name each row as str(path) does: its
         vertices, then the multiplicity of each edge."""
-        mults = [np.array([e.mult for e in col], dtype=np.intp)[ids]
-                 for col, ids in zip(self.edges, self.ids.T)]
+        mults = [col.mults[ids] for col, ids in zip(self.edges, self.ids.T)]
         return np.column_stack([self.verts] + mults)
 
     def paths(self) -> list:
-        """The rows as FinitePath objects, sharing the Edge objects."""
+        """The rows as FinitePath objects, sharing one Edge object per
+        edge of a column."""
         if not self.edges:
             return [empty_path(v) for v in self.start.tolist()]
-        cols = [[col[k] for k in ids] for col, ids in zip(self.edges, self.ids.T.tolist())]
+        edge_lists = [col.edge_list() for col in self.edges]
+        cols = [[edges[k] for k in ids] for edges, ids in zip(edge_lists, self.ids.T.tolist())]
         return [FinitePath(edges) for edges in zip(*cols)]
 
     def shift(self) -> "PathColumns":
@@ -200,31 +222,32 @@ class PathColumns:
         """Each row prefixed with every level-0 edge into its start, in
         edges_into order: tau_f of each row as one consecutive block, the
         row's edges now at positions 1 .. n (stationary diagrams).  The
-        Edge objects keep their own level."""
-        edges, parent, ids, degree = _fan_out(self.start, spec.edges_into, 0)
-        sources = np.array([e.source for e in edges], dtype=np.intp)
-        return PathColumns(np.concatenate((sources[ids, None], self.verts[parent]), axis=1),
+        edge columns keep their own level."""
+        edges, parent, ids, degree = _fan_out(self.start, spec, 0, into=True)
+        return PathColumns(np.concatenate((edges.sources[ids, None], self.verts[parent]), axis=1),
                            np.concatenate((ids[:, None], self.ids[parent]), axis=1),
                            (edges,) + self.edges, degree)
 
 
-def _fan_out(at: np.ndarray, edges_at, level: int) -> tuple:
-    """Fan each vertex of ``at`` out to its edges ``edges_at(v, level)``.
-    The edges of the distinct vertices are laid end to end; returns them,
-    each new row's source entry and edge index, and each entry's degree."""
+def _fan_out(at: np.ndarray, spec: DiagramSpec, level: int, into: bool = False) -> tuple:
+    """Fan each vertex of ``at`` out to its edges at ``level`` (with
+    ``into``, the edges into it).  The edges of the distinct vertices are
+    laid end to end; returns them as an EdgeColumn, each new row's source
+    entry and edge index, and each entry's degree."""
     lo = int(at.min(initial=0))
-    hits = np.bincount(at - lo)
-    reached = hits.nonzero()[0]
-    rows = [edges_at(v, level) for v in (reached + lo).tolist()]
-    sizes = np.array([len(r) for r in rows], dtype=np.intp)
-    slot = np.zeros(len(hits), np.intp)
+    slot = np.bincount(at - lo)
+    reached = slot.nonzero()[0]
+    if len(reached):
+        *arrays, sizes = spec.matrix(level).edge_arrays(reached + lo, into)
+    else:          # no row to extend: no matrix is read
+        arrays, sizes = [np.zeros(0, np.intp)] * 3, np.zeros(0, np.intp)
     slot[reached] = np.arange(len(reached))
     k = slot[at - lo]
     degree = sizes[k]
     first = (sizes.cumsum() - sizes)[k] - (degree.cumsum() - degree)
     parent = np.arange(len(at)).repeat(degree)
     ids = np.arange(len(parent)) + first.repeat(degree)
-    return tuple(e for r in rows for e in r), parent, ids, degree
+    return EdgeColumn(level, *arrays), parent, ids, degree
 
 
 def path_columns(spec: DiagramSpec, n: int, window: int | None = None):
@@ -238,9 +261,8 @@ def path_columns(spec: DiagramSpec, n: int, window: int | None = None):
     level = PathColumns(verts[:, None], np.zeros((len(verts), 0), np.intp), ())
     yield level
     for j in range(n):
-        edges, parent, ids, degree = _fan_out(level.end, spec.edges_from, j)
-        targets = np.array([e.target for e in edges], dtype=np.intp)
-        level = PathColumns(np.concatenate((level.verts[parent], targets[ids, None]), axis=1),
+        edges, parent, ids, degree = _fan_out(level.end, spec, j)
+        level = PathColumns(np.concatenate((level.verts[parent], edges.targets[ids, None]), axis=1),
                             np.concatenate((level.ids[parent], ids[:, None]), axis=1),
                             level.edges + (edges,), degree)
         yield level

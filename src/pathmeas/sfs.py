@@ -42,7 +42,9 @@ def build_sfs(diagram: DiagramSpec) -> SemibranchingSystem:
         raise NotZeroOne("semibranching system requires a 0-1 diagram")
     if diagram.domain != FINITE:
         raise DiagramError("s.f.s. is materialized for finite levels only")
-    edges = [(e.source, e.target) for e in diagram.all_edges(0)]
+    f = diagram.matrix(0)
+    tails, heads, _, _ = f.edge_arrays(np.arange(f.size))
+    edges = list(zip(tails.tolist(), heads.tolist()))
     if len(set(edges)) != len(edges):
         raise NotZeroOne("parallel edges present")
     # ranges partition: each length-1 path lies in exactly the R of its
@@ -50,7 +52,10 @@ def build_sfs(diagram: DiagramSpec) -> SemibranchingSystem:
     sources = {w for w, _ in edges}
     if sources != set(diagram.vertices()):
         raise DiagramError("ranges do not cover the path space")
-    lam = {e: tuple(f for f in edges if f[0] == e[1]) for e in edges}
+    out = {}                        # each vertex's out-edges, in canonical order
+    for e in edges:
+        out.setdefault(e[0], []).append(e)
+    lam = {e: tuple(out.get(e[1], ())) for e in edges}
     return SemibranchingSystem(diagram, edges, lam)
 
 

@@ -1,14 +1,18 @@
 import contextlib
+import copy
 import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathmeas as pm
 from pathmeas.cli import main
@@ -496,3 +500,102 @@ def test_in_process_output_stream_released(files):
         del buf
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+# ---------------------------------------------------------------------------
+# malformed JSON objects: typed errors, exit 1
+
+@pytest.mark.parametrize("name, obj, kind, says", [
+    ("measure", {"typ": "tail"}, "MeasureError", "'type'"),
+    ("measure", {"type": "markov", "q": [1, 0]}, "MeasureError", "'P_levels'"),
+    ("measure", {"type": "ifs", "p": [[0, 0]]}, "MeasureError", "[0, 0]"),
+    ("diagram", {**FIB, "matrices": [{"triplets": [[0, 0]]}]}, "DiagramError", "[0, 0]"),
+    ("diagram", {**FIB, "vertices": {"type": "finite"}}, "DiagramError", "'count'"),
+    ("kernel", {"cells0": ["a"], "cells1": ["a"], "edges": [["a", "a"]]}, "MeasureError",
+     "['a', 'a']"),
+])
+def test_malformed_object_typed_exit1(tmp_path, files, name, obj, kind, says):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    args = {"measure": ["measure", "eval", "--diagram", files["allones"], "--measure", str(path),
+                        "--len", "1"],
+            "diagram": ["validate", "--diagram", str(path)],
+            "kernel": ["kernel", "disintegrate", "--kernel", str(path)]}[name]
+    res = run(args)
+    assert res.exit_code == 1
+    error = json.loads(res.output)["error"]
+    assert error["kind"] == kind and says in error["message"]
+
+
+MARKOV1 = {"type": "markov", "q": [0.5, 0.5], "P": HALF}
+SWAPS = [None, "x", [], {}, [0], 1.5, -1, 0, True]
+
+
+@st.composite
+def mutated(draw, obj):
+    """obj with 1-3 mutations at random places: a key dropped, a row
+    shortened, or a value swapped for one of another type."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = obj
+        while isinstance(node, (dict, list)) and node and (
+                parent is None or draw(st.booleans())):
+            parent = node
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node = parent[key]
+        if parent is None:
+            continue
+        if draw(st.booleans()):
+            del parent[key]          # a key dropped or a row shortened
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(SWAPS)))
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_malformed_objects_fuzz(data):
+    # a mutated diagram, measure or kernel exits 0 or 1, never with an
+    # untyped Python error
+    which = data.draw(st.sampled_from(["diagram", "markov", "ifs", "kernel"]))
+    base = {"diagram": data.draw(st.sampled_from([FIB, ALLONES, NAT, TRI_Z])),
+            "markov": data.draw(st.sampled_from([MARKOV1, MARKOV2, TAIL3])),
+            "ifs": IFS, "kernel": KERNEL}[which]
+    obj = data.draw(mutated(base))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obj.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        fixed = os.path.join(tmp, "fixed.json")
+        with open(fixed, "w") as fh:
+            json.dump(TAIL if which == "diagram" else ALLONES, fh)
+        if which == "kernel":
+            calls = [["kernel", "disintegrate", "--kernel", path]]
+        elif which == "diagram":
+            calls = [["validate", "--diagram", path],
+                     ["measure", "check", "--diagram", path, "--measure", fixed, "--len", "2"]]
+        else:
+            calls = [["measure", "check", "--diagram", fixed, "--measure", path, "--len", "2"]]
+        for args in calls:
+            res = run(args)
+            assert res.exit_code in (0, 1), (obj, res.output)
+            out = json.loads(res.output.splitlines()[-1])
+            if res.exit_code and "error" in out:     # not a failed check's report
+                assert issubclass(getattr(pm.errors, out["error"]["kind"]), pm.PathmeasError)
+
+
+@pytest.mark.parametrize("measure", ["tail", "markov2"])
+def test_ifs_check_of_other_measure_exit1(files, measure):
+    res = run(["measure", "check", "--diagram", files["allones"], "--measure", files[measure],
+               "--what", "ifs", "--len", "2"])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "MeasureError"
+
+
+@pytest.mark.parametrize("q", ['{"a": "x"}', '{"a": null}', '{"a": [1]}'])
+def test_kernel_q_not_a_number_exit1(files, q):
+    res = run(["kernel", "check", "--kernel", files["kernel"], "--q", q])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "MeasureError"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import pathmeas as pm
 from pathmeas import (
+    Edge,
     IFSWeights,
     check_ifs_fixed_point,
     check_kolmogorov,
@@ -225,6 +226,52 @@ def test_level_values_typed_errors(allones2, nat):
     vecs = tail_measure_from_vectors(allones2, [[1.0, 1.0], [0.5, 0.5]])
     with pytest.raises(pm.MeasureError, match="level 2"):
         vecs.values(level)
+
+
+def _edges_built(calls) -> int:
+    """How many Edge objects the calls construct."""
+    built = []
+    init = Edge.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Edge, "__init__", counting)
+        for call in calls:
+            call()
+    return len(built)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(16, 64), st.integers(0, 2 ** 32 - 1))
+def test_audits_build_no_edge(k, seed):
+    # the audits read each level's edges as arrays; only paths() builds Edge
+    rng = np.random.default_rng(seed)
+    pairs = {((w + 1) % k, w) for w in range(k)} | {
+        (int(v), int(w)) for v, w in rng.integers(0, k, (2 * k, 2))}
+    spec = pm.diagram_from_dict({
+        "kind": "stationary", "vertices": {"type": "finite", "count": k},
+        "matrices": [{"triplets": [[v, w, 1] for v, w in sorted(pairs)]}]})
+    out = {w: spec.edges_from(w, 0) for w in range(k)}
+    tail = stationary_tail_measure(spec)
+    markov = markov_measure(spec, [1 / k] * k,
+                            {e.key(): 1 / len(es) for es in out.values() for e in es})
+    ifs = IFSWeights(spec, {(w, v): float(x) for (v, w), x in
+                            zip(sorted(pairs), rng.uniform(0.2, 1.5, len(pairs)))},
+                     {v: float(x) for v, x in enumerate(rng.uniform(0.5, 2.0, k))}, {})
+    tri = pm.diagram_from_dict(TRI_Z)
+    z = markov_measure(tri, {v: 0.25 for v in range(4)},
+                       {e.key(): 1 / 3 for w in tri.vertices() for e in tri.edges_from(w, 0)})
+    calls = [lambda m=m: audit(m) for m in (tail, markov, ifs) for audit in (
+        lambda m: check_kolmogorov(m, 3), lambda m: check_tail_invariance(m, 2),
+        lambda m: check_shift_invariance(m, 2))]
+    calls += [lambda: check_ifs_fixed_point(ifs, 3), lambda: check_kolmogorov(z, 3, window=4),
+              lambda: check_tail_invariance(z, 2, window=4),
+              lambda: check_shift_invariance(z, 2, window=4)]
+    assert _edges_built(calls) == 0
+    assert _edges_built([lambda: column_level(spec, 1).paths()]) == len(spec.all_edges(0))
 
 
 def test_keys_name_paths_as_str(fib):
