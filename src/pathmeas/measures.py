@@ -97,9 +97,11 @@ class TailInvariantMeasure:
         return self.vectors[n]
 
     def value(self, path: FinitePath) -> float:
+        edges = path.edges
+        end = edges[-1].target if edges else path.anchor
         if self.provenance == "perron":
-            return _in_window(self.eigen.t, path.end) / self.eigen.lam ** len(path)
-        return _in_window(self.level_vector(len(path)), path.end)
+            return _in_window(self.eigen.t, end) / self.eigen.lam ** len(edges)
+        return _in_window(self.level_vector(len(edges)), end)
 
     def values(self, level: PathColumns) -> np.ndarray:
         """``value`` of every row of a columnar level, bit for bit."""
@@ -270,9 +272,17 @@ class MarkovMeasure:
         return partials
 
     def value(self, path: FinitePath) -> float:
-        m = self.q.get(path.start, 0.0)
-        for e in path.edges:
-            m *= self.transition(e)
+        """q_{s(e_0)}, then times the transition of each edge in turn, read
+        from the table of the edge's level (a stationary form has one)."""
+        edges, levels = path.edges, self.levels
+        by_level = not self.stationary        # False: levels[0] serves every edge
+        m = self.q.get(edges[0].source if edges else path.anchor, 0.0)
+        try:
+            for e in edges:
+                m *= levels[e.level * by_level].get(e._key, 0.0)
+        except IndexError:
+            self.level_table(e.level)         # the error for a level not stored
+            raise
         return m
 
     def values(self, level: PathColumns) -> np.ndarray:
@@ -325,12 +335,6 @@ def markov_measure(diagram: DiagramSpec, q, p_levels,
     return MarkovMeasure(diagram, q, levels, stationary, full_support)
 
 
-def tail_to_markov(tm: TailInvariantMeasure) -> MarkovMeasure:
-    """The Markov form stored by the measure's constructor.  It covers
-    every level the measure defines."""
-    return tm.markov
-
-
 # ---------------------------------------------------------------------------
 # IFS measures on stationary 0-1 diagrams
 
@@ -351,18 +355,28 @@ class IFSWeights:
     residual: float = 0.0
     total_mass: float = math.inf
     markov: MarkovMeasure = field(init=False, repr=False)
+    _by_source: dict = field(init=False, repr=False, compare=False)  # p as {w: {v: p_(w,v)}}
 
     def __post_init__(self):
         table = {(w, v, 0): x * self.q[v] / self.q[w] for (w, v), x in self.p.items()}
         self.markov = MarkovMeasure(self.diagram, self.q, [table])
+        self._by_source = {}
+        for (w, v), x in self.p.items():
+            self._by_source.setdefault(w, {})[v] = x
 
     def weight(self, edge: Edge) -> float:
         return self.p[(edge.source, edge.target)]
 
     def value(self, path: FinitePath) -> float:
-        m = self.q[path.end]
-        for e in path.edges:
-            m *= self.weight(e)
+        """q at the end, then times the weight of each edge in turn."""
+        edges, by_source = path.edges, self._by_source
+        m = self.q[edges[-1].target if edges else path.anchor]
+        try:
+            for e in edges:
+                m *= by_source[e.source][e.target]
+        except KeyError:
+            self.weight(e)                    # the KeyError of the missing pair
+            raise
         return m
 
     def values(self, level: PathColumns) -> np.ndarray:

@@ -24,16 +24,31 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class FinitePath:
     """An admissible finite edge sequence (e_0, ..., e_{n-1}).
 
     ``anchor`` is only used for the empty path, where it records the
-    starting vertex of the named level-0 cylinder.
+    starting vertex of the named level-0 cylinder.  A slotted value type
+    whose ``==`` and ``hash`` read (edges, anchor); paths are never
+    changed after construction (an assignment is not refused).
     """
 
-    edges: tuple
-    anchor: int | None = None
+    __slots__ = ("edges", "anchor")
+
+    def __init__(self, edges: tuple, anchor: int | None = None):
+        self.edges = edges
+        self.anchor = anchor
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.edges == other.edges and self.anchor == other.anchor
+
+    def __hash__(self):
+        return hash((self.edges, self.anchor))
+
+    def __repr__(self):
+        return f"FinitePath(edges={self.edges!r}, anchor={self.anchor!r})"
 
     def __len__(self):
         return len(self.edges)
@@ -100,16 +115,14 @@ def validate_path(edges) -> FinitePath:
 
 def dist(x: FinitePath, y: FinitePath) -> PathDistance:
     """Path-space metric on the common prefix: 2^-N at the first
-    disagreement index N, zero for equal paths."""
-    n = min(len(x), len(y))
-    for i in range(n):
+    disagreement index N, zero for equal paths.  Paths from different
+    start vertices are 1 apart, an empty path's anchor included."""
+    if x.start != y.start:
+        return PathDistance(1.0)
+    for i in range(min(len(x), len(y))):
         if x.edges[i].key() != y.edges[i].key():
             return PathDistance(2.0 ** (-i))
-    if len(x) == len(y):
-        if not x.edges and x.anchor != y.anchor:
-            return PathDistance(1.0)
-        return PathDistance(0.0)
-    return PathDistance(0.0, prefix_equal=True)
+    return PathDistance(0.0, prefix_equal=len(x) != len(y))
 
 
 def shift(x: FinitePath, spec: DiagramSpec | None = None) -> FinitePath:
@@ -206,12 +219,12 @@ class PathColumns:
 
     def paths(self) -> list:
         """The rows as FinitePath objects, sharing one Edge object per
-        edge of a column."""
+        edge of a column (gathered by numpy, as an object array)."""
         if not self.edges:
             return [empty_path(v) for v in self.start.tolist()]
-        edge_lists = [col.edge_list() for col in self.edges]
-        cols = [[edges[k] for k in ids] for edges, ids in zip(edge_lists, self.ids.T.tolist())]
-        return [FinitePath(edges) for edges in zip(*cols)]
+        cols = [np.array(col.edge_list(), dtype=object)[ids].tolist()
+                for col, ids in zip(self.edges, self.ids.T)]
+        return list(map(FinitePath, zip(*cols)))
 
     def shift(self) -> "PathColumns":
         """Drop the first edge of every row (one edge leaves the empty path

@@ -91,18 +91,24 @@ def rn_derivative(measure, e, x: FinitePath, depth: int,
                   tol: float = 1e-9) -> RNReport:
     """Radon-Nikodym estimate of the branch tau_e at x by shrinking
     cylinders.  Constant in depth for stationary tail measures (value
-    1/lambda) and for stationary Markov measures (closed-form ratio)."""
+    1/lambda) and for stationary Markov measures (closed-form ratio).
+    A depth below 1 raises TooShort.
+
+    tau_e[x|n] is the prefix of n + 1 edges of tau_e[x|depth], so the
+    branch is applied once."""
     if x.start != e.target:
         raise DomainViolation(f"path starts at {x.start}, not r(e) = {e.target}")
+    if depth < 1:
+        raise TooShort(f"depth {depth} requested, a ratio sequence needs depth >= 1")
     if len(x) < depth:
         raise TooShort(f"path has {len(x)} edges, depth {depth} requested")
+    image = prepend(e, x.prefix(depth))
     seq = []
     for n in range(1, depth + 1):
-        px = x.prefix(n)
-        denom = measure.value(px)
+        denom = measure.value(x.prefix(n))
         if denom == 0.0:
             raise ZeroMeasureCylinder(f"zero mass on prefix of length {n}")
-        seq.append(float(measure.value(prepend(e, px)) / denom))
+        seq.append(float(measure.value(image.prefix(n + 1)) / denom))
     half = seq[len(seq) // 2:]
     converged = bool(max(half) - min(half) < tol)
     return RNReport(seq, half[-1] if converged else None, converged)

@@ -71,7 +71,7 @@ def test_criterion_03_kolmogorov_all_kinds(allones2, fib):
     with criterion(3, "kolmogorov consistency"):
         tail = pm.stationary_tail_measure(fib)
         assert pm.check_kolmogorov(tail, max_len=5, tol=1e-12).holds
-        markov = pm.tail_to_markov(tail)
+        markov = tail.markov
         assert pm.check_kolmogorov(markov, max_len=5, tol=1e-12).holds
         ifs = pm.ifs_measure(allones2, ASYMMETRIC_P)
         assert pm.check_kolmogorov(ifs, max_len=5, tol=1e-12).holds
@@ -87,7 +87,7 @@ def test_criterion_04_tail_markov_equivalence(allones2, fib):
     with criterion(4, "tail to markov equivalence"):
         for spec in (allones2, fib):
             tail = pm.stationary_tail_measure(spec)
-            markov = pm.tail_to_markov(tail)
+            markov = tail.markov
             for n in range(1, 5):
                 for path in pm.enumerate_paths(spec, n):
                     assert abs(markov.value(path) - tail.value(path)) < 1e-12
@@ -141,7 +141,7 @@ def test_criterion_08_rn_derivatives(allones2, fib):
             # constant in exact arithmetic; floats allow a one-ulp wiggle
             assert max(rep.sequence) - min(rep.sequence) <= 2 ** -52
             assert abs(rep.limit - 1.0 / lam) < 1e-9
-        mk = pm.tail_to_markov(pm.stationary_tail_measure(fib))
+        mk = pm.stationary_tail_measure(fib).markov
         x = pm.parse_path_literal("0-" + "-".join(["0"] * 8), fib)
         e = pm.Edge(0, 1, 0)
         rep = pm.rn_derivative(mk, e, x, depth=8)

@@ -348,6 +348,8 @@ def test_sample_pinned_bytes(tmp_path, case):
      "PathError"),
     (["measure", "check", "--diagram", "fib", "--measure", "tail", "--what", "kolmogorov",
       "--len", "-1"], "PathError"),
+    (["sfs", "rn", "--diagram", "fib", "--measure", "tail", "--edge", "1-0",
+      "--path", "0-0-0", "--depth", "0"], "TooShort"),
 ])
 def test_typed_error_exit1(files, args, kind):
     res = run([files.get(a, a) for a in args])

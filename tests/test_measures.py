@@ -23,7 +23,6 @@ from pathmeas import (
     shift_condition_tail,
     stationary_tail_measure,
     tail_measure_from_vectors,
-    tail_to_markov,
 )
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -124,17 +123,17 @@ def test_markov_flags_missing_support(fib):
 
 
 def test_tail_to_markov_closed_form(allones2, fib):
-    ma = tail_to_markov(stationary_tail_measure(allones2))
+    ma = stationary_tail_measure(allones2).markov
     for e in allones2.all_edges(0):
         assert ma.transition(e) == pytest.approx(0.5, abs=1e-12)
-    mf = tail_to_markov(stationary_tail_measure(fib))
+    mf = stationary_tail_measure(fib).markov
     assert mf.transition(Edge(0, 0, 0)) == pytest.approx(1 / PHI, abs=1e-10)
     assert mf.transition(Edge(0, 0, 1)) == pytest.approx(1 / PHI ** 2, abs=1e-10)
 
 
 def test_tail_to_markov_matches_on_cylinders(fib):
     tm = stationary_tail_measure(fib)
-    mk = tail_to_markov(tm)
+    mk = tm.markov
     for n in range(1, 5):
         for p in enumerate_paths(fib, n):
             assert mk.value(p) == pytest.approx(tm.value(p), abs=1e-12)
@@ -143,7 +142,7 @@ def test_tail_to_markov_matches_on_cylinders(fib):
 def test_tail_to_markov_nonstationary(allones2):
     vectors = [{0: 2.0 ** (-n - 1), 1: 2.0 ** (-n - 1)} for n in range(5)]
     tm = tail_measure_from_vectors(allones2, vectors)
-    mk = tail_to_markov(tm)
+    mk = tm.markov
     assert not mk.stationary
     for n in range(1, 4):
         for p in enumerate_paths(allones2, n):
@@ -334,7 +333,7 @@ def test_markov_shift_invariance_qp_fixed(allones2):
 def test_nonstationary_shift_product(allones2):
     vectors = [{0: 2.0 ** (-n - 1), 1: 2.0 ** (-n - 1)} for n in range(8)]
     tm = tail_measure_from_vectors(allones2, vectors)
-    mk = tail_to_markov(tm)
+    mk = tm.markov
     x = parse_path_literal("0-0-0-0-0-0", allones2)
     report = pm.nonstationary_shift_product(mk, x, 4)
     assert report.converges_to_one

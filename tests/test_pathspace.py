@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 import pathmeas as pm
 from pathmeas import (
     Edge,
+    FinitePath,
+    PathDistance,
     cell,
     dist,
     empty_path,
@@ -57,6 +59,41 @@ def test_dist_nested_cylinders():
 def test_dist_empty_anchors():
     assert dist(empty_path(0), empty_path(1)).value == 1.0
     assert dist(empty_path(0), empty_path(0)).value == 0.0
+
+
+def test_dist_empty_path_other_start():
+    # [0] is the level-0 cylinder of paths from 0; a path from 1 lies outside it
+    x = FinitePath((Edge(0, 1, 0),))
+    assert dist(empty_path(0), x) == PathDistance(1.0, prefix_equal=False)
+    assert dist(x, empty_path(0)) == PathDistance(1.0, prefix_equal=False)
+    assert dist(empty_path(1), x) == PathDistance(0.0, prefix_equal=True)
+
+
+def test_edge_value_type():
+    e = Edge(2, 0, 1, 3)
+    assert e.key() == (0, 1, 3)
+    assert str(e) == "(0->1:3)@2"
+    assert repr(e) == "Edge(level=2, source=0, target=1, mult=3)"
+    assert Edge(0, 0, 1) == Edge(0, 0, 1, 0) and hash(Edge(0, 0, 1)) == hash(Edge(0, 0, 1, 0))
+    assert Edge(0, 0, 1) != Edge(1, 0, 1)            # the level counts
+    assert Edge(0, 0, 1).key() == Edge(1, 0, 1).key()
+    assert e.at_level(5) == Edge(5, 0, 1, 3)
+    assert Edge(0, 0, 1) != (0, 0, 1, 0)
+    assert len({Edge(0, 0, 1), Edge(0, 0, 1, 0), Edge(1, 0, 1), Edge(0, 0, 1, 1)}) == 3
+
+
+def test_finite_path_value_type():
+    edges = (Edge(0, 0, 1, 1), Edge(1, 1, 0))
+    p = FinitePath(edges)
+    assert str(p) == "0-1-0:1,0"
+    assert str(empty_path(4)) == "[4]"
+    assert repr(empty_path(4)) == "FinitePath(edges=(), anchor=4)"
+    assert p == FinitePath(edges) and hash(p) == hash(FinitePath(edges))
+    assert p != FinitePath(edges, anchor=0)
+    assert p != FinitePath((Edge(0, 0, 1, 1), Edge(2, 1, 0)))
+    assert empty_path(1) != empty_path(2) and empty_path(1) == FinitePath((), 1)
+    assert len({p, FinitePath(edges), empty_path(1), FinitePath((), anchor=1)}) == 2
+    assert (len(p), p.start, p.end, p.prefix(1)) == (2, 0, 0, FinitePath(edges[:1]))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,20 +1,25 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathmeas as pm
 from pathmeas import (
     Edge,
+    FinitePath,
     build_sfs,
     ck_matrix,
     parse_path_literal,
     preimage_count,
+    prepend,
     quasi_stationary_test,
     rn_derivative,
     stationary_tail_measure,
     tail_measure_from_vectors,
-    tail_to_markov,
 )
+
+from test_columns import finite_case
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -61,7 +66,7 @@ def test_rn_tail_constant(allones2, fib):
 
 def test_rn_markov_closed_form(fib):
     tm = stationary_tail_measure(fib)
-    mk = tail_to_markov(tm)
+    mk = tm.markov
     x = parse_path_literal("0-0-0-0-0-0-0-0-0", fib)
     e = Edge(0, 1, 0)
     report = rn_derivative(mk, e, x, depth=8)
@@ -79,6 +84,52 @@ def test_rn_rejects_wrong_start(fib):
         rn_derivative(m, Edge(0, 0, 1), x, depth=5)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_rn_depth_below_one_is_a_path_error(fib, depth):
+    m = stationary_tail_measure(fib)
+    x = parse_path_literal("0-0-0", fib)
+    with pytest.raises(pm.TooShort, match=f"depth {depth} "):
+        rn_derivative(m, Edge(0, 1, 0), x, depth)
+
+
+def _rn_reference(m, e, x, depth):
+    """The ratio sequence as defined: m(tau_e[x|n]) / m([x|n]), n = 1 .. depth."""
+    seq = []
+    for n in range(1, depth + 1):
+        denom = m.value(x.prefix(n))
+        if denom == 0.0:
+            return None
+        seq.append(float(m.value(prepend(e, x.prefix(n))) / denom))
+    return seq
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_case().filter(lambda case: case[0].markov.stationary), st.data())
+def test_rn_sequence_matches_definition(case, data):
+    # stationary Markov, Perron tail and IFS measures; x a random admissible walk
+    m = case[0]
+    spec = m.diagram
+    start = data.draw(st.sampled_from([v for v in spec.vertices() if spec.edges_into(v, 0)]))
+    edges, w = [], start
+    for i in range(data.draw(st.integers(1, 6))):
+        out = spec.edges_from(w, i)
+        if not out:
+            break
+        edges.append(data.draw(st.sampled_from(out)))
+        w = edges[-1].target
+    if not edges:
+        return
+    x = FinitePath(tuple(edges))
+    e = data.draw(st.sampled_from(spec.edges_into(start, 0)))
+    depth = data.draw(st.integers(1, len(x)))
+    want = _rn_reference(m, e, x, depth)
+    if want is None:
+        with pytest.raises(pm.ZeroMeasureCylinder):
+            rn_derivative(m, e, x, depth)
+        return
+    assert rn_derivative(m, e, x, depth).sequence == want
+
+
 def test_quasi_stationary_stationary_measure(allones2):
     m = stationary_tail_measure(allones2)
     x = parse_path_literal("0-0-0-0-0-0-0", allones2)
@@ -94,7 +145,7 @@ def test_quasi_stationary_nonstationary(allones2):
         s = vectors[0][0] + vectors[0][1]
         vectors.insert(0, {0: s, 1: s})
     tm = tail_measure_from_vectors(allones2, vectors, tol=1e-12)
-    mk = tail_to_markov(tm)
+    mk = tm.markov
     x = parse_path_literal("0-0-0-0-0-0-0", allones2)
     report = quasi_stationary_test(mk, x, n_terms=4, tol=1e-6)
     assert report.bounds == (1e-6, 1e6)
