@@ -80,7 +80,7 @@ class IncidenceMatrix:
     def __init__(self, domain, entries=None, stencil=None, band=None):
         self.domain = domain
         self._transpose = None    # set here: a later new attribute slows every lookup
-        self._edge_index = [None, None]     # edge_arrays' tables: out-edges, in-edges
+        self._edge_index = [None, None]     # edge_table's tables: out-edges, in-edges
         if domain == FINITE:
             if entries is None:
                 raise DiagramError("finite matrix needs explicit entries")
@@ -165,51 +165,46 @@ class IncidenceMatrix:
                     a[i, j] = c
         return a
 
-    def edge_arrays(self, at: np.ndarray, into: bool = False) -> tuple:
-        """The out-edges (with ``into``, the in-edges) of the sorted distinct
-        vertices ``at`` of a level, laid end to end in column (row) order,
-        the order of ``DiagramSpec.edges_from`` (``edges_into``): arrays
-        (sources, targets, mults, sizes), where sizes[i] edges belong to
-        at[i].  Stencils take any vertex."""
-        index = self._edge_index[into]
-        if index is None:
-            index = self._edge_index[into] = self._edge_table(into)
+    def edge_table(self, lo: int, hi: int, into: bool = False) -> tuple:
+        """The out-edges (with ``into``, the in-edges) of the vertices
+        lo .. hi-1 of a level, in ``DiagramSpec.edges_from`` (``edges_into``)
+        order, as arrays (first, sources, targets, mults): vertex lo + i
+        owns edges first[i] .. first[i+1]-1.  A finite level slices the
+        range out of its whole table, built on first use and kept; a stencil
+        lays the range out (on the naturals, no edge ends or starts below 0)."""
+        table = self._edge_index[into]
+        if table is None:
+            table = self._edge_index[into] = self._build_table(into)
         if self.domain == FINITE:
-            first, table, sizes = index   # table rows: source, target, mult
-            if len(at) != self.size or self.size and at[0]:    # else at is the whole level
-                starts = first[at]
-                sizes = first[at + 1] - starts
-                shift = starts - (sizes.cumsum() - sizes)   # a block's start there, less here
-                table = table[:, np.arange(sizes.sum()) + shift.repeat(sizes)]
-            return table[0], table[1], table[2], sizes
-        offsets, mults = index            # each edge's offset d = target - source
-        ends = at[:, None] - offsets if into else at[:, None] + offsets
-        here = at[:, None].repeat(len(offsets), axis=1)
+            first, *arrays = table
+            a, b = first[lo], first[hi]
+            return (first[lo:hi + 1] - a, *(x[a:b] for x in arrays))
+        offsets, mults = table            # each edge's offset d = target - source
+        here = np.arange(lo, hi)[:, None]
+        ends = here - offsets if into else here + offsets
+        keep = ends >= 0 if self.domain == NATURALS else np.ones(ends.shape, bool)
+        here = np.broadcast_to(here, ends.shape)
         sources, targets = (ends, here) if into else (here, ends)
-        mults = np.broadcast_to(mults, ends.shape)
-        if self.domain == NATURALS:      # no edge ends or starts below 0
-            keep = ends >= 0
-            return sources[keep], targets[keep], mults[keep], keep.sum(axis=1)
-        return (sources.ravel(), targets.ravel(), mults.ravel(),
-                np.full(len(at), len(offsets), dtype=np.intp))
+        first = np.concatenate(([0], keep.sum(axis=1).cumsum()))
+        return first, sources[keep], targets[keep], np.broadcast_to(mults, ends.shape)[keep]
 
-    def _edge_table(self, into: bool) -> tuple:
-        """What edge_arrays reads.  On finite levels: where each vertex's
-        edges start, every edge's (source, target, mult) as the rows of
-        one array, grouped by source (with ``into``, by target), and each
-        vertex's edge count.  On stencils: each edge's offset and mult, in
-        one vertex's edge order."""
+    def _build_table(self, into: bool) -> tuple:
+        """What edge_table reads.  On finite levels: the whole level's
+        (first, sources, targets, mults), grouped by source (with ``into``,
+        by target).  On stencils: each edge's offset and mult, in one
+        vertex's edge order."""
         if self.domain == FINITE:
             lines = self._rows if into else self._cols
-            edges, sizes = [], []
+            edges, sizes = [], [0]
             for u in range(self.size):
                 line = lines.get(u, ())
                 edges += [(x, u, k) if into else (u, x, k) for x, c in line for k in range(c)]
                 sizes.append(sum(c for _, c in line))
-            sizes = np.array(sizes, dtype=np.intp)
-            table = np.array(edges, dtype=np.intp).reshape(-1, 3).T
-            sizes.flags.writeable = table.flags.writeable = False   # handed out as they are
-            return np.concatenate(([0], sizes.cumsum())), table, sizes
+            edges = np.array(edges, dtype=np.intp).reshape(-1, 3).T    # rows: source, target, mult
+            table = (np.cumsum(sizes, dtype=np.intp), *edges)
+            for a in table:
+                a.flags.writeable = False     # handed out as they are
+            return table
         offsets = sorted(self.stencil, reverse=into)
         return (np.array([d for d in offsets for _ in range(self.stencil[d])], dtype=np.intp),
                 np.array([k for d in offsets for k in range(self.stencil[d])], dtype=np.intp))

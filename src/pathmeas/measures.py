@@ -141,16 +141,12 @@ def _lookup(table: dict, keys: np.ndarray, default: float = 0.0) -> np.ndarray:
     return np.array([table.get(k, default) for k in span], dtype=float)[keys - lo]
 
 
-def _column(weights, ids: np.ndarray) -> np.ndarray:
-    """The weight of the edge of one column at every row, from one weight
-    per distinct edge of the column, in its order."""
-    return np.fromiter(weights, dtype=float)[ids]
-
-
-def _table_weights(table: dict, edges: EdgeColumn):
-    """table.get(key, 0.0) for the key (source, target, mult) of each edge
-    of a column."""
-    return map(table.get, edges.keys(), repeat(0.0))
+def _column(table: dict, edges: EdgeColumn, ids: np.ndarray) -> np.ndarray:
+    """The weight of the edge of one column at every row: table.get(key,
+    0.0) for the key (source, target, mult), read once per edge of the
+    column."""
+    weights = map(table.get, edges.keys(), repeat(0.0))
+    return np.fromiter(weights, dtype=float, count=len(edges.sources))[ids]
 
 
 def _tail_table(diagram: DiagramSpec, level: int, cur: dict, nxt: dict) -> dict:
@@ -292,7 +288,7 @@ class MarkovMeasure:
             return np.zeros(0)
         vals = _lookup(self.q, level.start)
         for j, (edges, ids) in enumerate(zip(level.edges, level.ids.T)):
-            vals *= _column(_table_weights(self.level_table(j), edges), ids)
+            vals *= _column(self.level_table(j), edges, ids)
         return vals
 
 
@@ -355,28 +351,27 @@ class IFSWeights:
     residual: float = 0.0
     total_mass: float = math.inf
     markov: MarkovMeasure = field(init=False, repr=False)
-    _by_source: dict = field(init=False, repr=False, compare=False)  # p as {w: {v: p_(w,v)}}
+    _table: dict = field(init=False, repr=False, compare=False)  # (source, target, mult) -> p_e
 
     def __post_init__(self):
+        f = self.diagram.matrix(0)          # p_(w,v) weighs each edge w -> v the diagram has
+        self._table = {(w, v, k): x for (w, v), x in self.p.items() for k in range(f.entry(v, w))}
         table = {(w, v, 0): x * self.q[v] / self.q[w] for (w, v), x in self.p.items()}
         self.markov = MarkovMeasure(self.diagram, self.q, [table])
-        self._by_source = {}
-        for (w, v), x in self.p.items():
-            self._by_source.setdefault(w, {})[v] = x
 
     def weight(self, edge: Edge) -> float:
-        return self.p[(edge.source, edge.target)]
+        """p_e; 0.0 for an edge the diagram lacks."""
+        return self._table.get(edge._key, 0.0)
 
     def value(self, path: FinitePath) -> float:
         """q at the end, then times the weight of each edge in turn."""
-        edges, by_source = path.edges, self._by_source
+        edges, table = path.edges, self._table
         m = self.q[edges[-1].target if edges else path.anchor]
         try:
             for e in edges:
-                m *= by_source[e.source][e.target]
-        except KeyError:
-            self.weight(e)                    # the KeyError of the missing pair
-            raise
+                m *= table[e._key]
+        except KeyError:                      # an edge the diagram lacks: weight 0.0
+            return m * 0.0
         return m
 
     def values(self, level: PathColumns) -> np.ndarray:
@@ -384,12 +379,8 @@ class IFSWeights:
         same order: q at the end, then p_{f_0}, p_{f_1}, ..."""
         vals = _lookup(self.q, level.end)
         for edges, ids in zip(level.edges, level.ids.T):
-            vals *= _column(self._weights(edges), ids)
+            vals *= _column(self._table, edges, ids)
         return vals
-
-    def _weights(self, edges: EdgeColumn):
-        """p[(source, target)] of each edge of a column."""
-        return map(self.p.__getitem__, zip(edges.sources.tolist(), edges.targets.tolist()))
 
 
 def ifs_measure(diagram: DiagramSpec, p, tol: float = DEFAULT_TOL) -> IFSWeights:
@@ -443,7 +434,7 @@ def check_ifs_fixed_point(ifs: IFSWeights, max_len: int = 4,
                            f"not a {type(ifs).__name__}")
     worst, count = 0.0, 0
     for level in islice(path_columns(ifs.diagram, max_len), 1, None):
-        lhs = _column(ifs._weights(level.edges[0]), level.ids[:, 0]) * ifs.values(level.shift())
+        lhs = _column(ifs._table, level.edges[0], level.ids[:, 0]) * ifs.values(level.shift())
         worst = max(worst, float(np.abs(lhs - ifs.values(level)).max(initial=0.0)))
         count += len(level)
     return FixedPointReport(float(worst), count, bool(worst < tol))
@@ -488,7 +479,7 @@ def _ratio_law_deviation(measure, level: PathColumns) -> float:
     with a common range vertex, each valued once; edges without a weight
     or without mass take no part."""
     weights, _ = _form_weights(measure.markov)
-    w = _column(_table_weights(weights, level.edges[0]), level.ids[:, 0])
+    w = _column(weights, level.edges[0], level.ids[:, 0])
     keep = w != 0                      # only the rows with a weight are valued
     by_range = {}
     for v, val, wv in zip(level.end[keep].tolist(), measure.values(level[keep]).tolist(),
@@ -640,29 +631,36 @@ def sample_path(measure, length: int, seed: int, start: int | None = None) -> Fi
     return sample_paths(measure, length, 1, seed, start)[0]
 
 
-def _draw_keys(measure, length: int, count: int, seed: int) -> tuple:
-    """The distinct paths ``sample_paths(measure, length, count, seed)``
-    draws, as rows of vertices then multiplicities (the layout of
-    PathColumns.keys), and how often each is drawn; drawn with one numpy
-    pass per level instead of a walk per path.
+def _draw_counts(measure, length: int, count: int, seed: int) -> tuple:
+    """The paths of ``length`` edges as columns and how often
+    ``sample_paths(measure, length, count, seed)`` draws each row, drawn
+    with one numpy pass per level instead of a walk per path.
 
-    At each level the reached rows' cumulative probabilities are laid end
-    to end, and one np.searchsorted(side="right") finds each walk's edge
-    within its own row, with the comparisons bisect_right makes, in
-    O(count + edges) memory.  The keys are integers, row * len(values) +
-    the value's rank among all values, so the comparisons stay exact.  Each
-    walk carries a code of its start and edges so far, re-coded by
-    np.unique at every level.
+    Each walk is a row of the path_columns level it has reached: a walk on
+    row r whose step picks the k-th edge of its Markov row moves to row
+    first_child[r] + k, as the level walk lays a row's one-edge extensions
+    out in that order.  At each level the reached vertices' cumulative
+    probabilities are laid end to end, and one np.searchsorted(side="right")
+    finds each walk's edge within its own row, with the comparisons
+    bisect_right makes, in O(count + edges) memory.  The keys are integers,
+    row * len(values) + the value's rank among all values, so the
+    comparisons stay exact.  Mass of q outside the window of level 0
+    raises WindowTooSmall, as those walks have no row.
     """
     form = _draw_form(measure, length, count, None)
+    levels = path_columns(measure.diagram, length)
+    level = next(levels)                # one row per vertex of the window, in order
+    lo = int(level.start[0]) if len(level) else 0
+    for v, x in form.q.items():
+        if x > 0 and not 0 <= v - lo < len(level):
+            raise WindowTooSmall(f"q puts mass on vertex {v}, outside the window of the paths")
     u = np.random.default_rng(seed).random((count, length + 1))
     verts, cum = form.starts
-    at = np.searchsorted(cum, u[:, 0], side="right")
-    vert_cols, mult_cols, code = [np.array(verts)[at]], [], at
+    at = (np.array(verts, dtype=np.intp) - lo)[np.searchsorted(cum, u[:, 0], side="right")]
     for n in range(length):
-        reached = np.flatnonzero(np.bincount(at, minlength=len(verts)))
+        reached, row = np.unique(level.end[at], return_inverse=True)
         try:
-            rows = [form.row(verts[i], n) for i in reached.tolist()]
+            rows = [form.row(w, n) for w in reached.tolist()]
         except PathmeasError:
             sample_paths(measure, length, count, seed)    # raises the walk's own error
             raise
@@ -671,30 +669,11 @@ def _draw_keys(measure, length: int, count: int, seed: int) -> tuple:
         rank = np.unique(np.concatenate([c for _, c in rows] + [u[:, n + 1]]),
                          return_inverse=True)[1]
         keys = np.repeat(np.arange(len(rows)), sizes) * len(rank) + rank[:edges]
-        row = np.searchsorted(reached, at)
         k = np.searchsorted(keys, row * len(rank) + rank[edges:], side="right")
-        out = [e for out, _ in rows for e in out]
-        index = {}
-        targets = np.array([index.setdefault(e.target, len(index)) for e in out])
-        at, verts = targets[k], list(index)
-        vert_cols.append(np.array(verts)[at])
-        mult_cols.append(np.array([e.mult for e in out])[k])
-        code = np.unique(code * edges + k, return_inverse=True)[1]
-    _, first, counts = np.unique(code, return_index=True, return_counts=True)
-    return np.column_stack(vert_cols + mult_cols)[first], counts
-
-
-def _row_codes(rows: np.ndarray) -> np.ndarray:
-    """One integer per row of an integer array, equal exactly where the
-    rows are equal (np.unique(axis=0) gives the same grouping, several
-    times slower)."""
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    new = np.ones(len(rows), bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    code = np.empty(len(rows), np.intp)
-    code[order] = np.cumsum(new) - 1
-    return code
+        level = next(levels)
+        first_child = level.degree.cumsum() - level.degree
+        at = first_child[at] + k - (np.cumsum(sizes) - sizes)[row]
+    return level, np.bincount(at, minlength=len(level))
 
 
 @dataclass
@@ -720,14 +699,7 @@ def empirical_check(measure, length: int, n_samples: int, seed: int,
     the paths ``sample_paths(measure, length, n_samples, seed)`` draws."""
     if n_samples < 1:
         raise MeasureError(f"an empirical check needs samples, got {n_samples}")
-    drawn, counts = _draw_keys(measure, length, n_samples, seed)
-    level = column_level(measure.diagram, length)
-    named = level.keys()
-    # one code per distinct path on both sides; a cylinder's count is its code's
-    code = _row_codes(np.concatenate((named, drawn)))
-    hits = np.zeros(len(code), np.intp)
-    hits[code[len(named):]] = counts
-    hits = hits[code[:len(named)]]
+    level, hits = _draw_counts(measure, length, n_samples, seed)
     values = measure.values(level).tolist()
     total = sum(values)
     rows, worst = [], 0.0

@@ -176,11 +176,6 @@ class EdgeColumn:
         """Each edge's (source, target, mult), as Edge.key() gives it."""
         return list(zip(self.sources.tolist(), self.targets.tolist(), self.mults.tolist()))
 
-    def edge_list(self) -> list:
-        """The edges as Edge objects."""
-        level = self.level
-        return [Edge(level, s, t, k) for s, t, k in self.keys()]
-
 
 @dataclass(frozen=True, eq=False)
 class PathColumns:
@@ -219,11 +214,19 @@ class PathColumns:
 
     def paths(self) -> list:
         """The rows as FinitePath objects, sharing one Edge object per
-        edge of a column (gathered by numpy, as an object array)."""
+        edge of a column (gathered by numpy, as an object array); at most
+        one Edge is built per row and column, as a column with more edges
+        than rows builds only those its rows hold."""
         if not self.edges:
             return [empty_path(v) for v in self.start.tolist()]
-        cols = [np.array(col.edge_list(), dtype=object)[ids].tolist()
-                for col, ids in zip(self.edges, self.ids.T)]
+        cols = []
+        for col, ids in zip(self.edges, self.ids.T):
+            edges = np.empty(len(col.sources), dtype=object)
+            held = (slice(None) if len(ids) >= len(edges)
+                    else np.flatnonzero(np.bincount(ids, minlength=len(edges))))
+            edges[held] = [Edge(col.level, s, t, k) for s, t, k in zip(
+                col.sources[held].tolist(), col.targets[held].tolist(), col.mults[held].tolist())]
+            cols.append(edges[ids].tolist())
         return list(map(FinitePath, zip(*cols)))
 
     def shift(self) -> "PathColumns":
@@ -231,12 +234,13 @@ class PathColumns:
         at its end); position j now holds what position j + 1 held."""
         return PathColumns(self.verts[:, 1:], self.ids[:, 1:], self.edges[1:])
 
-    def prepend(self, spec: DiagramSpec) -> "PathColumns":
-        """Each row prefixed with every level-0 edge into its start, in
-        edges_into order: tau_f of each row as one consecutive block, the
-        row's edges now at positions 1 .. n (stationary diagrams).  The
-        edge columns keep their own level."""
-        edges, parent, ids, degree = _fan_out(self.start, spec, 0, into=True)
+    def prepend(self, spec: DiagramSpec, level: int = 0) -> "PathColumns":
+        """Each row prefixed with every edge at ``level`` into its start, in
+        edges_into order: one consecutive block per row, the row's edges
+        now at positions 1 .. n.  The edge columns keep their own level, so
+        the shift's inverse tau_f (stationary diagrams) prepends at level 0
+        and a backward walk at the level before the row's first edge."""
+        edges, parent, ids, degree = _fan_out(self.start, spec, level, into=True)
         return PathColumns(np.concatenate((edges.sources[ids, None], self.verts[parent]), axis=1),
                            np.concatenate((ids[:, None], self.ids[parent]), axis=1),
                            (edges,) + self.edges, degree)
@@ -244,22 +248,19 @@ class PathColumns:
 
 def _fan_out(at: np.ndarray, spec: DiagramSpec, level: int, into: bool = False) -> tuple:
     """Fan each vertex of ``at`` out to its edges at ``level`` (with
-    ``into``, the edges into it).  The edges of the distinct vertices are
-    laid end to end; returns them as an EdgeColumn, each new row's source
-    entry and edge index, and each entry's degree."""
-    lo = int(at.min(initial=0))
-    slot = np.bincount(at - lo)
-    reached = slot.nonzero()[0]
-    if len(reached):
-        *arrays, sizes = spec.matrix(level).edge_arrays(reached + lo, into)
+    ``into``, the edges into it), read from the matrix's edge table of the
+    range of ``at``; returns that table as an EdgeColumn, each new row's
+    source row and edge index, and the degree of each entry of ``at``."""
+    if len(at):
+        lo = int(at.min())
+        first, *arrays = spec.matrix(level).edge_table(lo, int(at.max()) + 1, into)
+        at = at - lo
     else:          # no row to extend: no matrix is read
-        arrays, sizes = [np.zeros(0, np.intp)] * 3, np.zeros(0, np.intp)
-    slot[reached] = np.arange(len(reached))
-    k = slot[at - lo]
-    degree = sizes[k]
-    first = (sizes.cumsum() - sizes)[k] - (degree.cumsum() - degree)
+        first, arrays = np.zeros(1, np.intp), [np.zeros(0, np.intp)] * 3
+    start = first[at]
+    degree = first[at + 1] - start
     parent = np.arange(len(at)).repeat(degree)
-    ids = np.arange(len(parent)) + first.repeat(degree)
+    ids = np.arange(len(parent)) + (start - (degree.cumsum() - degree)).repeat(degree)
     return EdgeColumn(level, *arrays), parent, ids, degree
 
 
@@ -288,37 +289,27 @@ def column_level(spec: DiagramSpec, n: int, window: int | None = None) -> PathCo
     return level
 
 
-def path_levels(spec: DiagramSpec, n: int, window: int | None = None):
-    """Yield the paths of 0, 1, ..., n edges starting inside the window,
-    each level built once from the one before: a parent's one-edge
-    extensions are a consecutive block of the next level, in order."""
-    for level in path_columns(spec, n, window):
-        yield level.paths()
-
-
 def enumerate_paths(spec: DiagramSpec, n: int, window: int | None = None):
     """All admissible paths of n edges starting inside the window
     (finite domains: the whole level)."""
     return column_level(spec, n, window).paths()
 
 
-def cell(spec: DiagramSpec, n: int, v: int, window: int | None = None) -> LevelPartitionCell:
-    """The partition cell X_v^(n): every length-n path terminating at v.
+def cell(spec: DiagramSpec, n: int, v: int) -> LevelPartitionCell:
+    """The partition cell X_v^(n): every length-n path terminating at v,
+    grown backward from v one level at a time, each path's extensions a
+    consecutive block in edges_into order.
 
     Contains exactly H^(n)_v members.
     """
-    if not spec.matrix(max(n - 1, 0)).in_domain(v):
+    if int(v) != v or not spec.matrix(max(n - 1, 0)).in_domain(v):
         raise Unreachable(f"vertex {v} is not in the level domain")
-    paths = [empty_path(v)]
+    paths = PathColumns(np.array([[v]], dtype=np.intp), np.zeros((1, 0), np.intp), ())
     for back in range(n - 1, -1, -1):
-        paths = [
-            FinitePath((e,) + p.edges)
-            for p in paths
-            for e in spec.edges_into(p.start if p.edges else p.anchor, back)
-        ]
-    if n > 0 and not paths:
+        paths = paths.prepend(spec, back)
+    if n > 0 and not len(paths):
         raise Unreachable(f"no length-{n} paths reach vertex {v}")
-    return LevelPartitionCell(n, v, tuple(paths))
+    return LevelPartitionCell(n, v, tuple(paths.paths()))
 
 
 def parse_path_literal(text: str, spec: DiagramSpec) -> FinitePath:

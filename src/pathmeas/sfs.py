@@ -43,7 +43,7 @@ def build_sfs(diagram: DiagramSpec) -> SemibranchingSystem:
     if diagram.domain != FINITE:
         raise DiagramError("s.f.s. is materialized for finite levels only")
     f = diagram.matrix(0)
-    tails, heads, _, _ = f.edge_arrays(np.arange(f.size))
+    _, tails, heads, _ = f.edge_table(0, f.size)
     edges = list(zip(tails.tolist(), heads.tolist()))
     if len(set(edges)) != len(edges):
         raise NotZeroOne("parallel edges present")

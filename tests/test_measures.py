@@ -281,6 +281,19 @@ def test_ifs_kolmogorov(allones2):
     assert check_kolmogorov(nu, max_len=5).holds
 
 
+def test_ifs_edge_the_diagram_lacks_weighs_zero(allones2):
+    # the weights were once read by (source, target), so the mult-1 twin of
+    # an edge took its weight; the Markov form already valued it 0.0
+    nu = ifs_measure(allones2, SYMMETRIC_P)
+    missing, present = Edge(0, 0, 1, 1), Edge(0, 0, 1, 0)
+    assert not allones2.has_edge(missing)
+    assert nu.weight(missing) == 0.0 and nu.weight(present) == 0.5
+    for edges in ((missing,), (missing, Edge(1, 1, 0)), (Edge(0, 1, 0), missing.at_level(1))):
+        path = pm.FinitePath(edges)
+        assert nu.value(path) == 0.0 == nu.markov.value(path)
+    assert nu.value(pm.FinitePath((present,))) == 0.5 * nu.q[1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.1, 0.9))
 def test_ifs_fixed_point_property(a):
@@ -526,6 +539,20 @@ def test_counted_draw_errors_match(allones2):
     right = markov_measure(spec, {64: 1.0}, {(w, w + 1, 0): 1.0 for w in spec.vertices()})
     assert _same_draws(right, 1, 50, 1) is None
     assert type(_same_draws(right, 2, 50, 1)) is pm.WindowTooSmall
+
+
+def test_empirical_q_outside_window_raises():
+    # walks from vertex 65 have no enumerated path: they were once dropped
+    # from the counts while the check still passed
+    spec = pm.diagram_from_dict(TRI_Z)
+    table = {(w, w + d, 0): 1 / 3 for w in spec.vertices(70) for d in (-1, 0, 1)}
+    m = markov_measure(spec, {64: 0.5, 65: 0.5}, table)
+    for length in (0, 1, 2):
+        with pytest.raises(pm.WindowTooSmall, match="vertex 65"):
+            empirical_check(m, length, 50, seed=1)
+    inside = markov_measure(spec, {64: 1.0, 65: 0.0}, table)   # no mass outside: all counted
+    report = empirical_check(inside, 2, 50, seed=1)
+    assert sum(round(r.empirical * 50) for r in report.rows) == 50
 
 
 def test_counted_draw_wide_row_memory():

@@ -15,7 +15,7 @@ from pathmeas import (
     enumerate_paths,
     one_edge_extensions,
     parse_path_literal,
-    path_levels,
+    path_columns,
     prepend,
     shift,
     tail_equivalent_on_prefix,
@@ -160,9 +160,9 @@ def test_negative_length_is_a_path_error(fib):
         enumerate_paths(fib, -1)
 
 
-def test_path_levels_extend_parents_in_blocks(fib, tri_z):
+def test_path_columns_extend_parents_in_blocks(fib, tri_z):
     for spec, window in ((fib, None), (tri_z, 2)):
-        levels = list(path_levels(spec, 4, window))
+        levels = [level.paths() for level in path_columns(spec, 4, window)]
         assert len(levels) == 5
         for parents, kids in zip(levels, levels[1:]):
             parent_of = [str(x.prefix(len(x) - 1) if len(x) > 1 else empty_path(x.start))
@@ -183,6 +183,63 @@ def test_cell_counts(fib):
 def test_cell_unreachable(fib):
     with pytest.raises(pm.Unreachable):
         cell(fib, 1, 5)
+
+
+def _object_cell(spec, n, v):
+    """X_v^(n) grown backward path by path from edges_into: the members
+    and errors cell() must reproduce."""
+    if not spec.matrix(max(n - 1, 0)).in_domain(v):
+        raise pm.Unreachable(f"vertex {v} is not in the level domain")
+    paths = [empty_path(v)]
+    for back in range(n - 1, -1, -1):
+        paths = [FinitePath((e,) + p.edges) for p in paths
+                 for e in spec.edges_into(p.start, back)]
+    if n > 0 and not paths:
+        raise pm.Unreachable(f"no length-{n} paths reach vertex {v}")
+    return tuple(paths)
+
+
+@st.composite
+def cell_case(draw):
+    """(spec, n, v): a random finite stationary or sequence diagram
+    (multi-edges, empty rows and levels past the stored matrices allowed)
+    or a random stencil on the integers or the naturals, and a vertex that
+    may lie outside the level."""
+    domain = draw(st.sampled_from(["finite", "integers", "naturals"]))
+    if domain == "finite":
+        k = draw(st.integers(1, 4))
+        kind = draw(st.sampled_from(["stationary", "sequence"]))
+        n_mats = 1 if kind == "stationary" else draw(st.integers(1, 3))
+        mats = []
+        for _ in range(n_mats):
+            counts = draw(st.lists(st.integers(0, 2), min_size=k * k, max_size=k * k))
+            counts[0] = counts[0] or 1
+            mats.append({"triplets": [[i // k, i % k, c] for i, c in enumerate(counts) if c]})
+        spec = pm.diagram_from_dict({"kind": kind, "vertices": {"type": "finite", "count": k},
+                                     "matrices": mats})
+        n = draw(st.integers(0, 4 if kind == "stationary" else n_mats + 1))
+        return spec, n, draw(st.integers(-1, k))
+    stencil = draw(st.dictionaries(st.integers(-2, 2), st.integers(1, 2), min_size=1))
+    triplets = [[d, 0, c] for d, c in stencil.items()]
+    spec = pm.diagram_from_dict({"kind": "stationary", "vertices": {"type": domain},
+                                 "matrices": [{"triplets": triplets}]})
+    return spec, draw(st.integers(0, 3)), draw(st.integers(-3, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_case())
+def test_cell_matches_object_walk(case):
+    spec, n, v = case
+    try:
+        want = _object_cell(spec, n, v)
+    except pm.PathmeasError as e:
+        with pytest.raises(type(e)) as info:
+            cell(spec, n, v)
+        assert type(info.value) is type(e) and str(info.value) == str(e)
+        return
+    got = cell(spec, n, v)
+    assert (got.level, got.vertex) == (n, v)
+    assert got.members == want      # member for member, in order
 
 
 def test_tail_equivalence():
