@@ -144,7 +144,7 @@ def measure_eval(diagram_path, measure_path, path_literal, length):
         fail(EXIT_INPUT_ERROR, "usage", "give --path or --len")
     level = column_level(spec, length)
     # each name as str(path) gives it: vertices, then edge multiplicities
-    name = ("-".join(["{}"] * level.verts.shape[1]) + ":" + ",".join(["{}"] * len(level.edges))
+    name = ("-".join(["{}"] * (len(level.edges) + 1)) + ":" + ",".join(["{}"] * len(level.edges))
             if level.edges else "[{}]")
     names = [name.format(*key) for key in level.keys().tolist()]
     emit({"len": length, "values": dict(zip(names, m.values(level).tolist()))})

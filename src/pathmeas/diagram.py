@@ -25,25 +25,26 @@ INTEGERS = "integers"
 DEFAULT_WINDOW = 64
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Edge:
     """A single edge between consecutive levels.
 
     ``mult`` distinguishes parallel edges between the same vertex pair and
-    ranges over 0 .. f_{target,source} - 1.  A slotted value type: the
-    level-free key is built once, as ``_key`` (which the measures' value
-    loops read), and ``==`` and ``hash`` read the level and the key.
+    ranges over 0 .. f_{target,source} - 1.  A slotted value type whose
+    ``==`` and ``hash`` read (level, source, target, mult); the level-free
+    key is built once, as ``_key``, which the measures' value loops read.
     Edges are never changed after construction (an assignment is not
-    refused, but would break the key and the hash).
+    refused, but would break the key).
     """
 
-    __slots__ = ("level", "source", "target", "mult", "_key")
+    level: int
+    source: int
+    target: int
+    mult: int = 0
+    _key: tuple = field(init=False, repr=False, compare=False)
 
-    def __init__(self, level: int, source: int, target: int, mult: int = 0):
-        self.level = level
-        self.source = source
-        self.target = target
-        self.mult = mult
-        self._key = (source, target, mult)
+    def __post_init__(self):
+        self._key = (self.source, self.target, self.mult)
 
     def key(self):
         """Level-free identity of the edge (source, target, mult)."""
@@ -51,18 +52,6 @@ class Edge:
 
     def at_level(self, level: int) -> "Edge":
         return Edge(level, self.source, self.target, self.mult)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.level == other.level and self._key == other._key
-
-    def __hash__(self):
-        return hash((self.level, *self._key))
-
-    def __repr__(self):
-        return (f"Edge(level={self.level!r}, source={self.source!r}, "
-                f"target={self.target!r}, mult={self.mult!r})")
 
     def __str__(self):
         return f"({self.source}->{self.target}:{self.mult})@{self.level}"

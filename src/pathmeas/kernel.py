@@ -325,8 +325,9 @@ def fixed_point_iterate(kernel: CellKernel, nu0: dict, iterations: int) -> Itera
     Each application consumes one depth level; ``iterations`` >= d raises
     DepthExhausted.  Successive sup distances are reported; the iterates
     approach the harmonic IFS values.  The table is read once, at lengths
-    1..d-1, where a value that is not finite and nonnegative raises
-    MeasureError, and written once, in atomic_cylinders order.
+    1..d-1, where a missing value, or one that is not finite and
+    nonnegative, raises MeasureError; it is written once, in
+    atomic_cylinders order.
     """
     _require_size(iterations, "iterations")
     depth = max(map(len, nu0), default=0)
@@ -336,8 +337,11 @@ def fixed_point_iterate(kernel: CellKernel, nu0: dict, iterations: int) -> Itera
         return IterationResult(dict(nu0), [])
     cells = kernel.cells0.cells
     sizes = [len(cells) ** n for n in range(1, depth)]
-    read = np.fromiter(map(nu0.__getitem__, chain.from_iterable(
-        product(cells, repeat=n) for n in range(1, depth))), float, sum(sizes))
+    try:
+        read = np.fromiter(map(nu0.__getitem__, chain.from_iterable(
+            product(cells, repeat=n) for n in range(1, depth))), float, sum(sizes))
+    except KeyError as exc:
+        raise MeasureError(f"table has no value at {exc.args[0]!r}") from exc
     if not 0 <= read.min() <= read.max() < math.inf:    # a NaN fails both
         bad = int(np.flatnonzero(~((read >= 0) & (read < math.inf)))[0])
         raise MeasureError(f"table value {float(read[bad])!r} at "

@@ -311,6 +311,10 @@ def markov_measure(diagram: DiagramSpec, q, p_levels,
     if stationary:
         diagram.require_stationary()
     require_masses(q, "initial mass")
+    if diagram.domain == FINITE:
+        for v in q:
+            if not diagram.matrix(0).in_domain(v):
+                raise SupportMismatch(f"initial mass on vertex {v}, outside level 0")
     full_support = all(x > 0 for x in q.values())
     for n, table in enumerate(levels):
         require_masses(table, f"level-{n} transition")
@@ -356,7 +360,7 @@ class IFSWeights:
     def __post_init__(self):
         f = self.diagram.matrix(0)          # p_(w,v) weighs each edge w -> v the diagram has
         self._table = {(w, v, k): x for (w, v), x in self.p.items() for k in range(f.entry(v, w))}
-        table = {(w, v, 0): x * self.q[v] / self.q[w] for (w, v), x in self.p.items()}
+        table = {(w, v, k): x * self.q[v] / self.q[w] for (w, v, k), x in self._table.items()}
         self.markov = MarkovMeasure(self.diagram, self.q, [table])
 
     def weight(self, edge: Edge) -> float:
@@ -407,7 +411,10 @@ def ifs_measure(diagram: DiagramSpec, p, tol: float = DEFAULT_TOL) -> IFSWeights
         m[w, v] = x
     harmonic = solve_harmonic(m, tol)
     q = dict(zip(verts, harmonic.q.tolist()))
-    cols = {w: sum(x for (_, v), x in p.items() if v == w) for w in verts}
+    into = {w: [] for w in verts}       # each vertex's in-weights, in p's order
+    for (_, v), x in p.items():
+        into[v].append(x)
+    cols = {w: sum(xs) for w, xs in into.items()}
     return IFSWeights(diagram, p, q, cols, harmonic.residual, harmonic.total_mass)
 
 

@@ -24,6 +24,7 @@ from .errors import (
 )
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class FinitePath:
     """An admissible finite edge sequence (e_0, ..., e_{n-1}).
 
@@ -33,22 +34,8 @@ class FinitePath:
     changed after construction (an assignment is not refused).
     """
 
-    __slots__ = ("edges", "anchor")
-
-    def __init__(self, edges: tuple, anchor: int | None = None):
-        self.edges = edges
-        self.anchor = anchor
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.edges == other.edges and self.anchor == other.anchor
-
-    def __hash__(self):
-        return hash((self.edges, self.anchor))
-
-    def __repr__(self):
-        return f"FinitePath(edges={self.edges!r}, anchor={self.anchor!r})"
+    edges: tuple
+    anchor: int | None = None
 
     def __len__(self):
         return len(self.edges)
@@ -179,38 +166,32 @@ class EdgeColumn:
 
 @dataclass(frozen=True, eq=False)
 class PathColumns:
-    """The paths of one length n as columns: row i is a path whose
-    position j holds vertex ``verts[i, j]`` and edge ``ids[i, j]`` of the
-    edge column ``edges[j]``.
+    """The paths of one length n as columns: row i is a path from vertex
+    ``start[i]`` to vertex ``end[i]`` whose position j holds edge
+    ``ids[i, j]`` of the edge column ``edges[j]``.
 
     ``degree`` gives, for each row of the level this one was grown from,
     how many consecutive rows here extend it (None at level 0).
     """
 
-    verts: np.ndarray            # N x (n + 1) vertices
+    start: np.ndarray            # N first vertices
+    end: np.ndarray              # N last vertices
     ids: np.ndarray              # N x n edge indices into edges[j]
     edges: tuple                 # n EdgeColumns
     degree: np.ndarray | None = None
 
     def __len__(self):
-        return len(self.verts)
+        return len(self.start)
 
     def __getitem__(self, rows) -> "PathColumns":
-        return PathColumns(self.verts[rows], self.ids[rows], self.edges)
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.verts[:, 0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.verts[:, -1]
+        return PathColumns(self.start[rows], self.end[rows], self.ids[rows], self.edges)
 
     def keys(self) -> np.ndarray:
         """N x (2n + 1) integers that name each row as str(path) does: its
         vertices, then the multiplicity of each edge."""
-        mults = [col.mults[ids] for col, ids in zip(self.edges, self.ids.T)]
-        return np.column_stack([self.verts] + mults)
+        cols = list(zip(self.edges, self.ids.T))
+        return np.column_stack([self.start] + [col.targets[ids] for col, ids in cols]
+                               + [col.mults[ids] for col, ids in cols])
 
     def paths(self) -> list:
         """The rows as FinitePath objects, sharing one Edge object per
@@ -232,7 +213,8 @@ class PathColumns:
     def shift(self) -> "PathColumns":
         """Drop the first edge of every row (one edge leaves the empty path
         at its end); position j now holds what position j + 1 held."""
-        return PathColumns(self.verts[:, 1:], self.ids[:, 1:], self.edges[1:])
+        return PathColumns(self.edges[0].targets[self.ids[:, 0]], self.end,
+                           self.ids[:, 1:], self.edges[1:])
 
     def prepend(self, spec: DiagramSpec, level: int = 0) -> "PathColumns":
         """Each row prefixed with every edge at ``level`` into its start, in
@@ -241,7 +223,7 @@ class PathColumns:
         the shift's inverse tau_f (stationary diagrams) prepends at level 0
         and a backward walk at the level before the row's first edge."""
         edges, parent, ids, degree = _fan_out(self.start, spec, level, into=True)
-        return PathColumns(np.concatenate((edges.sources[ids, None], self.verts[parent]), axis=1),
+        return PathColumns(edges.sources[ids], self.end[parent],
                            np.concatenate((ids[:, None], self.ids[parent]), axis=1),
                            (edges,) + self.edges, degree)
 
@@ -272,11 +254,11 @@ def path_columns(spec: DiagramSpec, n: int, window: int | None = None):
     if n < 0:
         raise PathError(f"path length {n} is negative")
     verts = np.array(spec.vertices(window), dtype=np.intp)
-    level = PathColumns(verts[:, None], np.zeros((len(verts), 0), np.intp), ())
+    level = PathColumns(verts, verts, np.zeros((len(verts), 0), np.intp), ())
     yield level
     for j in range(n):
         edges, parent, ids, degree = _fan_out(level.end, spec, j)
-        level = PathColumns(np.concatenate((level.verts[parent], edges.targets[ids, None]), axis=1),
+        level = PathColumns(level.start[parent], edges.targets[ids],
                             np.concatenate((level.ids[parent], ids[:, None]), axis=1),
                             level.edges + (edges,), degree)
         yield level
@@ -304,7 +286,8 @@ def cell(spec: DiagramSpec, n: int, v: int) -> LevelPartitionCell:
     """
     if int(v) != v or not spec.matrix(max(n - 1, 0)).in_domain(v):
         raise Unreachable(f"vertex {v} is not in the level domain")
-    paths = PathColumns(np.array([[v]], dtype=np.intp), np.zeros((1, 0), np.intp), ())
+    at = np.array([v], dtype=np.intp)
+    paths = PathColumns(at, at, np.zeros((1, 0), np.intp), ())
     for back in range(n - 1, -1, -1):
         paths = paths.prepend(spec, back)
     if n > 0 and not len(paths):

@@ -601,3 +601,32 @@ def test_kernel_q_not_a_number_exit1(files, q):
     res = run(["kernel", "check", "--kernel", files["kernel"], "--q", q])
     assert res.exit_code == 1
     assert json.loads(res.output)["error"]["kind"] == "MeasureError"
+
+
+QUAD4 = {"kind": "stationary", "vertices": {"type": "finite", "count": 4},
+         "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [3, 2, 1], [0, 2, 1],
+                                    [1, 3, 1], [2, 3, 1], [3, 3, 1]]}]}
+MARKOV_QUAD4 = {"type": "markov", "q": [0.1, 0.2, 0.3, 0.4],
+                "P": [[0, 0, 0, 0.25], [0, 1, 0, 0.75], [1, 2, 0, 1.0], [2, 0, 0, 0.5],
+                      [2, 3, 0, 0.5], [3, 1, 0, 0.2], [3, 2, 0, 0.3], [3, 3, 0, 0.5]]}
+# `measure eval --len 3` stdout, recorded once: each name is built from a
+# row's start vertex, its edges' targets and their multiplicities
+PINNED_EVAL = {
+    ("fib", "tail"): '{"len":3,"values":{"0-0-0-0:0,0,0":0.14589803375031543,"0-0-0-1:0,0,0":0.09016994374947424,"0-0-1-0:0,0,0":0.14589803375031543,"0-1-0-0:0,0,0":0.14589803375031543,"0-1-0-1:0,0,0":0.09016994374947424,"1-0-0-0:0,0,0":0.14589803375031543,"1-0-0-1:0,0,0":0.09016994374947424,"1-0-1-0:0,0,0":0.14589803375031543}}',
+    ("quad4", "markov_quad4"): '{"len":3,"values":{"0-0-0-0:0,0,0":0.0015625,"0-0-0-1:0,0,0":0.004687500000000001,"0-0-1-2:0,0,0":0.018750000000000003,"0-1-2-0:0,0,0":0.037500000000000006,"0-1-2-3:0,0,0":0.037500000000000006,"1-2-0-0:0,0,0":0.025,"1-2-0-1:0,0,0":0.07500000000000001,"1-2-3-1:0,0,0":0.020000000000000004,"1-2-3-2:0,0,0":0.03,"1-2-3-3:0,0,0":0.05,"2-0-0-0:0,0,0":0.009375,"2-0-0-1:0,0,0":0.028124999999999997,"2-0-1-2:0,0,0":0.11249999999999999,"2-3-1-2:0,0,0":0.03,"2-3-2-0:0,0,0":0.0225,"2-3-2-3:0,0,0":0.0225,"2-3-3-1:0,0,0":0.015,"2-3-3-2:0,0,0":0.0225,"2-3-3-3:0,0,0":0.0375,"3-1-2-0:0,0,0":0.04000000000000001,"3-1-2-3:0,0,0":0.04000000000000001,"3-2-0-0:0,0,0":0.015,"3-2-0-1:0,0,0":0.045,"3-2-3-1:0,0,0":0.012,"3-2-3-2:0,0,0":0.018,"3-2-3-3:0,0,0":0.03,"3-3-1-2:0,0,0":0.04000000000000001,"3-3-2-0:0,0,0":0.03,"3-3-2-3:0,0,0":0.03,"3-3-3-1:0,0,0":0.020000000000000004,"3-3-3-2:0,0,0":0.03,"3-3-3-3:0,0,0":0.05}}',
+    ("double", "markov_double"): '{"len":3,"values":{"0-0-0-0:0,0,0":0.0020000000000000005,"0-0-0-1:0,0,0":0.0030000000000000005,"0-0-0-1:0,0,1":0.005000000000000001,"0-0-1-0:0,0,0":0.0045,"0-0-1-0:0,1,0":0.0075,"0-0-1-1:0,0,0":0.010499999999999999,"0-0-1-1:0,1,0":0.017499999999999998,"0-1-0-0:0,0,0":0.0045,"0-1-0-0:1,0,0":0.0075,"0-1-0-1:0,0,0":0.00675,"0-1-0-1:0,0,1":0.01125,"0-1-0-1:1,0,0":0.01125,"0-1-0-1:1,0,1":0.01875,"0-1-1-0:0,0,0":0.01575,"0-1-1-0:1,0,0":0.02625,"0-1-1-1:0,0,0":0.03675,"0-1-1-1:1,0,0":0.06124999999999999,"1-0-0-0:0,0,0":0.009,"1-0-0-1:0,0,0":0.0135,"1-0-0-1:0,0,1":0.0225,"1-0-1-0:0,0,0":0.020249999999999997,"1-0-1-0:0,1,0":0.033749999999999995,"1-0-1-1:0,0,0":0.04724999999999999,"1-0-1-1:0,1,0":0.07874999999999999,"1-1-0-0:0,0,0":0.03149999999999999,"1-1-0-1:0,0,0":0.04724999999999999,"1-1-0-1:0,0,1":0.07874999999999999,"1-1-1-0:0,0,0":0.11024999999999997,"1-1-1-1:0,0,0":0.2572499999999999}}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EVAL))
+def test_eval_pinned_bytes(tmp_path, case):
+    objs = {"fib": FIB, "tail": TAIL, "quad4": QUAD4, "markov_quad4": MARKOV_QUAD4,
+            "double": DOUBLE, "markov_double": MARKOV_DOUBLE}
+    paths = []
+    for name in case:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(objs[name]))
+    res = run(["measure", "eval", "--diagram", str(paths[0]), "--measure", str(paths[1]),
+               "--len", "3"])
+    assert res.exit_code == 0
+    assert res.output.strip() == PINNED_EVAL[case]

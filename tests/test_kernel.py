@@ -187,3 +187,10 @@ def test_edge_measure_rejects_bad_mass(mass):
     with pytest.raises(pm.MeasureError, match="not finite and positive"):
         edge_measure_from_dict({"cells0": ["a"], "cells1": ["a"],
                                 "edges": [["a", "a", mass]]})
+
+
+def test_iterate_names_missing_table_entry(kern):
+    table = {cyl: 0.25 for cyl in atomic_cylinders(["a", "b"], 3)}
+    del table[("a", "b")]
+    with pytest.raises(pm.MeasureError, match=r"no value at \('a', 'b'\)"):
+        fixed_point_iterate(kern, table, 1)

@@ -619,3 +619,25 @@ def test_ifs_rejects_bad_weight_at_once(allones2, weight):
     # or raise DegenerateSolution, never MeasureError
     with pytest.raises(pm.MeasureError, match="not finite and positive"):
         ifs_measure(allones2, [[0, 0, weight]] + SYMMETRIC_P[1:])
+
+
+def test_ifs_markov_form_weighs_every_parallel_edge():
+    # one vertex with a double loop: the form once held the weight of the
+    # mult-0 loop only, so its rows summed to 1/2
+    spec = pm.diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": 1},
+                                 "matrices": [{"triplets": [[0, 0, 2]]}]})
+    nu = pm.IFSWeights(spec, {(0, 0): 0.5}, {0: 1.0}, {0: 0.5})
+    for n in range(3):
+        for path in enumerate_paths(spec, n):
+            assert nu.value(path) == nu.markov.value(path), str(path)
+    assert check_kolmogorov(nu.markov, 2).holds
+
+
+def test_markov_q_outside_finite_level_rejected(allones2):
+    # the mass on vertex 5 was once counted in total_mass and drawn as a start
+    half = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
+    with pytest.raises(pm.SupportMismatch, match="vertex 5"):
+        markov_measure(allones2, {0: 0.5, 5: 0.5}, half)
+    with pytest.raises(pm.SupportMismatch, match="vertex -1"):
+        markov_measure(allones2, {0: 1.0, -1: 0.0}, half)
+    assert markov_measure(allones2, {0: 0.5, 1: 0.5}, half).total_mass == 1.0

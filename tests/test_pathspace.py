@@ -269,3 +269,28 @@ def test_parse_path_literal_mults():
     assert [e.mult for e in p.edges] == [1, 0]
     with pytest.raises(pm.NotAdmissible):
         parse_path_literal("0-0:2", spec)
+
+
+def test_edge_value_semantics_pinned():
+    e = Edge(0, 1, 2)
+    assert repr(e) == "Edge(level=0, source=1, target=2, mult=0)"
+    assert str(e) == "(1->2:0)@0"
+    assert e.key() == (1, 2, 0)
+    assert e == Edge(0, 1, 2, 0) and hash(e) == hash(Edge(0, 1, 2, 0)) == hash((0, 1, 2, 0))
+    assert e != Edge(1, 1, 2) and e != Edge(0, 1, 2, 1) and e != Edge(0, 2, 1)
+    assert e != (0, 1, 2) and e != (0, 1, 2, 0) and e != (1, 2, 0)
+    assert e.at_level(3) == Edge(3, 1, 2) and {e, Edge(0, 1, 2)} == {e}
+
+
+def test_finite_path_value_semantics_pinned():
+    p = FinitePath((Edge(0, 0, 1), Edge(1, 1, 0, 1)))
+    assert repr(p) == ("FinitePath(edges=(Edge(level=0, source=0, target=1, mult=0), "
+                       "Edge(level=1, source=1, target=0, mult=1)), anchor=None)")
+    assert str(p) == "0-1-0:0,1"
+    twin = FinitePath((Edge(0, 0, 1), Edge(1, 1, 0, 1)))
+    assert p == twin and hash(p) == hash(twin) == hash((p.edges, None)) and {p: 1}[twin] == 1
+    assert p != p.edges and p != FinitePath(p.edges, anchor=0) and p != p.prefix(1)
+    empty = empty_path(3)
+    assert repr(empty) == "FinitePath(edges=(), anchor=3)" and str(empty) == "[3]"
+    assert empty == FinitePath((), 3) and hash(empty) == hash(((), 3))
+    assert empty != empty_path(2) and empty != FinitePath(())
