@@ -78,8 +78,7 @@ def load_kernel(kernel_path, q_json=None):
         q = {str(c): float(v) for c, v in obj.items()}
     except (TypeError, ValueError) as exc:
         raise MeasureError(f"--q holds a cell value that is not a number: {exc}") from exc
-    kernelmod.require_q(k, q)
-    return k, q
+    return k, kernelmod.require_q(k, q)
 
 
 @click.group()

@@ -60,43 +60,43 @@ class Edge:
 class IncidenceMatrix:
     """Sparse nonnegative integer matrix F with entries f_{v,w}.
 
-    Finite domains store an explicit triplet map.  Infinite domains
-    (naturals / integers) store a translation-invariant stencil mapping the
-    offset d = v - w to an edge count, which keeps every row and column
-    finite by construction.
+    Finite domains store an explicit triplet map on ``size`` vertices (by
+    default one past the largest index; an index outside raises
+    DiagramError).  Infinite domains (naturals / integers) store a
+    translation-invariant stencil mapping the offset d = v - w to an edge
+    count, which keeps every row and column finite by construction.
     """
 
-    def __init__(self, domain, entries=None, stencil=None, band=None):
+    def __init__(self, domain, entries=None, stencil=None, band=None, size=None):
         self.domain = domain
         self._transpose = None    # set here: a later new attribute slows every lookup
         self._edge_index = [None, None]     # edge_table's tables: out-edges, in-edges
         if domain == FINITE:
             if entries is None:
                 raise DiagramError("finite matrix needs explicit entries")
-            if min((min(v, w) for (v, w) in entries), default=0) < 0:
-                raise DiagramError("finite vertex indices must be nonnegative")
-            self.size = 1 + max((max(v, w) for (v, w) in entries), default=-1)
-            self.entries = {k: n for k, c in entries.items() if (n := _count(c))}
+            self.entries = {(_count(v, "vertex index"), _count(w, "vertex index")): _count(c)
+                            for (v, w), c in entries.items()}
+            top = max((max(v, w) for (v, w) in self.entries), default=-1)
+            self.size = top + 1 if size is None else _count(size, "vertex count")
+            if top >= self.size:
+                raise DiagramError(f"vertex index {top} lies outside the {self.size} vertices")
+            if 0 in self.entries.values():        # a zero count is no edge
+                self.entries = {k: c for k, c in self.entries.items() if c}
             self.stencil = self.band = None
             self._rows, self._cols = {}, {}
-            for (v, w), c in sorted(self.entries.items()):
+            for v, w in sorted(self.entries):
+                c = self.entries[v, w]
                 self._rows.setdefault(v, []).append((w, c))
                 self._cols.setdefault(w, []).append((v, c))
         else:
             if stencil is None:
                 raise DiagramError("infinite matrix needs a stencil")
             self.entries = self.size = None
-            self.stencil = {int(d): n for d, c in stencil.items() if (n := _count(c))}
-            self.band = max((abs(d) for d in self.stencil), default=0) if band is None else band
+            self.stencil = {_index(d): n for d, c in stencil.items() if (n := _count(c))}
+            self.band = (max((abs(d) for d in self.stencil), default=0) if band is None
+                         else _count(band, "band"))
             if any(abs(d) > self.band for d in self.stencil):
                 raise DiagramError("stencil offset exceeds declared band")
-
-    def with_size(self, size: int) -> "IncidenceMatrix":
-        if self.domain != FINITE or self.size >= size:
-            return self
-        m = IncidenceMatrix(FINITE, entries=dict(self.entries))
-        m.size = max(m.size, size)
-        return m
 
     def entry(self, v: int, w: int) -> int:
         """Edge count f_{v,w} from source w to target v."""
@@ -307,7 +307,8 @@ class DiagramSpec:
             raise DiagramError("matrices must share a vertex domain")
         if self.kind == "sequence" and self.domain == FINITE:
             size = max(m.size for m in self.matrices)
-            self.matrices = [m.with_size(size) for m in self.matrices]
+            self.matrices = [m if m.size == size else IncidenceMatrix(FINITE, m.entries, size=size)
+                             for m in self.matrices]
 
     @property
     def domain(self) -> str:
@@ -500,16 +501,18 @@ def json_field(obj, key: str, what: str, error=DiagramError):
     return obj[key]
 
 
-def json_rows_error(rows, width: int, what: str, exc: Exception, error=DiagramError):
-    """The typed error for JSON rows that failed to parse with ``exc``: it
-    names the first row that is not a list of ``width`` entries, else the
-    value the parse rejected."""
-    if not isinstance(rows, (list, tuple)):
-        return error(f"{what} rows are not a list")
-    for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) != width:
-            return error(f"{what} row {row!r} does not have {width} entries")
-    return error(f"{what} row holds a bad value: {exc}")
+def json_rows(rows, width: int, what: str, read, error=DiagramError):
+    """read(rows) for JSON rows of ``width`` entries; where it fails, ``error``
+    names the first row that is not a list of ``width`` entries, else the value."""
+    try:
+        return read(rows)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if not isinstance(rows, (list, tuple)):
+            raise error(f"{what} rows are not a list") from exc
+        for row in rows:
+            if not isinstance(row, (list, tuple)) or len(row) != width:
+                raise error(f"{what} row {row!r} does not have {width} entries") from exc
+        raise error(f"{what} row holds a bad value: {exc}") from exc
 
 
 def _matrix_from_json(obj, vert) -> IncidenceMatrix:
@@ -517,25 +520,14 @@ def _matrix_from_json(obj, vert) -> IncidenceMatrix:
     domain = json_field(vert, "type", "vertices")
     if domain not in (FINITE, NATURALS, INTEGERS):
         raise DiagramError(f"unknown vertex type {domain!r}")
-    try:
-        if domain == FINITE:
-            entries = {(_index(v), _index(w)): c for v, w, c in triplets}
-        else:
-            # Infinite domains: triplets are read as a translation-invariant
-            # stencil, offset = target - source.
-            stencil = {}
-            for v, w, c in triplets:
-                d = _index(v) - _index(w)
-                stencil[d] = stencil.get(d, 0) + _count(c)
-    except (TypeError, ValueError) as exc:
-        raise json_rows_error(triplets, 3, "triplet", exc) from exc
     if domain == FINITE:
-        m = IncidenceMatrix(FINITE, entries=entries)
-        m.size = max(m.size, _count(json_field(vert, "count", "finite vertices"), "vertex count"))
-        return m
-    band = vert.get("band")
-    return IncidenceMatrix(domain, stencil=stencil,
-                           band=None if band is None else _count(band, "band"))
+        entries = json_rows(triplets, 3, "triplet", lambda rows: {(v, w): c for v, w, c in rows})
+        return IncidenceMatrix(FINITE, entries, size=json_field(vert, "count", "finite vertices"))
+    stencil = {}                        # the count of each offset target - source
+    for d, c in json_rows(triplets, 3, "triplet", lambda rows: [
+            (_index(v) - _index(w), _count(c)) for v, w, c in rows]):
+        stencil[d] = stencil.get(d, 0) + c
+    return IncidenceMatrix(domain, stencil=stencil, band=vert.get("band"))
 
 
 def diagram_from_dict(obj: dict) -> DiagramSpec:

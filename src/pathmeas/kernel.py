@@ -16,7 +16,7 @@ from itertools import accumulate, chain, product
 
 import numpy as np
 
-from .diagram import json_field, json_rows_error
+from .diagram import json_field, json_rows
 from .errors import (
     DepthExhausted,
     MeasureError,
@@ -159,13 +159,13 @@ def harmonic_check(kernel: CellKernel, q: dict,
     return HarmonicReport(residuals, worst, worst < tol)
 
 
-def require_q(kernel: CellKernel, q: dict):
-    """Raise MeasureError unless q gives every cell of both levels a finite,
+def require_q(kernel: CellKernel, q: dict) -> dict:
+    """q; MeasureError unless it gives every cell of both levels a finite,
     nonnegative value."""
     for c in (*kernel.cells0.cells, *kernel.cells1.cells):
         if c not in q:
             raise MeasureError(f"q has no value at cell {c!r}")
-    require_masses(q, "q value")
+    return require_masses(q, "q value")
 
 
 @dataclass
@@ -367,11 +367,8 @@ def fixed_point_iterate(kernel: CellKernel, nu0: dict, iterations: int) -> Itera
 def edge_measure_from_dict(obj: dict) -> EdgeMeasure:
     """The edge measure a JSON object describes; a missing key or a
     malformed row raises MeasureError naming it."""
-    rows = json_field(obj, "edges", "edge measure", MeasureError)
-    try:
-        mass = {(str(x), str(y)): float(m) for x, y, m in rows}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise json_rows_error(rows, 3, "edge", exc, MeasureError) from exc
+    mass = json_rows(json_field(obj, "edges", "edge measure", MeasureError), 3, "edge",
+                     lambda rows: {(str(x), str(y)): float(m) for x, y, m in rows}, MeasureError)
     cells = []
     for key in ("cells0", "cells1"):
         labels = json_field(obj, key, "edge measure", MeasureError)

@@ -24,7 +24,7 @@ from .diagram import (
     Edge,
     height_vector,
     json_field,
-    json_rows_error,
+    json_rows,
 )
 from .errors import (
     InconsistentVectors,
@@ -165,9 +165,11 @@ def tail_measure_from_vectors(diagram: DiagramSpec, vectors,
                               tol: float = CONSISTENCY_TOL,
                               window=None) -> TailInvariantMeasure:
     """Wrap an explicit vector sequence, enforcing A_n mu^(n+1) = mu^(n)."""
-    vecs = [_as_vertex_dict(diagram, v, window) for v in vectors]
-    for n, vec in enumerate(vecs):
-        require_masses(vec, f"level-{n} vertex mass")
+    try:
+        vecs = [_as_vertex_dict(diagram, v, f"level-{n} vertex mass", window)
+                for n, v in enumerate(vectors)]
+    except TypeError as exc:
+        raise MeasureError(f"tail vectors are not a list: {exc}") from exc
     for n in range(len(vecs) - 1):
         f = diagram.matrix(n)
         for w, target in vecs[n].items():
@@ -305,19 +307,18 @@ def markov_measure(diagram: DiagramSpec, q, p_levels,
     """Validate stochasticity (per-vertex unit row sums over outgoing
     edges) and support, then build the Markov measure with cylinder values
     q_{s(e_0)} p^(0)_{s(e_0),e_0} ... p^(n)_{s(e_n),e_n}."""
-    q = _as_vertex_dict(diagram, q)
+    q = _as_vertex_dict(diagram, q, "initial mass")
     stationary = isinstance(p_levels, dict)
-    levels = [p_levels] if stationary else list(p_levels)
     if stationary:
         diagram.require_stationary()
-    require_masses(q, "initial mass")
+    levels = [_as_table(table, f"level-{n} transition")
+              for n, table in enumerate([p_levels] if stationary else p_levels)]
     if diagram.domain == FINITE:
         for v in q:
             if not diagram.matrix(0).in_domain(v):
                 raise SupportMismatch(f"initial mass on vertex {v}, outside level 0")
     full_support = all(x > 0 for x in q.values())
     for n, table in enumerate(levels):
-        require_masses(table, f"level-{n} transition")
         f = diagram.matrix(n if not stationary else 0)
         for (w, v, k), p in table.items():
             if p > 0 and not (0 <= k < f.entry(v, w)):
@@ -397,7 +398,6 @@ def ifs_measure(diagram: DiagramSpec, p, tol: float = DEFAULT_TOL) -> IFSWeights
         raise MeasureError("IFS measures are materialized on finite levels")
     verts = diagram.vertices()        # 0 .. n-1 on a finite level
     p = _as_edge_dict(p)
-    require_masses(p, "edge weight", positive=True)
     f = diagram.matrix(0)
     for w, v in p:
         if f.entry(v, w) == 0:
@@ -770,29 +770,50 @@ def _block_sums(values: np.ndarray, sizes: np.ndarray,
 # ---------------------------------------------------------------------------
 # helpers / JSON interchange
 
-def require_masses(values: dict, what: str, positive: bool = False):
-    """Raise MeasureError at the first value (key -> number) that is NaN,
+def require_masses(values: dict, what: str, positive: bool = False) -> dict:
+    """``values`` (key -> number); MeasureError at the first that is NaN,
     infinite or negative, or zero when ``positive``."""
     for key, x in values.items():
         if not (x > 0 if positive else x >= 0) or x == math.inf:
             sign = "positive" if positive else "nonnegative"
             raise MeasureError(f"{what} {x!r} at {key!r} is not finite and {sign}")
+    return values
 
 
-def _as_vertex_dict(diagram: DiagramSpec, values, window=None) -> dict:
-    if isinstance(values, dict):
-        return {int(v): float(x) for v, x in values.items()}
-    verts = diagram.vertices(window)
-    values = list(values)
-    if len(values) != len(verts):
-        raise MeasureError(f"expected {len(verts)} vertex values, got {len(values)}")
-    return {v: float(x) for v, x in zip(verts, values)}
+def _as_vertex_dict(diagram: DiagramSpec, values, what: str, window=None) -> dict:
+    """Vertex masses, a dict or one per vertex of the window, as checked
+    floats; a bad value raises MeasureError naming ``what``."""
+    try:
+        if not isinstance(values, dict):
+            verts, values = diagram.vertices(window), list(values)
+            if len(values) != len(verts):
+                raise MeasureError(f"expected {len(verts)} vertex values, got {len(values)}")
+            values = dict(zip(verts, values))
+        masses = {int(v): float(x) for v, x in values.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MeasureError(f"{what} holds a bad value: {exc}") from exc
+    return require_masses(masses, what)
+
+
+def _as_table(table, what: str) -> dict:
+    """Transition probabilities (w, v, k) -> p as checked floats keyed by
+    ints; a bad key or value raises MeasureError naming ``what``."""
+    if not isinstance(table, dict):
+        raise MeasureError(f"{what} is not a table")
+    table = json_rows(list(table.items()), 2, what, lambda rows: {
+        (int(w), int(v), int(k)): float(p) for (w, v, k), p in rows}, MeasureError)
+    return require_masses(table, what)
 
 
 def _as_edge_dict(p) -> dict:
+    """IFS weights, rows [w, v, x] or a dict (w, v) -> x, as checked floats
+    keyed by ints; a bad row or value raises MeasureError naming it."""
     if isinstance(p, dict):
-        return {(int(w), int(v)): float(x) for (w, v), x in p.items()}
-    return {(int(w), int(v)): float(x) for w, v, x in p}
+        p = json_rows(list(p.items()), 2, "ifs weight",
+                      lambda items: [(*wv, x) for wv, x in items], MeasureError)
+    p = json_rows(p, 3, "ifs weight", lambda rows: {
+        (int(w), int(v)): float(x) for w, v, x in rows}, MeasureError)
+    return require_masses(p, "edge weight", positive=True)
 
 
 def measure_from_dict(diagram: DiagramSpec, obj: dict):
@@ -807,38 +828,19 @@ def measure_from_dict(diagram: DiagramSpec, obj: dict):
     kind = json_field(obj, "type", "measure", MeasureError)
     if kind == "tail":
         if "vectors" in obj:
-            try:
-                vectors = [_as_vertex_dict(diagram, v) for v in obj["vectors"]]
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise MeasureError(f"tail vectors hold a bad value: {exc}") from exc
-            return tail_measure_from_vectors(diagram, vectors)
+            return tail_measure_from_vectors(diagram, obj["vectors"])
         return stationary_tail_measure(diagram)
     if kind == "markov":
         q = json_field(obj, "q", "markov measure", MeasureError)
-        try:
-            q = _as_vertex_dict(diagram, q)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MeasureError(f"q holds a bad value: {exc}") from exc
-        if "P" in obj:
-            return markov_measure(diagram, q, _json_table(obj["P"], "P"))
-        levels = obj.get("P_levels")
+        stationary = "P" in obj             # one table serves every level
+        levels = [obj["P"]] if stationary else obj.get("P_levels")
         if not isinstance(levels, (list, tuple)):
             raise MeasureError("markov measure has no 'P' and no list 'P_levels'")
-        return markov_measure(diagram, q, [_json_table(rows, f"P_levels[{n}]")
-                                           for n, rows in enumerate(levels)])
+        tables = [json_rows(rows, 4, "P" if stationary else f"P_levels[{n}]",
+                            lambda rows: {(w, v, k): p for w, v, k, p in rows}, MeasureError)
+                  for n, rows in enumerate(levels)]
+        return markov_measure(diagram, q, tables[0] if stationary else tables)
     if kind == "ifs":
-        rows = json_field(obj, "p", "ifs measure", MeasureError)
-        try:
-            p = {(int(w), int(v)): float(x) for w, v, x in rows}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise json_rows_error(rows, 3, "ifs weight", exc, MeasureError) from exc
-        return ifs_measure(diagram, p)
+        return ifs_measure(diagram, json_field(obj, "p", "ifs measure", MeasureError))
     raise MeasureError(f"unknown measure type {kind!r}")
 
-
-def _json_table(rows, what: str) -> dict:
-    """Transition rows [w, v, k, p] as a table (w, v, k) -> p."""
-    try:
-        return {(int(w), int(v), int(k)): float(p) for w, v, k, p in rows}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise json_rows_error(rows, 4, what, exc, MeasureError) from exc

@@ -297,10 +297,14 @@ def cell(spec: DiagramSpec, n: int, v: int) -> LevelPartitionCell:
 
 def parse_path_literal(text: str, spec: DiagramSpec) -> FinitePath:
     """Parse the CLI path literal ``v0-v1-...:k0,k1,...`` (multiplicity
-    indices optional, default 0)."""
+    indices optional, default 0); a part that is not an integer raises
+    PathError naming the literal."""
     vert_part, _, mult_part = text.partition(":")
-    mults = [int(k) for k in mult_part.split(",")] if mult_part else []
-    verts = [int(v) for v in vert_part.split("-")]
+    try:
+        mults = [int(k) for k in mult_part.split(",")] if mult_part else []
+        verts = [int(v) for v in vert_part.split("-")]
+    except ValueError:
+        raise PathError(f"path literal {text!r} holds a part that is not an integer") from None
     if len(verts) < 2:
         raise PathError("path literal needs at least two vertices")
     mults = mults + [0] * (len(verts) - 1 - len(mults))

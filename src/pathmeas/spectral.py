@@ -126,8 +126,11 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
     its pair is closed form: lam = sum_d c_d and t = 1 on the window's
     vertices, sup-one normalized and not summable.  The residual is that
     of the whole level: 0 on the integers; on the naturals vertex 0 has no
-    sources w < 0, so (A t)_0 falls short of lam by sum_{d<0} c_d.
+    sources w < 0, so (A t)_0 falls short of lam by sum_{d<0} c_d.  A
+    ``tol`` that is not a finite positive number raises SolverError.
     """
+    if not 0 < tol < np.inf:          # NaN fails too
+        raise SolverError(f"tol {tol!r} is not a finite positive number")
     if f.domain == FINITE:
         rows, cols, counts, cyclic = f.transpose_arrays
         if not cyclic:

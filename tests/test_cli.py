@@ -630,3 +630,70 @@ def test_eval_pinned_bytes(tmp_path, case):
                "--len", "3"])
     assert res.exit_code == 0
     assert res.output.strip() == PINNED_EVAL[case]
+
+
+# ---------------------------------------------------------------------------
+# typed errors for literals, tolerances and declared sizes
+
+@pytest.mark.parametrize("args", [
+    ["measure", "eval", "--path", "0-x"],
+    ["measure", "eval", "--path", "0-1:y"],
+    ["sfs", "rn", "--edge", "1-x", "--path", "0-0-0"],
+    ["sfs", "rn", "--edge", "1-0", "--path", "0-0-"],
+])
+def test_bad_literal_path_error_exit1(files, args):
+    # a literal part that is not an integer once exited 2 as a ValueError
+    res = run([*args[:2], "--diagram", files["allones"], "--measure", files["ifs"], *args[2:]])
+    assert res.exit_code == 1
+    error = json.loads(res.output)["error"]
+    assert error["kind"] == "PathError" and "path literal" in error["message"]
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_eigen_tolerance_never_met_exit1(files, tol):
+    res = run(["eigen", "--diagram", files["fib"], "--tol", tol])
+    assert res.exit_code == 1
+    error = json.loads(res.output)["error"]
+    assert error["kind"] == "SolverError" and "tol" in error["message"]
+
+
+def test_validate_triplet_outside_count_exit1(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({**FIB, "matrices": [{"triplets": FIB["matrices"][0]["triplets"]
+                                                     + [[5, 0, 1]]}]}))
+    res = run(["validate", "--diagram", str(path)])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "DiagramError"
+
+
+# ---------------------------------------------------------------------------
+# measure check --what tail / shift
+
+IFS_SKEW = {"type": "ifs", "p": [[0, 0, 0.6], [0, 1, 0.4], [1, 0, 0.6], [1, 1, 0.4]]}
+MARKOV_SKEW = {"type": "markov", "q": [0.3, 0.7], "P": HALF}
+
+
+@pytest.mark.parametrize("what, measure, code", [
+    ("tail", "tail", 0), ("tail", "markov_skew", 1), ("tail", "ifs_skew", 1),
+    ("shift", "ifs", 0), ("shift", "ifs_skew", 1),
+])
+def test_measure_check_tail_and_shift(files, tmp_path, what, measure, code):
+    # ifs_skew has column sums (1.2, 0.8): neither tail nor shift invariant
+    paths = dict(files)
+    for name, obj in [("ifs_skew", IFS_SKEW), ("markov_skew", MARKOV_SKEW)]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    res = run(["measure", "check", "--diagram", files["allones"], "--measure", paths[measure],
+               "--what", what, "--len", "3"])
+    assert res.exit_code == code
+    out = json.loads(res.output)
+    if what == "tail":
+        assert set(out) == {"max_spread", "tail_invariant", "ratio_law_deviation", "tol"}
+        assert out["tail_invariant"] == (code == 0)
+        assert (out["max_spread"] == 0.0) == (code == 0)
+    else:
+        assert set(out) == {"max_dev", "invariant", "factors", "predicted", "tol"}
+        assert out["invariant"] == (code == 0)
+        assert out["predicted"] == pytest.approx({"0": 1.0, "1": 1.0} if code == 0
+                                                 else {"0": 1.2, "1": 0.8})
+        assert out["factors"] == pytest.approx(out["predicted"])

@@ -354,3 +354,45 @@ def test_integral_float_vertex_count_accepted():
                               "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1]]}]})
     assert spec.vertices() == [0, 1, 2]
     assert type(spec.matrix(0).size) is int
+
+
+def test_triplet_outside_count_rejected_at_load():
+    # a triplet at vertex 5 once grew a 2-vertex level to 6 vertices, whose
+    # rows 2-4 validate then reported as zero
+    with pytest.raises(pm.DiagramError, match="vertex index 5"):
+        diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": 2},
+                           "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1], [0, 1, 1],
+                                                      [5, 1, 1]]}]})
+    with pytest.raises(pm.DiagramError, match="outside"):
+        IncidenceMatrix(FINITE, entries={(0, 0): 1, (0, 2): 1}, size=2)
+
+
+def test_declared_size_kept_and_written():
+    f = IncidenceMatrix(FINITE, entries={(0, 0): 1, (1, 0): 1}, size=3)
+    assert f.size == 3 and f.vertices() == [0, 1, 2]
+    spec = diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": 3},
+                              "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1]]}]})
+    assert diagram_to_dict(spec)["vertices"] == {"type": "finite", "count": 3}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IncidenceMatrix(FINITE, entries={(1.5, 0): 1}),
+    lambda: IncidenceMatrix(FINITE, entries={(0, 0.5): 1}),
+    lambda: IncidenceMatrix(pm.INTEGERS, stencil={0.5: 1}),
+    lambda: IncidenceMatrix(pm.INTEGERS, stencil={"1": 1}),
+])
+def test_fractional_index_rejected_by_constructor(make):
+    # an offset of 0.5 became 0 and an index of 1.5 gave size 2.5
+    with pytest.raises(pm.DiagramError, match="vertex index"):
+        make()
+
+
+def test_sequence_levels_rebuilt_only_when_smaller():
+    small = IncidenceMatrix(FINITE, entries={(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    big = IncidenceMatrix(FINITE, entries={(0, 0): 1, (1, 2): 1, (2, 1): 1, (0, 2): 1})
+    spec = DiagramSpec("sequence", [small, big])
+    assert spec.matrices[1] is big
+    assert spec.matrices[0].size == 3 and spec.matrices[0].entries == small.entries
+    loaded = diagram_from_dict({"kind": "sequence", "vertices": {"type": "finite", "count": 3},
+                                "matrices": [{"triplets": [[0, 0, 1]]}, {"triplets": [[1, 1, 1]]}]})
+    assert [m.size for m in loaded.matrices] == [3, 3]

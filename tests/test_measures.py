@@ -641,3 +641,52 @@ def test_markov_q_outside_finite_level_rejected(allones2):
     with pytest.raises(pm.SupportMismatch, match="vertex -1"):
         markov_measure(allones2, {0: 1.0, -1: 0.0}, half)
     assert markov_measure(allones2, {0: 0.5, 1: 0.5}, half).total_mass == 1.0
+
+
+HALF_TABLE = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
+
+
+@pytest.mark.parametrize("q, table, says", [
+    ([0.5, "x"], HALF_TABLE, "initial mass"),
+    ([0.5, None], HALF_TABLE, "initial mass"),
+    (0.5, HALF_TABLE, "initial mass"),
+    ([0.5, 0.5], {**HALF_TABLE, (0, 0, 0): "x"}, "level-0 transition"),
+    ([0.5, 0.5], {**HALF_TABLE, (0, 0): 0.5}, "level-0 transition"),
+    ([0.5, 0.5], [HALF_TABLE, [[0, 0, 0, 0.5]]], "level-1 transition"),
+])
+def test_markov_constructor_typed_errors(allones2, q, table, says):
+    # each once raised a bare ValueError, TypeError or AttributeError
+    with pytest.raises(pm.MeasureError, match=says):
+        markov_measure(allones2, q, table)
+
+
+@pytest.mark.parametrize("vectors, says", [
+    ([[1, "a"]], "level-0 vertex mass"),
+    ([[0.5, 0.5], {0: 0.25, "b": 0.25}], "level-1 vertex mass"),
+    (1.5, "not a list"),
+])
+def test_tail_vectors_constructor_typed_errors(allones2, vectors, says):
+    with pytest.raises(pm.MeasureError, match=says):
+        tail_measure_from_vectors(allones2, vectors)
+
+
+@pytest.mark.parametrize("p, says", [
+    ([[0, 0]], r"row \[0, 0\] does not have 3 entries"),
+    ([[0, 0, "x"]] + SYMMETRIC_P[1:], "bad value"),
+    (5, "not a list"),
+    ({(0, 0): "x", (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5}, "bad value"),
+    ({0: 0.5}, "bad value"),
+    ({(0, 0, 0): 0.5}, "does not have 3 entries"),
+])
+def test_ifs_constructor_typed_errors(allones2, p, says):
+    with pytest.raises(pm.MeasureError, match=says):
+        ifs_measure(allones2, p)
+
+
+def test_constructors_read_dict_and_list_forms_alike(allones2):
+    weights = {(w, v): x for w, v, x in ASYMMETRIC_P}
+    assert ifs_measure(allones2, weights).q == ifs_measure(allones2, ASYMMETRIC_P).q
+    by_list = markov_measure(allones2, [0.25, 0.75], HALF_TABLE)
+    by_dict = markov_measure(allones2, {0: 0.25, 1: 0.75}, HALF_TABLE)
+    assert by_list.q == by_dict.q == {0: 0.25, 1: 0.75}
+    assert by_list.levels == by_dict.levels == [HALF_TABLE]

@@ -1,5 +1,6 @@
 from itertools import groupby
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +9,10 @@ import pathmeas as pm
 from pathmeas import (
     Edge,
     FinitePath,
+    PathColumns,
     PathDistance,
     cell,
+    column_level,
     dist,
     empty_path,
     enumerate_paths,
@@ -294,3 +297,39 @@ def test_finite_path_value_semantics_pinned():
     assert repr(empty) == "FinitePath(edges=(), anchor=3)" and str(empty) == "[3]"
     assert empty == FinitePath((), 3) and hash(empty) == hash(((), 3))
     assert empty != empty_path(2) and empty != FinitePath(())
+
+
+# into 0 from {0, 2}; into 1 from {0, 1, 2}; into 2 from {2}
+GAP = {"kind": "stationary", "vertices": {"type": "finite", "count": 3},
+       "matrices": [{"triplets": [[0, 0, 1], [0, 2, 1], [1, 0, 1], [1, 1, 1], [1, 2, 1],
+                                  [2, 2, 1]]}]}
+
+
+def test_cell_with_gap_builds_only_held_edges():
+    # the paths into vertex 0 start their last edge at 0 and 2, so the
+    # level-0 edge column spans the in-edges of 0..2: six edges for three
+    # rows, among them the three into vertex 1 that no row holds
+    spec = pm.diagram_from_dict(GAP)
+    got = cell(spec, 2, 0).members
+    walk = tuple(FinitePath((e0, e1)) for e1 in spec.edges_into(0, 1)
+                 for e0 in spec.edges_into(e1.source, 0))
+    assert got == walk and len(got) == 3
+    at = np.array([0], dtype=np.intp)
+    level = PathColumns(at, at, np.zeros((1, 0), np.intp), ()).prepend(spec, 1).prepend(spec, 0)
+    assert len(level.edges[0].sources) == 6 > len(level)
+    assert level.paths() == list(walk)
+
+
+def test_empty_level_fans_out_to_nothing(allones2):
+    empty = np.zeros(0, dtype=np.intp)
+    level = PathColumns(empty, empty, np.zeros((0, 1), np.intp),
+                        column_level(allones2, 1).edges).prepend(allones2)
+    assert len(level) == 0 and level.ids.shape == (0, 2)
+    assert level.degree.tolist() == [] and level.paths() == []
+    # a measure without mass values every cylinder 0, so the shift audit
+    # prepends to an empty level at every length
+    none = pm.markov_measure(allones2, [0.0, 0.0],
+                             {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)})
+    report = pm.check_shift_invariance(none, max_len=3)
+    assert report.invariant and report.max_rel_deviation == 0.0
+    assert report.factors == {} and report.predicted == {}

@@ -417,3 +417,14 @@ def test_recurrent_classes_match_scipy(n, density, seed):
     expected = sorted(np.flatnonzero(labels == c).tolist()
                       for c in range(count) if c not in leaving)
     assert [c.tolist() for c in recurrent_classes(p)] == expected
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_perron_rejects_tolerance_never_met(fib, tri_z, tol):
+    # tol = -1, 0 or NaN once ran 100,000 iterations into NoConvergence,
+    # itself a SolverError: the message tells the two apart
+    for spec in (fib, tri_z):
+        with pytest.raises(pm.SolverError, match="tol"):
+            perron_eigenpair(spec.matrix(0), tol=tol)
+    with pytest.raises(pm.SolverError, match="tol"):
+        pm.stationary_tail_measure(fib, tol=tol)
