@@ -17,7 +17,7 @@ from . import kernel as kernelmod
 from . import measures as measmod
 from . import sfs as sfsmod
 from .diagram import DEFAULT_WINDOW, load_diagram, validate_diagram
-from .errors import MeasureError, PathmeasError
+from .errors import PathmeasError
 from .pathspace import column_level, parse_path_literal
 from .spectral import DEFAULT_TOL, perron_eigenpair
 
@@ -71,14 +71,7 @@ def load_kernel(kernel_path, q_json=None):
     k = kernelmod.disintegrate(kernelmod.load_edge_measure(kernel_path))
     if q_json is None:
         return k, {c: 1.0 for c in set(k.cells0.cells) | set(k.cells1.cells)}
-    obj = json.loads(q_json)
-    if not isinstance(obj, dict):
-        raise MeasureError("--q is not a JSON object of cell values")
-    try:
-        q = {str(c): float(v) for c, v in obj.items()}
-    except (TypeError, ValueError) as exc:
-        raise MeasureError(f"--q holds a cell value that is not a number: {exc}") from exc
-    return k, kernelmod.require_q(k, q)
+    return k, kernelmod.require_q(k, json.loads(q_json))
 
 
 @click.group()

@@ -60,48 +60,60 @@ class Edge:
 class IncidenceMatrix:
     """Sparse nonnegative integer matrix F with entries f_{v,w}.
 
-    Finite domains store an explicit triplet map on ``size`` vertices (by
-    default one past the largest index; an index outside raises
-    DiagramError).  Infinite domains (naturals / integers) store a
-    translation-invariant stencil mapping the offset d = v - w to an edge
-    count, which keeps every row and column finite by construction.
+    A finite domain, given as rows [target, source, count] or as a mapping
+    ``entries``, stores ``triplets``, see _triplet_array; ``entries``,
+    ``row``, ``column`` and ``entry`` are derived from it on first use and
+    kept.  Infinite domains (naturals / integers) store a translation-
+    invariant stencil mapping the offset d = v - w to an edge count, which
+    keeps every row and column finite by construction.
     """
 
-    def __init__(self, domain, entries=None, stencil=None, band=None, size=None):
+    def __init__(self, domain, entries=None, stencil=None, band=None, size=None,
+                 triplets=None):
         self.domain = domain
         self._transpose = None    # set here: a later new attribute slows every lookup
         self._edge_index = [None, None]     # edge_table's tables: out-edges, in-edges
+        self._entries = self._lines = None  # derived reads: entries; rows and columns
         if domain == FINITE:
-            if entries is None:
+            if entries is not None:
+                triplets = [(v, w, c) for (v, w), c in entries.items()]
+            elif triplets is None:
                 raise DiagramError("finite matrix needs explicit entries")
-            self.entries = {(_count(v, "vertex index"), _count(w, "vertex index")): _count(c)
-                            for (v, w), c in entries.items()}
-            top = max((max(v, w) for (v, w) in self.entries), default=-1)
-            self.size = top + 1 if size is None else _count(size, "vertex count")
-            if top >= self.size:
-                raise DiagramError(f"vertex index {top} lies outside the {self.size} vertices")
-            if 0 in self.entries.values():        # a zero count is no edge
-                self.entries = {k: c for k, c in self.entries.items() if c}
+            self.triplets, self.size = json_rows(
+                triplets, 3, "triplet", lambda rows: _triplet_array(rows, size))
             self.stencil = self.band = None
-            self._rows, self._cols = {}, {}
-            for v, w in sorted(self.entries):
-                c = self.entries[v, w]
-                self._rows.setdefault(v, []).append((w, c))
-                self._cols.setdefault(w, []).append((v, c))
         else:
             if stencil is None:
                 raise DiagramError("infinite matrix needs a stencil")
-            self.entries = self.size = None
+            self.triplets = self.size = None
             self.stencil = {_index(d): n for d, c in stencil.items() if (n := _count(c))}
             self.band = (max((abs(d) for d in self.stencil), default=0) if band is None
                          else _count(band, "band"))
             if any(abs(d) > self.band for d in self.stencil):
                 raise DiagramError("stencil offset exceeds declared band")
 
+    @property
+    def entries(self) -> dict | None:
+        """A finite level's {(v, w): f_vw}, in (v, w) order; None on a stencil."""
+        if self._entries is None and self.domain == FINITE:
+            v, w, c = self.triplets.T.tolist()
+            self._entries = dict(zip(zip(v, w), c))
+        return self._entries
+
+    def _build_lines(self) -> tuple:
+        """A finite level's rows and columns: {v: [(w, count), ...]} and
+        {w: [(v, count), ...]}, each list sorted."""
+        rows, cols = {}, {}
+        for v, w, c in self.triplets.tolist():
+            rows.setdefault(v, []).append((w, c))
+            cols.setdefault(w, []).append((v, c))
+        self._lines = rows, cols
+        return self._lines
+
     def entry(self, v: int, w: int) -> int:
         """Edge count f_{v,w} from source w to target v."""
-        if self.domain == FINITE:
-            return self.entries.get((v, w), 0)
+        if self.domain == FINITE:         # the property only until entries is built
+            return (self._entries or self.entries).get((v, w), 0)
         if self.domain == NATURALS and (v < 0 or w < 0):
             return 0
         return self.stencil.get(v - w, 0)
@@ -116,7 +128,7 @@ class IncidenceMatrix:
     def row(self, v: int):
         """Nonzero sources w for target v, as sorted (w, count) pairs."""
         if self.domain == FINITE:
-            return self._rows.get(v, [])
+            return (self._lines or self._build_lines())[0].get(v, [])
         return sorted((v - d, c) for d, c in self.stencil.items()
                       if self.domain != NATURALS or v - d >= 0)
 
@@ -127,7 +139,7 @@ class IncidenceMatrix:
         matrices by finiteness of the level.
         """
         if self.domain == FINITE:
-            return self._cols.get(w, [])
+            return (self._lines or self._build_lines())[1].get(w, [])
         return sorted((w + d, c) for d, c in self.stencil.items()
                       if self.domain != NATURALS or w + d >= 0)
 
@@ -180,17 +192,18 @@ class IncidenceMatrix:
     def _build_table(self, into: bool) -> tuple:
         """What edge_table reads.  On finite levels: the whole level's
         (first, sources, targets, mults), grouped by source (with ``into``,
-        by target).  On stencils: each edge's offset and mult, in one
-        vertex's edge order."""
+        by target), each triplet repeated once per edge.  On stencils: each
+        edge's offset and mult, in one vertex's edge order."""
         if self.domain == FINITE:
-            lines = self._rows if into else self._cols
-            edges, sizes = [], [0]
-            for u in range(self.size):
-                line = lines.get(u, ())
-                edges += [(x, u, k) if into else (u, x, k) for x, c in line for k in range(c)]
-                sizes.append(sum(c for _, c in line))
-            edges = np.array(edges, dtype=np.intp).reshape(-1, 3).T    # rows: source, target, mult
-            table = (np.cumsum(sizes, dtype=np.intp), *edges)
+            t = self.triplets          # by (target, source); a stable sort by source
+            if not into:               # keeps the targets in order within each source
+                t = t[np.argsort(t[:, 1], kind="stable")]
+            targets, sources, counts = t.T
+            ends = np.concatenate(([0], np.cumsum(counts)))
+            owner = targets if into else sources
+            table = (ends[np.searchsorted(owner, np.arange(self.size + 1))],
+                     np.repeat(sources, counts), np.repeat(targets, counts),
+                     np.arange(ends[-1]) - np.repeat(ends[:-1], counts))
             for a in table:
                 a.flags.writeable = False     # handed out as they are
             return table
@@ -200,20 +213,51 @@ class IncidenceMatrix:
 
     @property
     def transpose_arrays(self):
-        """(rows, cols, counts) of a finite level's A = F^T and whether its graph
-        has a cycle (else A is nilpotent); built on first use and kept."""
+        """(rows, cols, counts) of a finite level's A = F^T, in (target, source)
+        order, and whether its graph has a cycle (else A is nilpotent); built
+        on first use and kept."""
         if self._transpose is None:
-            cols, rows = np.array(list(self.entries), dtype=np.intp).reshape(-1, 2).T
-            counts = np.array(list(self.entries.values()), dtype=float)
+            cols, rows, counts = (np.ascontiguousarray(x) for x in self.triplets.T)
             cyclic = bool(np.any(rows == cols)) or (
                 strong_components(self.size, rows, cols)[0] < self.size)
-            self._transpose = rows, cols, counts, cyclic
+            self._transpose = rows, cols, counts.astype(float), cyclic
         return self._transpose
 
     @property
     def is_zero_one(self) -> bool:
-        values = self.entries.values() if self.domain == FINITE else self.stencil.values()
-        return all(c <= 1 for c in values)
+        counts = self.triplets[:, 2].tolist() if self.domain == FINITE else self.stencil.values()
+        return max(counts, default=0) <= 1
+
+
+def _triplet_array(rows, size) -> tuple:
+    """(triplets, size): the rows [target, source, count] as a read-only
+    int64 array sorted by (target, source), the last of equal pairs kept and
+    zero counts dropped, and ``size`` (default: one past the largest index).
+    Where the numpy pass fails, _count names the bad value."""
+    a = np.array(rows) if len(rows) else np.zeros((0, 3), np.int64)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError("rows are not three entries each")
+    if a.dtype != np.int64 or np.count_nonzero(a < 0):     # read one value at a time
+        a = np.array([(_count(v, "vertex index"), _count(w, "vertex index"), _count(c))
+                      for v, w, c in rows], dtype=object)  # _count names a bad value
+        if np.count_nonzero(a >= 1 << 63):
+            raise DiagramError(f"vertex index or edge count {a.max()} exceeds 2**63 - 1")
+        a = a.astype(np.int64)
+    top = int(a[:, :2].max(initial=-1))
+    size = top + 1 if size is None else _count(size, "vertex count")
+    if top >= size:
+        raise DiagramError(f"vertex index {top} lies outside the {size} vertices")
+    # one integer per (target, source) pair, in their order (Python ints from 2^31 vertices)
+    key = a[:, :2] @ np.array([size, 1], dtype=np.int64 if size < 1 << 31 else object)
+    if np.count_nonzero(key[1:] <= key[:-1]):      # not strictly sorted
+        order = np.argsort(key, kind="stable")      # equal pairs keep their order
+        a, key = a[order], key[order]
+        if len(set(key.tolist())) < len(key):       # keep the last of equal pairs
+            a = a[np.concatenate((key[1:] != key[:-1], [True]))]
+    if np.count_nonzero(a[:, 2]) < len(a):         # a zero count is no edge
+        a = a[a[:, 2] != 0]
+    a.flags.writeable = False
+    return a, size
 
 
 def strong_components(n: int, sources, targets) -> tuple:
@@ -307,7 +351,8 @@ class DiagramSpec:
             raise DiagramError("matrices must share a vertex domain")
         if self.kind == "sequence" and self.domain == FINITE:
             size = max(m.size for m in self.matrices)
-            self.matrices = [m if m.size == size else IncidenceMatrix(FINITE, m.entries, size=size)
+            self.matrices = [m if m.size == size else
+                             IncidenceMatrix(FINITE, triplets=m.triplets, size=size)
                              for m in self.matrices]
 
     @property
@@ -391,23 +436,26 @@ def validate_diagram(spec: DiagramSpec) -> ValidationReport:
     report = ValidationReport()
     for n, f in enumerate(spec.matrices):
         name = "F" if spec.is_stationary else f"F_{n}"
-        if f.domain != FINITE and not f.stencil:
+        if f.domain == FINITE:
+            t = f.triplets
+            ins = np.bincount(t[:, 0], minlength=f.size)                # triplets in
+            outs = np.bincount(t[:, 1], t[:, 2], minlength=f.size)      # edges out
+            no_row, no_column, single = (x.nonzero()[0].tolist()
+                                         for x in (ins == 0, outs == 0, outs == 1))
+        elif not f.stencil:
             report.errors.append(f"{name}: empty stencil")
             continue
-        if f.domain != FINITE and len(f.stencil) == 1 and next(iter(f.stencil.values())) == 1:
-            report.warnings.append(f"{name}: single-entry stencil (isolated-point warning)")
-        verts = range(f.size if f.domain == FINITE else
-                      f.band + 1 if f.domain == NATURALS else 0)
-        for v in verts:
-            if not f.row(v):
-                report.errors.append(f"{name}: row {v} is zero (no incoming edges)")
-        for w in verts:
-            column = f.column(w)
-            if not column:
-                report.errors.append(f"{name}: column {w} is zero (no outgoing edges)")
-            elif f.domain == FINITE and len(column) == 1 and column[0][1] == 1:
-                report.warnings.append(
-                    f"{name}: column {w} has a single edge (isolated-point warning)")
+        else:
+            if len(f.stencil) == 1 and next(iter(f.stencil.values())) == 1:
+                report.warnings.append(f"{name}: single-entry stencil (isolated-point warning)")
+            verts = range(f.band + 1 if f.domain == NATURALS else 0)
+            no_row = [v for v in verts if not f.row(v)]
+            no_column = [w for w in verts if not f.column(w)]
+            single = []
+        report.errors += [f"{name}: row {v} is zero (no incoming edges)" for v in no_row]
+        report.errors += [f"{name}: column {w} is zero (no outgoing edges)" for w in no_column]
+        report.warnings += [f"{name}: column {w} has a single edge (isolated-point warning)"
+                            for w in single]
     return report
 
 
@@ -420,9 +468,18 @@ def height_vector(spec: DiagramSpec, n: int, window: int | None = None) -> Heigh
     """
     if n < 0:
         raise DiagramError("level must be nonnegative")
+    if spec.domain == FINITE:          # one exact pass over each level's triplets
+        h = [1] * spec.matrices[0].size
+        for k in range(n):
+            if k == 0 or not spec.is_stationary:
+                flat = spec.matrix(k).triplets.ravel().tolist()
+            h, old, row = [0] * len(h), h, iter(flat)
+            for v, w, c in zip(row, row, row):
+                h[v] += c * old[w]
+        return HeightVector(n, dict(enumerate(h)))
     if window is None:
         window = DEFAULT_WINDOW
-    band = 0 if spec.domain == FINITE else max(m.band for m in spec.matrices)
+    band = max(m.band for m in spec.matrices)
     h = {v: 1 for v in spec.vertices(window + n * band)}
     for k in range(n):
         f = spec.matrix(k)
@@ -441,14 +498,11 @@ def edge_graph_01(spec: DiagramSpec) -> DiagramSpec:
     spec.require_stationary()
     if spec.domain != FINITE:
         raise DiagramError("edge graph is materialized for finite domains only")
-    edges = spec.all_edges(0)
-    index = {e.key(): i for i, e in enumerate(edges)}
-    entries = {}
-    for e in edges:
-        for f in spec.edges_from(e.target, 0):
-            # incidence entry: target vertex f, source vertex e
-            entries[(index[f.key()], index[e.key()])] = 1
-    return DiagramSpec("stationary", [IncidenceMatrix(FINITE, entries=entries)])
+    f = spec.matrix(0)
+    first, _, targets, _ = (x.tolist() for x in f.edge_table(0, f.size))
+    # edge e feeds the out-edges of its target: entry (target f, source e)
+    rows = [(g, e, 1) for e, t in enumerate(targets) for g in range(first[t], first[t + 1])]
+    return DiagramSpec("stationary", [IncidenceMatrix(FINITE, triplets=rows)])
 
 
 def is_irreducible(spec: DiagramSpec, window: int | None = None,
@@ -503,10 +557,14 @@ def json_field(obj, key: str, what: str, error=DiagramError):
 
 def json_rows(rows, width: int, what: str, read, error=DiagramError):
     """read(rows) for JSON rows of ``width`` entries; where it fails, ``error``
-    names the first row that is not a list of ``width`` entries, else the value."""
+    names the first row that is not a list of ``width`` entries, else the value.
+    A DiagramError from ``read`` (a bad vertex index) passes through as
+    itself when ``error`` is DiagramError, and is wrapped otherwise."""
     try:
         return read(rows)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, DiagramError) as exc:
+        if isinstance(exc, error):     # already typed and named
+            raise
         if not isinstance(rows, (list, tuple)):
             raise error(f"{what} rows are not a list") from exc
         for row in rows:
@@ -521,8 +579,8 @@ def _matrix_from_json(obj, vert) -> IncidenceMatrix:
     if domain not in (FINITE, NATURALS, INTEGERS):
         raise DiagramError(f"unknown vertex type {domain!r}")
     if domain == FINITE:
-        entries = json_rows(triplets, 3, "triplet", lambda rows: {(v, w): c for v, w, c in rows})
-        return IncidenceMatrix(FINITE, entries, size=json_field(vert, "count", "finite vertices"))
+        return IncidenceMatrix(FINITE, triplets=triplets,
+                               size=json_field(vert, "count", "finite vertices"))
     stencil = {}                        # the count of each offset target - source
     for d, c in json_rows(triplets, 3, "triplet", lambda rows: [
             (_index(v) - _index(w), _count(c)) for v, w, c in rows]):
@@ -548,8 +606,7 @@ def diagram_to_dict(spec: DiagramSpec) -> dict:
     m0 = spec.matrices[0]
     if spec.domain == FINITE:
         vert = {"type": "finite", "count": m0.size}
-        mats = [{"triplets": sorted([v, w, c] for (v, w), c in m.entries.items())}
-                for m in spec.matrices]
+        mats = [{"triplets": m.triplets.tolist()} for m in spec.matrices]
     else:
         vert = {"type": spec.domain}
         if spec.domain == INTEGERS:

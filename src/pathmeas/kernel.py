@@ -159,9 +159,15 @@ def harmonic_check(kernel: CellKernel, q: dict,
     return HarmonicReport(residuals, worst, worst < tol)
 
 
-def require_q(kernel: CellKernel, q: dict) -> dict:
-    """q; MeasureError unless it gives every cell of both levels a finite,
-    nonnegative value."""
+def require_q(kernel: CellKernel, q) -> dict:
+    """q as a dict of floats; MeasureError unless it is a mapping that gives
+    every cell of both levels a finite, nonnegative number."""
+    if not isinstance(q, dict):
+        raise MeasureError("q is not an object of cell values")
+    try:
+        q = {c: float(x) for c, x in q.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MeasureError(f"q holds a cell value that is not a number: {exc}") from exc
     for c in (*kernel.cells0.cells, *kernel.cells1.cells):
         if c not in q:
             raise MeasureError(f"q has no value at cell {c!r}")
@@ -207,7 +213,7 @@ class MeasurableIFSMeasure:
     _q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_q(self.kernel, self.q)
+        self.q = require_q(self.kernel, self.q)
         if not harmonic_check(self.kernel, self.q, tol=1e-9).passed:
             raise NotHarmonic("q fails the harmonic condition")
         self._q = np.array([self.q[x] for x in self.kernel.cells0.cells], dtype=float)
@@ -258,7 +264,7 @@ class MeasurableIFSMeasure:
 
 
 def measurable_ifs_measure(kernel: CellKernel, q: dict) -> MeasurableIFSMeasure:
-    return MeasurableIFSMeasure(kernel, dict(q))
+    return MeasurableIFSMeasure(kernel, q)
 
 
 def _require_size(n: int, what: str):

@@ -22,11 +22,13 @@ from .diagram import (
     FINITE,
     DiagramSpec,
     Edge,
+    _index,
     height_vector,
     json_field,
     json_rows,
 )
 from .errors import (
+    DiagramError,
     InconsistentVectors,
     InfiniteMass,
     MeasureError,
@@ -789,8 +791,10 @@ def _as_vertex_dict(diagram: DiagramSpec, values, what: str, window=None) -> dic
             if len(values) != len(verts):
                 raise MeasureError(f"expected {len(verts)} vertex values, got {len(values)}")
             values = dict(zip(verts, values))
-        masses = {int(v): float(x) for v, x in values.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
+        masses = {_index(v): float(x) for v, x in values.items()}
+    except WindowTooSmall:             # a negative window, as the diagram names it
+        raise
+    except (TypeError, ValueError, OverflowError, DiagramError) as exc:
         raise MeasureError(f"{what} holds a bad value: {exc}") from exc
     return require_masses(masses, what)
 
@@ -801,7 +805,7 @@ def _as_table(table, what: str) -> dict:
     if not isinstance(table, dict):
         raise MeasureError(f"{what} is not a table")
     table = json_rows(list(table.items()), 2, what, lambda rows: {
-        (int(w), int(v), int(k)): float(p) for (w, v, k), p in rows}, MeasureError)
+        (_index(w), _index(v), _index(k)): float(p) for (w, v, k), p in rows}, MeasureError)
     return require_masses(table, what)
 
 
@@ -812,7 +816,7 @@ def _as_edge_dict(p) -> dict:
         p = json_rows(list(p.items()), 2, "ifs weight",
                       lambda items: [(*wv, x) for wv, x in items], MeasureError)
     p = json_rows(p, 3, "ifs weight", lambda rows: {
-        (int(w), int(v)): float(x) for w, v, x in rows}, MeasureError)
+        (_index(w), _index(v)): float(x) for w, v, x in rows}, MeasureError)
     return require_masses(p, "edge weight", positive=True)
 
 

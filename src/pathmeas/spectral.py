@@ -76,12 +76,15 @@ def _bordered_solve(a: np.ndarray) -> tuple:
     """Least-squares solution x of (a - I) x = 0 with sum(x) = 1: the
     bordered system [a - I; 1^T] x = [0; 1].  Returns (x, unique): unique
     is False when the system is rank-deficient, as where the fixed space
-    has several dimensions, and x is then only the point of least norm."""
+    has several dimensions, and x is then only the point of least norm.
+    Entries so large that the solve overflows raise SolverError."""
     k = a.shape[0]
     lhs = np.vstack([a - np.eye(k), np.ones((1, k))])
     rhs = np.zeros(k + 1)
     rhs[-1] = 1.0
-    x, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    x, _, rank, singular = np.linalg.lstsq(lhs, rhs, rcond=None)
+    if not np.isfinite(singular).all():
+        raise SolverError("the bordered solve overflows: matrix entries are too large")
     return x, rank == k
 
 
@@ -91,13 +94,16 @@ def _final_class_fixed_vector(m: np.ndarray):
     component no edge leaves) the sup-one fixed vector of its block, and
     on the other vertices T the solution of (I - M_TT) q_T = M_TF q_F.
     This is the sum over final classes of the fixed vectors that vanish
-    on every other final class.  None when I - M_TT is singular."""
+    on every other final class.  None when a final class's solve is 0
+    (its entries underflow) or I - M_TT is singular."""
     classes = recurrent_classes(m)
     final = np.concatenate(classes)
     rest = np.setdiff1d(np.arange(m.shape[0]), final)
     q = np.zeros(m.shape[0])
     for members in classes:
         qc = _bordered_solve(m[np.ix_(members, members)])[0]
+        if np.max(qc) == 0:
+            return None
         q[members] = qc / np.max(qc)
     if rest.size:
         try:
@@ -205,7 +211,7 @@ def solve_harmonic(m: np.ndarray, tol: float = DEFAULT_TOL) -> HarmonicVector:
     q, unique = _bordered_solve(m)
     if not unique:
         q = _final_class_fixed_vector(m)
-    if q is not None:
+    if q is not None and np.max(q) != 0:    # 0 where the solve underflowed
         q = q / np.max(q)
     if q is not None and np.min(q) > 0:
         mq = m @ q

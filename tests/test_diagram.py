@@ -237,40 +237,130 @@ def test_finite_matrix_requires_entries():
         IncidenceMatrix(FINITE)
 
 
-def _validate_by_scan(f, name="F"):
-    """Errors and warnings of one finite matrix by scanning every entry."""
+def _reference(rows) -> dict:
+    """{(v, w): count} of triplet rows read one at a time, in (v, w) order:
+    the last of equal pairs wins and a zero count is no entry."""
+    entries = {}
+    for v, w, c in rows:
+        entries[int(v), int(w)] = int(c)
+    return {k: c for k, c in sorted(entries.items()) if c}
+
+
+def _validate_by_scan(entries, size, name="F"):
+    """Errors and warnings of one finite level by scanning every entry."""
     errors, warnings = [], []
-    rows = {v: 0 for v in range(f.size)}
-    cols = {w: 0 for w in range(f.size)}
-    for (v, w), c in f.entries.items():
+    rows = {v: 0 for v in range(size)}
+    cols = {w: 0 for w in range(size)}
+    for (v, w), c in entries.items():
         rows[v] += 1
         cols[w] += 1
     errors += [f"{name}: row {v} is zero (no incoming edges)" for v, k in rows.items() if not k]
     for w, k in cols.items():
         if k == 0:
             errors.append(f"{name}: column {w} is zero (no outgoing edges)")
-        elif k == 1 and sum(c for (v, s), c in f.entries.items() if s == w) == 1:
+        elif k == 1 and sum(c for (v, s), c in entries.items() if s == w) == 1:
             warnings.append(f"{name}: column {w} has a single edge (isolated-point warning)")
     return errors, warnings
 
 
+def _has_cycle(entries, size) -> bool:
+    """Whether the level graph has a cycle: Kahn's algorithm strips
+    vertices with no remaining in-edge until none is left to strip."""
+    indegree = [0] * size
+    for v, w in entries:
+        indegree[v] += 1
+    ready = [v for v in range(size) if not indegree[v]]
+    stripped = 0
+    while ready:
+        w = ready.pop()
+        stripped += 1
+        for v, s in entries:
+            if s == w:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    ready.append(v)
+    return stripped < size
+
+
+@st.composite
+def shuffled_levels(draw):
+    """(size, triplet rows) of a finite level of 0-40 vertices: rows in
+    random order, some pairs repeated, zero counts, and values given
+    either as ints or as integral floats (2.0)."""
+    n = draw(st.integers(0, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n)) if n else []
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))
+    rows = [[v, w, draw(st.integers(0, 3))] for v, w in pairs]
+    rows = [[draw(st.sampled_from([x, float(x)])) for x in row] for row in rows]
+    return n, draw(st.permutations(rows))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.just(n), st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                                st.integers(0, 3), max_size=n * n))))
+@given(shuffled_levels())
 def test_finite_adjacency_matches_entry_scan(case):
-    n, entries = case
-    f = IncidenceMatrix(FINITE, entries=entries)
-    f.size = n
-    for v in range(n):
-        assert f.row(v) == sorted((w, c) for (t, w), c in f.entries.items() if t == v)
-        assert f.column(v) == sorted((t, c) for (t, w), c in f.entries.items() if w == v)
-    dense = f.to_dense(list(range(n)), list(range(n)))
-    for v in range(n):
-        for w in range(n):
-            assert dense[v, w] == f.entries.get((v, w), 0)
-    report = validate_diagram(DiagramSpec("stationary", [f]))
-    assert (report.errors, report.warnings) == _validate_by_scan(f)
+    n, rows = case
+    ref = _reference(rows)
+    spec = diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": n},
+                              "matrices": [{"triplets": rows}]})
+    f = spec.matrix(0)
+    assert list(f.entries.items()) == list(ref.items())
+    assert all(type(x) is int for (v, w), c in f.entries.items() for x in (v, w, c))
+    assert IncidenceMatrix(FINITE, entries=ref, size=n).triplets.tolist() == f.triplets.tolist()
+    for u in range(n):
+        assert f.row(u) == [(w, c) for (v, w), c in ref.items() if v == u]
+        assert f.column(u) == [(v, c) for (v, w), c in ref.items() if w == u]
+    edges_into = [(w, v, k) for (v, w), c in ref.items() for k in range(c)]
+    for into, edges in ((False, sorted(edges_into)), (True, edges_into)):
+        first, sources, targets, mults = f.edge_table(0, n, into)
+        assert list(zip(sources.tolist(), targets.tolist(), mults.tolist())) == edges
+        owner = 1 if into else 0
+        assert first.tolist() == [sum(e[owner] < u for e in edges) for u in range(n + 1)]
+    a_rows, a_cols, counts, cyclic = f.transpose_arrays
+    assert a_rows.tolist() == [w for v, w in ref] and a_cols.tolist() == [v for v, w in ref]
+    assert counts.tolist() == [float(c) for c in ref.values()]
+    assert cyclic == _has_cycle(ref, n)
+    verts = list(range(n, -2, -1))          # reversed, with one vertex past each end
+    dense = f.to_dense(verts, verts)
+    assert dense.tolist() == [[ref.get((v, w), 0) for w in verts] for v in verts]
+    h = [1] * n
+    for k in range(4):
+        assert height_vector(spec, k).values == dict(enumerate(h))
+        h = [sum(c * h[w] for (v, w), c in ref.items() if v == u) for u in range(n)]
+    report = validate_diagram(spec)
+    assert (report.errors, report.warnings) == _validate_by_scan(ref, n)
+    assert diagram_to_dict(spec)["matrices"] == [
+        {"triplets": [[v, w, c] for (v, w), c in ref.items()]}]
+
+
+def test_level_past_2_31_vertices_sorted_exactly():
+    # there v * size + w no longer fits in int64: the sort key is exact
+    big = 2 ** 35
+    f = IncidenceMatrix(FINITE, triplets=[[big, 0, 1], [5, big, 2], [big, 0, 3], [5, 1, 0]],
+                        size=2 ** 40)
+    assert f.triplets.tolist() == [[5, big, 2], [big, 0, 3]]
+    assert f.entries == {(5, big): 2, (big, 0): 3}
+
+
+@pytest.mark.parametrize("bad, says", [
+    ([0, 1, -1], "edge count -1 is not a nonnegative integer"),
+    ([0, 1, 1.5], "edge count 1.5 is not"),
+    ([0, float("nan"), 1], "vertex index nan is not"),
+    ([0, 1, float("inf")], "edge count inf is not"),
+    ([0, "1", 1], "vertex index '1' is not"),
+    ([None, 1, 1], "vertex index None is not"),
+    ([0, 1], r"triplet row \[0, 1\] does not have 3 entries"),
+    ([0, 2, 1], "vertex index 2 lies outside the 2 vertices"),
+    ([0, 1, 2 ** 63], r"9223372036854775808 exceeds 2\*\*63 - 1"),
+    ([2 ** 64, 1, 1], r"18446744073709551616 exceeds 2\*\*63 - 1"),
+])
+def test_refused_triplet_value(bad, says):
+    # values past 2^63 - 1 were once accepted, and the edge table would
+    # then list that many edges
+    with pytest.raises(pm.DiagramError, match=says):
+        diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": 2},
+                           "matrices": [{"triplets": [[0, 0, 1], bad, [1, 0, 1]]}]})
 
 
 @pytest.mark.parametrize("triplets, message", [

@@ -88,6 +88,15 @@ def test_measure_rejects_nonharmonic_q(kern):
         measurable_ifs_measure(kern, {"a": 1.0, "b": 3.0})
 
 
+@pytest.mark.parametrize("q", [{"a": "x", "b": 1.0}, {"a": None, "b": 1.0}, [1.0, 1.0],
+                               {"a": float("nan"), "b": 1.0}, {"a": 10 ** 400, "b": 1.0}])
+def test_measure_rejects_bad_q(kern, q):
+    # a value that is not a number once ended in a bare TypeError, one
+    # too large for a float in a bare OverflowError
+    with pytest.raises(pm.MeasureError):
+        measurable_ifs_measure(kern, q)
+
+
 def test_kernel_kolmogorov_depth4(kern):
     m = measurable_ifs_measure(kern, {"a": 1.0, "b": 1.0})
     for cyl in atomic_cylinders(["a", "b"], 4):

@@ -186,6 +186,8 @@ def test_perron_window_typed_errors(nat):
         check_kolmogorov(tm, max_len=2)
     with pytest.raises(pm.InfiniteMass):
         sample_path(tm, 3, seed=0)
+    with pytest.raises(pm.WindowTooSmall, match="window radius -1"):
+        tail_measure_from_vectors(nat, [[1.0], [1.0]], window=-1)
 
 
 def test_markov_kolmogorov(allones2):
@@ -653,9 +655,12 @@ HALF_TABLE = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
     ([0.5, 0.5], {**HALF_TABLE, (0, 0, 0): "x"}, "level-0 transition"),
     ([0.5, 0.5], {**HALF_TABLE, (0, 0): 0.5}, "level-0 transition"),
     ([0.5, 0.5], [HALF_TABLE, [[0, 0, 0, 0.5]]], "level-1 transition"),
+    ({0.5: 1.0, 1: 0.0}, HALF_TABLE, "initial mass"),
+    ([0.5, 0.5], {**HALF_TABLE, (0.9, 0, 0): 0.5}, "level-0 transition"),
 ])
 def test_markov_constructor_typed_errors(allones2, q, table, says):
-    # each once raised a bare ValueError, TypeError or AttributeError
+    # each once raised a bare ValueError, TypeError or AttributeError; a
+    # fractional vertex key was truncated (0.5 and 0.9 read as vertex 0)
     with pytest.raises(pm.MeasureError, match=says):
         markov_measure(allones2, q, table)
 
@@ -677,6 +682,7 @@ def test_tail_vectors_constructor_typed_errors(allones2, vectors, says):
     ({(0, 0): "x", (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5}, "bad value"),
     ({0: 0.5}, "bad value"),
     ({(0, 0, 0): 0.5}, "does not have 3 entries"),
+    ([[0.7, 0, 0.5]] + SYMMETRIC_P[1:], "vertex index 0.7"),
 ])
 def test_ifs_constructor_typed_errors(allones2, p, says):
     with pytest.raises(pm.MeasureError, match=says):

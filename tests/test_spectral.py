@@ -380,6 +380,35 @@ def test_solvers_require_finite_nonnegative_square_matrix(solver, m):
         solver(m)
 
 
+def test_solve_harmonic_overflow_typed():
+    # the least-squares solve overflowed, or underflowed to 0, and the
+    # harmonic solver then divided 0 / 0 with a RuntimeWarning
+    with pytest.raises(pm.SolverError, match="overflows"):
+        solve_harmonic([[1e308, 1e308], [1e308, 1e308]])
+    with pytest.raises(pm.DegenerateSolution, match=r"1e\+200 != 1"):
+        solve_harmonic([[1e200, 0.0], [0.0, 1e200]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.integers(1, 3), max_size=4 * n),
+    st.randoms(use_true_random=False))))
+def test_perron_ignores_triplet_order(case):
+    # a cycle through every vertex keeps the level irreducible; the
+    # products once summed each vertex's terms in the rows' given order
+    n, extra, rnd = case
+    entries = {((w + 1) % n, w): 1 for w in range(n)} | extra
+    rows = [[v, w, c] for (v, w), c in entries.items()]
+    shuffled = rnd.sample(rows, len(rows))
+    a, b = (perron_eigenpair(pm.diagram_from_dict({
+        "kind": "stationary", "vertices": {"type": "finite", "count": n},
+        "matrices": [{"triplets": r}]}).matrix(0)) for r in (sorted(rows), shuffled))
+    assert (a.lam, a.t, a.bracket, a.residual, a.iterations) == \
+        (b.lam, b.t, b.bracket, b.residual, b.iterations)
+
+
 def test_stationary_distribution_oracle():
     p = np.array([[0.9, 0.1], [0.5, 0.5]])
     sd = stationary_distribution(p)
