@@ -135,11 +135,7 @@ def measure_eval(diagram_path, measure_path, path_literal, length):
     if length is None:
         fail(EXIT_INPUT_ERROR, "usage", "give --path or --len")
     level = column_level(spec, length)
-    # each name as str(path) gives it: vertices, then edge multiplicities
-    name = ("-".join(["{}"] * (len(level.edges) + 1)) + ":" + ",".join(["{}"] * len(level.edges))
-            if level.edges else "[{}]")
-    names = [name.format(*key) for key in level.keys().tolist()]
-    emit({"len": length, "values": dict(zip(names, m.values(level).tolist()))})
+    emit({"len": length, "values": dict(zip(level.names(), m.values(level).tolist()))})
 
 
 @measure.command("check")

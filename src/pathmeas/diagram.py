@@ -74,6 +74,7 @@ class IncidenceMatrix:
         self._transpose = None    # set here: a later new attribute slows every lookup
         self._edge_index = [None, None]     # edge_table's tables: out-edges, in-edges
         self._entries = self._lines = None  # derived reads: entries; rows and columns
+        self._components = None             # strong component count of a finite level
         if domain == FINITE:
             if entries is not None:
                 triplets = [(v, w, c) for (v, w), c in entries.items()]
@@ -130,7 +131,7 @@ class IncidenceMatrix:
         if self.domain == FINITE:
             return (self._lines or self._build_lines())[0].get(v, [])
         return sorted((v - d, c) for d, c in self.stencil.items()
-                      if self.domain != NATURALS or v - d >= 0)
+                      if self.domain != NATURALS or min(v, v - d) >= 0)
 
     def column(self, w: int):
         """Nonzero targets v for source w, as sorted (v, count) pairs.
@@ -141,7 +142,7 @@ class IncidenceMatrix:
         if self.domain == FINITE:
             return (self._lines or self._build_lines())[1].get(w, [])
         return sorted((w + d, c) for d, c in self.stencil.items()
-                      if self.domain != NATURALS or w + d >= 0)
+                      if self.domain != NATURALS or min(w, w + d) >= 0)
 
     def vertices(self, window: int | None = None):
         """Concrete vertex list for one level, restricted to a window."""
@@ -218,10 +219,17 @@ class IncidenceMatrix:
         on first use and kept."""
         if self._transpose is None:
             cols, rows, counts = (np.ascontiguousarray(x) for x in self.triplets.T)
-            cyclic = bool(np.any(rows == cols)) or (
-                strong_components(self.size, rows, cols)[0] < self.size)
+            cyclic = bool(np.any(rows == cols)) or self.components < self.size
             self._transpose = rows, cols, counts.astype(float), cyclic
         return self._transpose
+
+    @property
+    def components(self) -> int:
+        """The strong component count of a finite level's graph, kept."""
+        if self._components is None:
+            self._components = strong_components(
+                self.size, self.triplets[:, 1], self.triplets[:, 0])[0]
+        return self._components
 
     @property
     def is_zero_one(self) -> bool:
@@ -523,8 +531,7 @@ def is_irreducible(spec: DiagramSpec, window: int | None = None,
     """
     if spec.is_stationary and spec.domain == FINITE:
         f = spec.matrix(0)
-        rows, cols, _, cyclic = f.transpose_arrays
-        joined = f.size == 0 or (cyclic and strong_components(f.size, rows, cols)[0] == 1)
+        joined = f.size == 0 or (f.transpose_arrays[3] and f.components == 1)
         return "yes" if joined else "no-within-horizon"
     verts = spec.vertices(window)
     k = len(verts)

@@ -712,9 +712,8 @@ def empirical_check(measure, length: int, n_samples: int, seed: int,
     values = measure.values(level).tolist()
     total = sum(values)
     rows, worst = [], 0.0
-    for c, value, hit in zip(level.paths(), values, hits.tolist()):
-        exact, name = value / total, str(c)
-        freq = hit / n_samples
+    for name, value, hit in zip(level.names(), values, hits.tolist()):
+        exact, freq = value / total, hit / n_samples
         if exact in (0.0, 1.0):
             z = 0.0 if freq == exact else math.inf
         else:

@@ -9,6 +9,7 @@ level-0 set of all paths starting at v.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,12 +56,15 @@ class FinitePath:
         return FinitePath(self.edges[:n])
 
     def __str__(self):
-        if not self.edges:
-            return f"[{self.anchor}]"
-        verts = "-".join(str(v) for v in
-                         [self.edges[0].source] + [e.target for e in self.edges])
-        mults = ",".join(str(e.mult) for e in self.edges)
-        return f"{verts}:{mults}"
+        return _literal(len(self.edges)).format(
+            self.start, *[e.target for e in self.edges], *[e.mult for e in self.edges])
+
+
+@lru_cache(maxsize=64)
+def _literal(n: int) -> str:
+    """The path literal of n edges, ``v0-v1-...:k0,k1,...`` (``[v]`` for none), as
+    a template of the start vertex, each edge's target, each edge's multiplicity."""
+    return "-".join(["{}"] * (n + 1)) + ":" + ",".join(["{}"] * n) if n else "[{}]"
 
 
 @dataclass(frozen=True)
@@ -186,12 +190,12 @@ class PathColumns:
     def __getitem__(self, rows) -> "PathColumns":
         return PathColumns(self.start[rows], self.end[rows], self.ids[rows], self.edges)
 
-    def keys(self) -> np.ndarray:
-        """N x (2n + 1) integers that name each row as str(path) does: its
-        vertices, then the multiplicity of each edge."""
+    def names(self) -> list:
+        """Each row's path literal, as str() of its path gives it; no Edge is built."""
         cols = list(zip(self.edges, self.ids.T))
-        return np.column_stack([self.start] + [col.targets[ids] for col, ids in cols]
-                               + [col.mults[ids] for col, ids in cols])
+        return list(map(_literal(len(cols)).format, self.start.tolist(),
+                        *[col.targets[ids].tolist() for col, ids in cols],
+                        *[col.mults[ids].tolist() for col, ids in cols]))
 
     def paths(self) -> list:
         """The rows as FinitePath objects, sharing one Edge object per

@@ -43,19 +43,14 @@ def build_sfs(diagram: DiagramSpec) -> SemibranchingSystem:
     if diagram.domain != FINITE:
         raise DiagramError("s.f.s. is materialized for finite levels only")
     f = diagram.matrix(0)
-    _, tails, heads, _ = f.edge_table(0, f.size)
-    edges = list(zip(tails.tolist(), heads.tolist()))
-    if len(set(edges)) != len(edges):
-        raise NotZeroOne("parallel edges present")
+    first, tails, heads, _ = (x.tolist() for x in f.edge_table(0, f.size))
+    edges = list(zip(tails, heads))
+    out = [tuple(edges[a:b]) for a, b in zip(first, first[1:])]    # each vertex's out-edges
     # ranges partition: each length-1 path lies in exactly the R of its
-    # first edge; sources must cover the level
-    sources = {w for w, _ in edges}
-    if sources != set(diagram.vertices()):
+    # first edge, so every vertex needs an out-edge (0-1: no parallel edges)
+    if not all(out):
         raise DiagramError("ranges do not cover the path space")
-    out = {}                        # each vertex's out-edges, in canonical order
-    for e in edges:
-        out.setdefault(e[0], []).append(e)
-    lam = {e: tuple(out.get(e[1], ())) for e in edges}
+    lam = {e: out[e[1]] for e in edges}         # e is followed by the out-edges of r(e)
     return SemibranchingSystem(diagram, edges, lam)
 
 
@@ -68,13 +63,8 @@ class CKMatrix:
 
 
 def ck_matrix(sfs: SemibranchingSystem) -> CKMatrix:
-    n = len(sfs.edges)
-    idx = {e: i for i, e in enumerate(sfs.edges)}
-    a = np.zeros((n, n), dtype=int)
-    for e, members in sfs.lambda_sets.items():
-        for f in members:
-            a[idx[e], idx[f]] = 1
-    return CKMatrix(list(sfs.edges), a)
+    sources, targets = np.array(sfs.edges, dtype=int).reshape(-1, 2).T
+    return CKMatrix(list(sfs.edges), (targets[:, None] == sources).astype(int))
 
 
 @dataclass

@@ -11,17 +11,22 @@ import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathmeas as pm
+import pathmeas.cli as cli
 from pathmeas import (
     Edge,
     IFSWeights,
+    build_sfs,
     check_ifs_fixed_point,
     check_kolmogorov,
     check_shift_invariance,
     check_tail_invariance,
+    ck_matrix,
+    empirical_check,
     empty_path,
     markov_measure,
     one_edge_extensions,
@@ -270,15 +275,52 @@ def test_audits_build_no_edge(k, seed):
     calls += [lambda: check_ifs_fixed_point(ifs, 3), lambda: check_kolmogorov(z, 3, window=4),
               lambda: check_tail_invariance(z, 2, window=4),
               lambda: check_shift_invariance(z, 2, window=4)]
+    # naming a level's cylinders and the s.f.s. read the arrays too; an
+    # empirical check builds its walks' Markov rows once per measure
+    calls += [lambda: ck_matrix(build_sfs(spec))]
+    for m in (tail, markov):
+        empirical_check(m, 2, 50, seed)
+        calls += [lambda m=m: empirical_check(m, 2, 50, seed)]
+    calls += [lambda m=m: _eval_len(m, 2) for m in (tail, markov, ifs)]
     assert _edges_built(calls) == 0
     assert _edges_built([lambda: column_level(spec, 1).paths()]) == len(spec.all_edges(0))
 
 
+def _eval_len(m, n):
+    """``pathmeas measure eval --len n`` on a measure already loaded."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "load_measure", lambda *paths: (m.diagram, m))
+        result = CliRunner().invoke(cli.main, ["measure", "eval", "--diagram", "d.json",
+                                               "--measure", "m.json", "--len", str(n)])
+    assert result.exit_code == 0, result.output
+
+
 def test_keys_name_paths_as_str(fib):
     level = column_level(fib, 3)
-    for path, key in zip(level.paths(), level.keys().tolist()):
-        verts, mults = key[:4], key[4:]
-        assert str(path) == "-".join(map(str, verts)) + ":" + ",".join(map(str, mults))
+    for path, name in zip(level.paths(), level.names(), strict=True):
+        verts = [path.start] + [e.target for e in path.edges]
+        mults = [e.mult for e in path.edges]
+        assert name == str(path) == "-".join(map(str, verts)) + ":" + ",".join(map(str, mults))
+
+
+SEQUENCE = {"kind": "sequence", "vertices": {"type": "finite", "count": 3},
+            "matrices": [{"triplets": [[0, 0, 1], [1, 0, 2], [2, 1, 1], [0, 2, 1]]},
+                         {"triplets": [[1, 0, 1], [2, 1, 1], [0, 2, 3]]},
+                         {"triplets": [[0, 0, 1], [1, 1, 1], [2, 2, 2], [2, 0, 1]]}]}
+PARALLEL = {"kind": "stationary", "vertices": {"type": "finite", "count": 2},
+            "matrices": [{"triplets": [[0, 0, 2], [1, 0, 1], [0, 1, 3], [1, 1, 1]]}]}
+
+
+@pytest.mark.parametrize("obj, window", [(PARALLEL, None), (SEQUENCE, None),
+                                         (TRI_Z, 2), (NAT, 2)])
+def test_names_match_str(obj, window):
+    spec = pm.diagram_from_dict(obj)
+    levels = path_columns(spec, 3, window)
+    assert next(levels).names() == [f"[{v}]" for v in spec.vertices(window)]
+    for level in levels:
+        names = level.names()
+        assert names == [str(p) for p in level.paths()]
+        assert len(set(names)) == len(level)
 
 
 # ---------------------------------------------------------------------------

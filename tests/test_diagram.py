@@ -159,6 +159,31 @@ def test_irreducible_matches_reachability(graph):
     assert is_irreducible(spec) == ("yes" if joined else "no-within-horizon")
 
 
+def test_irreducible_counts_components_once(fib, identity2):
+    # a finite level keeps its strong component count: Tarjan runs once
+    def level(n, triplets):
+        return diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": n},
+                                  "matrices": [{"triplets": triplets}]})
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return strong_components(*args)
+
+    cases = [(fib, "yes"), (identity2, "no-within-horizon"),         # self-loops
+             (level(2, [[1, 0, 1], [0, 1, 1]]), "yes"),                # a 2-cycle
+             (level(2, [[1, 0, 1]]), "no-within-horizon")]             # no cycle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pm.diagram, "strong_components", counting)
+        for spec, verdict in cases:
+            calls.clear()
+            assert [is_irreducible(spec), is_irreducible(spec)] == [verdict] * 2
+            assert len(calls) == 1
+        calls.clear()          # a self-loop makes a level cyclic without a count
+        assert level(2, [[0, 0, 1], [1, 0, 1]]).matrix(0).transpose_arrays[3] and not calls
+
+
 def test_irreducible_tri_z(tri_z):
     assert is_irreducible(tri_z, window=4, max_m=2) == "unknown"
     assert is_irreducible(tri_z, window=4, max_m=16) == "yes"
@@ -230,6 +255,11 @@ def test_naturals_domain_clips_negative():
     assert f.entry(-1, 0) == 0
     assert f.row(0) == [(0, 1), (1, 1)]
     assert spec.vertices(window=3) == [0, 1, 2, 3]
+    # -1 lies outside the naturals: no row, no column, no edge in or out
+    assert not f.in_domain(-1)
+    assert f.row(-1) == f.column(-1) == []
+    assert spec.edges_into(-1, 0) == spec.edges_from(-1, 0) == []
+    assert f.column(0) == [(0, 1), (1, 1)]
 
 
 def test_finite_matrix_requires_entries():
