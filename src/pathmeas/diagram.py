@@ -61,19 +61,20 @@ class IncidenceMatrix:
     """Sparse nonnegative integer matrix F with entries f_{v,w}.
 
     A finite domain, given as rows [target, source, count] or as a mapping
-    ``entries``, stores ``triplets``, see _triplet_array; ``entries``,
-    ``row``, ``column`` and ``entry`` are derived from it on first use and
-    kept.  Infinite domains (naturals / integers) store a translation-
-    invariant stencil mapping the offset d = v - w to an edge count, which
-    keeps every row and column finite by construction.
+    ``entries``, stores ``triplets``, see _triplet_array.  Infinite domains
+    (naturals / integers) store a translation-invariant stencil mapping the
+    offset d = v - w to an edge count, which keeps every row and column
+    finite by construction.  ``row``, ``column``, ``entry``, ``to_dense``
+    and ``edge_table`` read the entries through ``pairs`` on every domain;
+    ``entries`` is built on each call.  Only edge_table lists each edge.
     """
 
     def __init__(self, domain, entries=None, stencil=None, band=None, size=None,
                  triplets=None):
         self.domain = domain
         self._transpose = None    # set here: a later new attribute slows every lookup
-        self._edge_index = [None, None]     # edge_table's tables: out-edges, in-edges
-        self._entries = self._lines = None  # derived reads: entries; rows and columns
+        self._pairs = [None, None]          # pairs' tables: columns, rows
+        self._edges = [None, None]          # edge_table's finite tables: out, in
         self._components = None             # strong component count of a finite level
         if domain == FINITE:
             if entries is not None:
@@ -92,57 +93,34 @@ class IncidenceMatrix:
                          else _count(band, "band"))
             if any(abs(d) > self.band for d in self.stencil):
                 raise DiagramError("stencil offset exceeds declared band")
+            if max([0, *map(abs, self.stencil), *self.stencil.values()]) >= 1 << 63:
+                raise DiagramError("stencil offset or edge count exceeds 2**63 - 1")
 
     @property
     def entries(self) -> dict | None:
-        """A finite level's {(v, w): f_vw}, in (v, w) order; None on a stencil."""
-        if self._entries is None and self.domain == FINITE:
+        """A finite level's {(v, w): f_vw} in (v, w) order, built per call; None on a stencil."""
+        if self.domain == FINITE:
             v, w, c = self.triplets.T.tolist()
-            self._entries = dict(zip(zip(v, w), c))
-        return self._entries
-
-    def _build_lines(self) -> tuple:
-        """A finite level's rows and columns: {v: [(w, count), ...]} and
-        {w: [(v, count), ...]}, each list sorted."""
-        rows, cols = {}, {}
-        for v, w, c in self.triplets.tolist():
-            rows.setdefault(v, []).append((w, c))
-            cols.setdefault(w, []).append((v, c))
-        self._lines = rows, cols
-        return self._lines
+            return dict(zip(zip(v, w), c))
 
     def entry(self, v: int, w: int) -> int:
         """Edge count f_{v,w} from source w to target v."""
-        if self.domain == FINITE:         # the property only until entries is built
-            return (self._entries or self.entries).get((v, w), 0)
-        if self.domain == NATURALS and (v < 0 or w < 0):
-            return 0
-        return self.stencil.get(v - w, 0)
+        return dict(self.row(v)).get(w, 0)
 
     def in_domain(self, v: int) -> bool:
         if self.domain == FINITE:
             return 0 <= v < self.size
-        if self.domain == NATURALS:
-            return v >= 0
-        return True
+        return v >= 0 or self.domain == INTEGERS
 
     def row(self, v: int):
         """Nonzero sources w for target v, as sorted (w, count) pairs."""
-        if self.domain == FINITE:
-            return (self._lines or self._build_lines())[0].get(v, [])
-        return sorted((v - d, c) for d, c in self.stencil.items()
-                      if self.domain != NATURALS or min(v, v - d) >= 0)
+        _, sources, counts = self.pairs([v], into=True)
+        return list(zip(sources.tolist(), counts.tolist()))
 
     def column(self, w: int):
-        """Nonzero targets v for source w, as sorted (v, count) pairs.
-
-        Finite for stencil matrices by bandedness; for explicit finite
-        matrices by finiteness of the level.
-        """
-        if self.domain == FINITE:
-            return (self._lines or self._build_lines())[1].get(w, [])
-        return sorted((w + d, c) for d, c in self.stencil.items()
-                      if self.domain != NATURALS or min(w, w + d) >= 0)
+        """Nonzero targets v for source w, as sorted (v, count) pairs."""
+        _, targets, counts = self.pairs([w])
+        return list(zip(targets.tolist(), counts.tolist()))
 
     def vertices(self, window: int | None = None):
         """Concrete vertex list for one level, restricted to a window."""
@@ -157,60 +135,74 @@ class IncidenceMatrix:
         return list(range(-window, window + 1))
 
     def to_dense(self, targets, sources) -> np.ndarray:
-        """Dense block F[targets, sources] as a float array."""
-        a = np.zeros((len(targets), len(sources)))
+        """Dense block F[targets, sources] as a float array, for any vertex lists."""
+        a = np.zeros((len(targets), len(sources) + 1))    # the last: sources not listed
+        first, ends, counts = self.pairs(targets, into=True)
         src_index = {w: j for j, w in enumerate(sources)}
-        for i, v in enumerate(targets):
-            for w, c in self.row(v):
-                j = src_index.get(w)
-                if j is not None:
-                    a[i, j] = c
-        return a
+        a[np.arange(len(targets)).repeat(np.diff(first)),
+          [src_index.get(w, -1) for w in ends.tolist()]] = counts
+        return a[:, :-1]
+
+    def pairs(self, at, into: bool = False) -> tuple:
+        """The nonzero entries of the columns (with ``into``, the rows) of
+        the vertices ``at``, as arrays (first, ends, counts): at[i] owns
+        entries first[i] .. first[i+1]-1, its targets (sources) in order with
+        their edge counts; a vertex off the domain owns none.  The cost
+        follows the entries read, not their counts or the span of ``at``."""
+        at = np.asarray(at, dtype=np.intp)
+        table = self._pairs[into]
+        if table is None:
+            table = self._pairs[into] = self._build_pairs(into)
+        if self.domain == FINITE:         # clipped, a vertex off the level owns nothing
+            start, ends, counts = table
+            lo = start.take(at, mode="clip")
+            degree = start.take(at + 1, mode="clip") - lo
+            first = np.concatenate(([0], degree.cumsum()))
+            take = np.arange(first[-1]) + (lo - first[:-1]).repeat(degree)
+            return first, ends[take], counts[take]
+        offsets, counts = table            # each entry's offset d = target - source
+        ends = at[:, None] - offsets if into else at[:, None] + offsets
+        keep = (self.domain == INTEGERS) | (np.minimum(ends, at[:, None]) >= 0)  # both ends on ℕ
+        first = np.concatenate(([0], keep.sum(axis=1).cumsum()))
+        return first, ends[keep], np.broadcast_to(counts, ends.shape)[keep]
+
+    def _build_pairs(self, into: bool) -> tuple:
+        """What pairs reads: on finite levels, the whole level's (start, ends,
+        counts) by source (with ``into``, by target), vertex x owning start[x]
+        .. start[x+1]-1; on stencils, the offsets and counts in one vertex's order."""
+        if self.domain == FINITE:
+            t = self.triplets          # by (target, source); a stable sort by source
+            if not into:               # keeps the targets in order within each source
+                t = t[np.argsort(t[:, 1], kind="stable")]
+            owner, ends = (t[:, 0], t[:, 1]) if into else (t[:, 1], t[:, 0])
+            return np.searchsorted(owner, np.arange(self.size + 1)), ends, t[:, 2]
+        offsets = sorted(self.stencil, reverse=into)
+        return (np.array(offsets, dtype=np.intp),
+                np.array([self.stencil[d] for d in offsets], dtype=np.int64))
 
     def edge_table(self, lo: int, hi: int, into: bool = False) -> tuple:
         """The out-edges (with ``into``, the in-edges) of the vertices
         lo .. hi-1 of a level, in ``DiagramSpec.edges_from`` (``edges_into``)
         order, as arrays (first, sources, targets, mults): vertex lo + i
-        owns edges first[i] .. first[i+1]-1.  A finite level slices the
-        range out of its whole table, built on first use and kept; a stencil
-        lays the range out (on the naturals, no edge ends or starts below 0)."""
-        table = self._edge_index[into]
+        owns edges first[i] .. first[i+1]-1.  Each entry of one pairs read
+        is laid out once per edge: a stencil's range, or a finite level's
+        whole table, kept, which the range is sliced out of."""
+        table = self._edges[into]
         if table is None:
-            table = self._edge_index[into] = self._build_table(into)
-        if self.domain == FINITE:
-            first, *arrays = table
-            a, b = first[lo], first[hi]
-            return (first[lo:hi + 1] - a, *(x[a:b] for x in arrays))
-        offsets, mults = table            # each edge's offset d = target - source
-        here = np.arange(lo, hi)[:, None]
-        ends = here - offsets if into else here + offsets
-        keep = ends >= 0 if self.domain == NATURALS else np.ones(ends.shape, bool)
-        here = np.broadcast_to(here, ends.shape)
-        sources, targets = (ends, here) if into else (here, ends)
-        first = np.concatenate(([0], keep.sum(axis=1).cumsum()))
-        return first, sources[keep], targets[keep], np.broadcast_to(mults, ends.shape)[keep]
-
-    def _build_table(self, into: bool) -> tuple:
-        """What edge_table reads.  On finite levels: the whole level's
-        (first, sources, targets, mults), grouped by source (with ``into``,
-        by target), each triplet repeated once per edge.  On stencils: each
-        edge's offset and mult, in one vertex's edge order."""
-        if self.domain == FINITE:
-            t = self.triplets          # by (target, source); a stable sort by source
-            if not into:               # keeps the targets in order within each source
-                t = t[np.argsort(t[:, 1], kind="stable")]
-            targets, sources, counts = t.T
-            ends = np.concatenate(([0], np.cumsum(counts)))
-            owner = targets if into else sources
-            table = (ends[np.searchsorted(owner, np.arange(self.size + 1))],
-                     np.repeat(sources, counts), np.repeat(targets, counts),
-                     np.arange(ends[-1]) - np.repeat(ends[:-1], counts))
+            base = np.arange(0, self.size) if self.domain == FINITE else np.arange(lo, hi)
+            first, ends, counts = self.pairs(base, into)
+            start = np.concatenate(([0], counts.cumsum()))     # each entry's first edge
+            here, ends = base.repeat(np.diff(first)).repeat(counts), ends.repeat(counts)
+            table = (start[first], *((ends, here) if into else (here, ends)),
+                     np.arange(start[-1]) - start[:-1].repeat(counts))
+            if self.domain != FINITE:
+                return table
+            self._edges[into] = table
             for a in table:
                 a.flags.writeable = False     # handed out as they are
-            return table
-        offsets = sorted(self.stencil, reverse=into)
-        return (np.array([d for d in offsets for _ in range(self.stencil[d])], dtype=np.intp),
-                np.array([k for d in offsets for k in range(self.stencil[d])], dtype=np.intp))
+        first, *arrays = table
+        a, b = first[lo], first[hi]
+        return (first[lo:hi + 1] - a, *(x[a:b] for x in arrays))
 
     @property
     def transpose_arrays(self):
@@ -407,11 +399,8 @@ class DiagramSpec:
         by (source, target, multiplicity)."""
         return [e for w in self.vertices(window) for e in self.edges_from(w, level)]
 
-    def edge_count(self, edge: Edge) -> int:
-        return self.matrix(edge.level).entry(edge.target, edge.source)
-
     def has_edge(self, edge: Edge) -> bool:
-        return 0 <= edge.mult < self.edge_count(edge)
+        return 0 <= edge.mult < self.matrix(edge.level).entry(edge.target, edge.source)
 
 
 @dataclass(frozen=True)
@@ -489,10 +478,11 @@ def height_vector(spec: DiagramSpec, n: int, window: int | None = None) -> Heigh
         window = DEFAULT_WINDOW
     band = max(m.band for m in spec.matrices)
     h = {v: 1 for v in spec.vertices(window + n * band)}
-    for k in range(n):
-        f = spec.matrix(k)
-        h = {v: sum(c * h[w] for w, c in f.row(v))
-             for v in spec.vertices(window + (n - k - 1) * band)}
+    for k in range(n):                 # one pairs read a level
+        verts = spec.vertices(window + (n - k - 1) * band)
+        first, sources, counts = (x.tolist() for x in spec.matrix(k).pairs(verts, into=True))
+        terms = [c * h[w] for w, c in zip(sources, counts)]
+        h = {v: sum(terms[first[i]:first[i + 1]]) for i, v in enumerate(verts)}
     return HeightVector(n, {v: h[v] for v in spec.vertices(window)})
 
 

@@ -151,15 +151,23 @@ def _column(table: dict, edges: EdgeColumn, ids: np.ndarray) -> np.ndarray:
     return np.fromiter(weights, dtype=float, count=len(edges.sources))[ids]
 
 
+def _columns(diagram: DiagramSpec, level: int, verts) -> dict:
+    """{w: {v: f_{v,w}}, w's targets in order} for each distinct vertex w
+    of ``verts`` on the level, in their order, from one pairs read."""
+    f = diagram.matrix(level)
+    verts = [w for w in dict.fromkeys(verts) if f.in_domain(w)]
+    first, targets, counts = (x.tolist() for x in f.pairs(verts))
+    column = list(zip(targets, counts))
+    return {w: dict(column[first[i]:first[i + 1]]) for i, w in enumerate(verts)}
+
+
 def _tail_table(diagram: DiagramSpec, level: int, cur: dict, nxt: dict) -> dict:
     """p_e = nxt[r(e)] / cur[s(e)] at every source of positive mass whose
     out-edges all end inside the window of ``nxt``."""
     table = {}
-    for w, mass in cur.items():
-        out = diagram.edges_from(w, level)
-        if mass > 0 and all(e.target in nxt for e in out):
-            for e in out:
-                table[e.key()] = nxt[e.target] / mass
+    for w, column in _columns(diagram, level, cur).items():
+        if cur[w] > 0 and all(v in nxt for v in column):
+            table.update(((w, v, k), nxt[v] / cur[w]) for v, c in column.items() for k in range(c))
     return table
 
 
@@ -172,13 +180,11 @@ def tail_measure_from_vectors(diagram: DiagramSpec, vectors,
                 for n, v in enumerate(vectors)]
     except TypeError as exc:
         raise MeasureError(f"tail vectors are not a list: {exc}") from exc
-    for n in range(len(vecs) - 1):
-        f = diagram.matrix(n)
-        for w, target in vecs[n].items():
-            back = sum(c * vecs[n + 1][v] for v, c in f.column(w)
-                       if v in vecs[n + 1])
-            if abs(back - target) > tol:
-                raise InconsistentVectors(n, abs(back - target))
+    for n, (cur, nxt) in enumerate(zip(vecs, vecs[1:])):
+        for w, column in _columns(diagram, n, cur).items():
+            back = sum(c * nxt[v] for v, c in column.items() if v in nxt)
+            if abs(back - cur[w]) > tol:
+                raise InconsistentVectors(n, abs(back - cur[w]))
     return TailInvariantMeasure(diagram, "explicit", vectors=vecs)
 
 
@@ -315,26 +321,20 @@ def markov_measure(diagram: DiagramSpec, q, p_levels,
         diagram.require_stationary()
     levels = [_as_table(table, f"level-{n} transition")
               for n, table in enumerate([p_levels] if stationary else p_levels)]
-    if diagram.domain == FINITE:
-        for v in q:
-            if not diagram.matrix(0).in_domain(v):
-                raise SupportMismatch(f"initial mass on vertex {v}, outside level 0")
     full_support = all(x > 0 for x in q.values())
+    verts = diagram.vertices()
     for n, table in enumerate(levels):
-        f = diagram.matrix(n if not stationary else 0)
+        weighed = [w for (w, _, _), p in table.items() if p > 0]
+        columns = _columns(diagram, n if not stationary else 0, verts + weighed)
         for (w, v, k), p in table.items():
-            if p > 0 and not (0 <= k < f.entry(v, w)):
+            if p > 0 and not 0 <= k < columns.get(w, {}).get(v, 0):
                 raise SupportMismatch(
                     f"positive weight on missing edge ({w}->{v}:{k}) at level {n}")
-        for w in diagram.vertices():
-            out = diagram.edges_from(w, n if not stationary else 0)
-            if not out:
-                continue
-            total = sum(table.get(e.key(), 0.0) for e in out)
-            if abs(total - 1.0) > tol:
-                raise NotStochastic(w, f"outgoing mass {total:g} at vertex {w}, level {n}")
-            if any(table.get(e.key(), 0.0) <= 0 for e in out):
-                full_support = False
+        for w in verts:
+            weights = [table.get((w, v, k), 0.0) for v, c in columns[w].items() for k in range(c)]
+            if weights and abs(sum(weights) - 1.0) > tol:
+                raise NotStochastic(w, f"outgoing mass {sum(weights):g} at vertex {w}, level {n}")
+            full_support &= min(weights, default=1.0) > 0
     return MarkovMeasure(diagram, q, levels, stationary, full_support)
 
 
@@ -361,8 +361,9 @@ class IFSWeights:
     _table: dict = field(init=False, repr=False, compare=False)  # (source, target, mult) -> p_e
 
     def __post_init__(self):
-        f = self.diagram.matrix(0)          # p_(w,v) weighs each edge w -> v the diagram has
-        self._table = {(w, v, k): x for (w, v), x in self.p.items() for k in range(f.entry(v, w))}
+        columns = _columns(self.diagram, 0, [w for w, _ in self.p])
+        self._table = {(w, v, k): x for (w, v), x in self.p.items()
+                       for k in range(columns.get(w, {}).get(v, 0))}
         table = {(w, v, k): x * self.q[v] / self.q[w] for (w, v, k), x in self._table.items()}
         self.markov = MarkovMeasure(self.diagram, self.q, [table])
 
@@ -400,14 +401,14 @@ def ifs_measure(diagram: DiagramSpec, p, tol: float = DEFAULT_TOL) -> IFSWeights
         raise MeasureError("IFS measures are materialized on finite levels")
     verts = diagram.vertices()        # 0 .. n-1 on a finite level
     p = _as_edge_dict(p)
-    f = diagram.matrix(0)
+    columns = _columns(diagram, 0, verts)
     for w, v in p:
-        if f.entry(v, w) == 0:
+        if v not in columns.get(w, ()):
             raise SupportMismatch(f"weight on missing edge ({w}->{v})")
-    for w in verts:
-        for e in diagram.edges_from(w, 0):
-            if (e.source, e.target) not in p:
-                raise MeasureError(f"missing weight for edge ({e.source}->{e.target})")
+    for w, column in columns.items():        # a 0-1 level: one edge a pair
+        for v in column:
+            if (w, v) not in p:
+                raise MeasureError(f"missing weight for edge ({w}->{v})")
     m = np.zeros((len(verts), len(verts)))
     for (w, v), x in p.items():
         m[w, v] = x
@@ -708,6 +709,9 @@ def empirical_check(measure, length: int, n_samples: int, seed: int,
     the paths ``sample_paths(measure, length, n_samples, seed)`` draws."""
     if n_samples < 1:
         raise MeasureError(f"an empirical check needs samples, got {n_samples}")
+    if not math.isfinite(measure.total_mass):
+        raise InfiniteMass("an empirical check draws its starting vertices from q, "
+                           "which needs finite total mass")
     level, hits = _draw_counts(measure, length, n_samples, seed)
     values = measure.values(level).tolist()
     total = sum(values)
@@ -783,7 +787,8 @@ def require_masses(values: dict, what: str, positive: bool = False) -> dict:
 
 def _as_vertex_dict(diagram: DiagramSpec, values, what: str, window=None) -> dict:
     """Vertex masses, a dict or one per vertex of the window, as checked
-    floats; a bad value raises MeasureError naming ``what``."""
+    floats; a bad value raises MeasureError naming ``what``, and a vertex
+    outside level 0's domain SupportMismatch."""
     try:
         if not isinstance(values, dict):
             verts, values = diagram.vertices(window), list(values)
@@ -795,7 +800,10 @@ def _as_vertex_dict(diagram: DiagramSpec, values, what: str, window=None) -> dic
         raise
     except (TypeError, ValueError, OverflowError, DiagramError) as exc:
         raise MeasureError(f"{what} holds a bad value: {exc}") from exc
-    return require_masses(masses, what)
+    for v in require_masses(masses, what):
+        if not diagram.matrix(0).in_domain(v):
+            raise SupportMismatch(f"{what} on vertex {v}, outside level 0")
+    return masses
 
 
 def _as_table(table, what: str) -> dict:

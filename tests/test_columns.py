@@ -8,6 +8,7 @@ error), on the level itself and on its shifted and prepended columns.
 
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -254,11 +255,7 @@ def _edges_built(calls) -> int:
 def test_audits_build_no_edge(k, seed):
     # the audits read each level's edges as arrays; only paths() builds Edge
     rng = np.random.default_rng(seed)
-    pairs = {((w + 1) % k, w) for w in range(k)} | {
-        (int(v), int(w)) for v, w in rng.integers(0, k, (2 * k, 2))}
-    spec = pm.diagram_from_dict({
-        "kind": "stationary", "vertices": {"type": "finite", "count": k},
-        "matrices": [{"triplets": [[v, w, 1] for v, w in sorted(pairs)]}]})
+    pairs, spec = _random_level(k, rng)
     out = {w: spec.edges_from(w, 0) for w in range(k)}
     tail = stationary_tail_measure(spec)
     markov = markov_measure(spec, [1 / k] * k,
@@ -284,6 +281,48 @@ def test_audits_build_no_edge(k, seed):
     calls += [lambda m=m: _eval_len(m, 2) for m in (tail, markov, ifs)]
     assert _edges_built(calls) == 0
     assert _edges_built([lambda: column_level(spec, 1).paths()]) == len(spec.all_edges(0))
+
+
+def _random_level(k, rng) -> tuple:
+    """(pairs, spec): a stationary 0-1 level of k vertices whose (target,
+    source) pairs are a k-cycle and 2k random pairs."""
+    pairs = {((w + 1) % k, w) for w in range(k)} | {
+        (int(v), int(w)) for v, w in rng.integers(0, k, (2 * k, 2))}
+    return pairs, pm.diagram_from_dict({
+        "kind": "stationary", "vertices": {"type": "finite", "count": k},
+        "matrices": [{"triplets": [[v, w, 1] for v, w in sorted(pairs)]}]})
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(16, 64), st.integers(0, 2 ** 32 - 1))
+def test_constructors_build_no_edge(k, seed):
+    # each constructor reads a level's out-edges once, as arrays or keys
+    pairs, spec = _random_level(k, np.random.default_rng(seed))
+    degree = Counter(w for v, w in pairs)
+    a = np.zeros((k, k))
+    for v, w in pairs:
+        a[w, v] = 1.0
+    rho = float(max(abs(np.linalg.eigvals(a))))
+    markov = {"type": "markov", "q": [1 / k] * k,
+              "P": [[w, v, 0, 1 / degree[w]] for v, w in sorted(pairs)]}
+    ifs = {"type": "ifs", "p": [[w, v, 1 / rho] for v, w in sorted(pairs)]}
+    eigen = stationary_tail_measure(spec).eigen
+    vectors = [{v: t / eigen.lam ** n for v, t in eigen.t.items()} for n in range(3)]
+    tri = pm.diagram_from_dict(TRI_Z)
+    z_table = {(w, w + d, 0): 1 / 3 for w in tri.vertices() for d in (-1, 0, 1)}
+    calls = [lambda: stationary_tail_measure(spec),
+             lambda: markov_measure(spec, markov["q"], {(w, v, k): p for w, v, k, p in markov["P"]}),
+             lambda: pm.ifs_measure(spec, ifs["p"]),
+             lambda: tail_measure_from_vectors(spec, vectors),
+             lambda: pm.IFSWeights(spec, {(w, v): 0.5 for v, w in pairs}, {v: 1.0 for v in range(k)}, {}),
+             lambda: stationary_tail_measure(tri),
+             lambda: markov_measure(tri, {v: 0.25 for v in range(4)}, z_table),
+             lambda: tail_measure_from_vectors(tri, [{v: 3.0 ** -n for v in range(-4 - n, 5 + n)}
+                                                     for n in range(3)])]
+    calls += [lambda obj=obj: pm.measure_from_dict(spec, obj) for obj in (
+        {"type": "tail"}, {"type": "tail", "vectors": [[v[w] for w in range(k)] for v in vectors]},
+        markov, ifs)]
+    assert _edges_built(calls) == 0
 
 
 def _eval_len(m, n):

@@ -262,6 +262,64 @@ def test_naturals_domain_clips_negative():
     assert f.column(0) == [(0, 1), (1, 1)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["naturals", "integers"]),
+       st.dictionaries(st.integers(-3, 3), st.integers(0, 3)))
+def test_stencil_lines_match_offsets(domain, stencil):
+    # row, column, entry, edges_from and edges_into at vertices on and off
+    # the domain, against the offsets d = target - source of the stencil
+    spec = diagram_from_dict({"kind": "stationary", "vertices": {"type": domain},
+                              "matrices": [{"triplets": [[d, 0, c] for d, c in stencil.items()]}]})
+    f = spec.matrix(0)
+
+    def on(x):
+        return domain == "integers" or x >= 0
+
+    for x in range(-6, 7):
+        row = sorted((x - d, c) for d, c in stencil.items() if c and on(x) and on(x - d))
+        column = sorted((x + d, c) for d, c in stencil.items() if c and on(x) and on(x + d))
+        assert f.row(x) == row and f.column(x) == column
+        assert spec.edges_into(x, 0) == [Edge(0, w, x, k) for w, c in row for k in range(c)]
+        assert spec.edges_from(x, 0) == [Edge(0, x, v, k) for v, c in column for k in range(c)]
+        for y in range(-6, 7):
+            assert f.entry(x, y) == (stencil.get(x - y, 0) if on(x) and on(y) else 0)
+    verts = list(range(6, -7, -1))          # reversed, and off the naturals
+    assert f.to_dense(verts, verts).tolist() == [[f.entry(v, w) for w in verts] for v in verts]
+    far = [10 ** 6 + 1, 10 ** 6]
+    assert f.to_dense(far, far).tolist() == [[stencil.get(v - w, 0) for w in far] for v in far]
+
+
+def test_count_reads_follow_entries_not_edges():
+    # rows, columns, entries, dense blocks, validation and heights read the
+    # counts: a count of 10**9 was once laid out as 10**9 edges
+    big = 10 ** 9
+    nat = diagram_from_dict({"kind": "stationary", "vertices": {"type": "naturals"},
+                             "matrices": [{"triplets": [[0, 0, big], [1, 0, 1]]}]})
+    f = nat.matrix(0)
+    assert f.row(0) == [(0, big)] and f.row(1) == [(0, 1), (1, big)]
+    assert f.column(0) == [(0, big), (1, 1)]
+    assert (f.entry(0, 0), f.entry(1, 0), f.entry(0, 1)) == (big, 1, 0)
+    assert f.to_dense([0, 1], [0, 1]).tolist() == [[big, 0], [1, big]]
+    assert validate_diagram(nat).valid
+    h1 = {0: big, 1: big + 1}
+    assert height_vector(nat, 2, window=1).values == {0: big * h1[0], 1: big * h1[1] + h1[0]}
+
+
+def test_dense_block_of_far_apart_targets():
+    # the block was once laid out over the whole span of the targets
+    n = 10 ** 5
+    f = IncidenceMatrix(FINITE, triplets=[[0, n - 1, 2], [5, 5, 1], [n - 1, 0, 3]], size=n)
+    a = f.to_dense([n - 1, 0, -1], list(range(n)))
+    assert a.shape == (3, n) and a.sum() == 5 and (a[0, 0], a[1, n - 1]) == (3, 2)
+
+
+@pytest.mark.parametrize("stencil", [{0: 1, 1: 2 ** 63}, {0: 1, 2 ** 63: 1}])
+def test_stencil_past_int64_refused(stencil):
+    # its reads lay the offsets and counts out as int64 arrays
+    with pytest.raises(pm.DiagramError, match=r"exceeds 2\*\*63 - 1"):
+        IncidenceMatrix(pm.NATURALS, stencil=stencil)
+
+
 def test_finite_matrix_requires_entries():
     with pytest.raises(pm.DiagramError):
         IncidenceMatrix(FINITE)

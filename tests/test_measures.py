@@ -412,6 +412,21 @@ def test_ifs_sampling_requires_start_when_infinite(allones2):
     assert p.start == 1
 
 
+def test_empirical_check_on_infinite_mass_says_why(tri_z, allones2):
+    # the check once passed on the sampler's advice to supply a starting
+    # vertex, which empirical_check takes no parameter for
+    nu = ifs_measure(allones2, SYMMETRIC_P)
+    nu.total_mass = math.inf
+    for m in (stationary_tail_measure(tri_z), nu):
+        with pytest.raises(pm.InfiniteMass) as exc:
+            empirical_check(m, 2, 100, seed=0)
+        assert str(exc.value) == ("an empirical check draws its starting vertices from q, "
+                                  "which needs finite total mass")
+        with pytest.raises(pm.InfiniteMass) as exc:
+            sample_paths(m, 2, 100, seed=0)
+        assert str(exc.value) == "supply a starting vertex for sigma-finite sampling"
+
+
 def test_empirical_markov(allones2):
     table = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
     m = markov_measure(allones2, [0.5, 0.5], table)
@@ -635,7 +650,7 @@ def test_ifs_markov_form_weighs_every_parallel_edge():
     assert check_kolmogorov(nu.markov, 2).holds
 
 
-def test_markov_q_outside_finite_level_rejected(allones2):
+def test_markov_q_outside_finite_level_rejected(allones2, fib):
     # the mass on vertex 5 was once counted in total_mass and drawn as a start
     half = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
     with pytest.raises(pm.SupportMismatch, match="vertex 5"):
@@ -643,6 +658,57 @@ def test_markov_q_outside_finite_level_rejected(allones2):
     with pytest.raises(pm.SupportMismatch, match="vertex -1"):
         markov_measure(allones2, {0: 1.0, -1: 0.0}, half)
     assert markov_measure(allones2, {0: 0.5, 1: 0.5}, half).total_mass == 1.0
+    # so were tail vectors: fib once reported total_mass 4.0 and drew
+    # empty paths anchored at vertex 7
+    with pytest.raises(pm.SupportMismatch) as exc:
+        tail_measure_from_vectors(fib, [{0: 1.0, 1: 1.0, 7: 2.0}])
+    assert str(exc.value) == "level-0 vertex mass on vertex 7, outside level 0"
+    with pytest.raises(pm.SupportMismatch, match="level-1 vertex mass on vertex 2,"):
+        tail_measure_from_vectors(fib, [[PHI, 1.0], {0: 1.0, 1: 1 / PHI, 2: 0.0}], tol=1e-12)
+    nat = pm.diagram_from_dict({"kind": "stationary", "vertices": {"type": "naturals"},
+                                "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1]]}]})
+    with pytest.raises(pm.SupportMismatch, match="vertex -3,"):
+        tail_measure_from_vectors(nat, [{0: 1.0, -3: 1.0}])
+    with pytest.raises(pm.SupportMismatch, match="initial mass on vertex -1,"):
+        markov_measure(nat, {0: 1.0, -1: 0.0}, {(0, 0, 0): 0.5, (0, 1, 0): 0.5})
+
+
+def test_far_off_weight_keys_on_a_stencil(tri_z):
+    # a key far outside the window is checked against its own vertex's
+    # edges; the vertices between are not read
+    table = {(w, w + d, 0): 1 / 3 for w in tri_z.vertices() for d in (-1, 0, 1)}
+    far = 10 ** 15                  # a span this wide could not be allocated
+    m = markov_measure(tri_z, {v: 0.25 for v in range(4)}, {**table, (far, far + 1, 0): 0.5})
+    assert m.level_table(0)[far, far + 1, 0] == 0.5
+    with pytest.raises(pm.SupportMismatch, match=f"edge \\({far}->{far + 2}:0\\) at level 0"):
+        markov_measure(tri_z, {0: 1.0}, {**table, (far, far + 2, 0): 0.5})
+    vectors = [{v: 3.0 ** -n for v in [*range(-2 - n, 3 + n), far - n, far + 1]} for n in range(2)]
+    with pytest.raises(pm.InconsistentVectors):
+        tail_measure_from_vectors(tri_z, vectors)
+
+
+@pytest.mark.parametrize("build, kind, message", [
+    # a Markov table with two positive weights on missing edges: the first
+    # in the table's order is named
+    (lambda d: markov_measure(d, [1.0, 0.0], {(0, 0, 0): 0.5, (1, 1, 0): 0.3, (0, 1, 0): 0.5,
+                                              (0, 0, 1): 0.2, (1, 0, 0): 1.0}),
+     pm.SupportMismatch, "positive weight on missing edge (1->1:0) at level 0"),
+    (lambda d: markov_measure(d, [1.0, 0.0], [{(0, 0, 0): 0.5, (0, 1, 0): 0.5, (1, 0, 0): 1.0},
+                                              {(0, 0, 3): 0.1, (2, 0, 0): 0.1}]),
+     pm.SupportMismatch, "positive weight on missing edge (0->0:3) at level 1"),
+    # IFS weights with two pairs that are not edges
+    (lambda d: ifs_measure(d, [[0, 0, 0.5], [1, 1, 0.5], [0, 1, 0.5], [5, 0, 0.5], [1, 0, 0.5]]),
+     pm.SupportMismatch, "weight on missing edge (1->1)"),
+    # IFS weights that miss two edges
+    (lambda d: ifs_measure(d, [[1, 0, 0.5]]),
+     pm.MeasureError, "missing weight for edge (0->0)"),
+    (lambda d: ifs_measure(d, [[0, 0, 0.5], [1, 0, 0.5]]),
+     pm.MeasureError, "missing weight for edge (0->1)"),
+])
+def test_constructors_name_the_first_offending_key(fib, build, kind, message):
+    with pytest.raises(kind) as exc:
+        build(fib)
+    assert type(exc.value) is kind and str(exc.value) == message
 
 
 HALF_TABLE = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
