@@ -72,7 +72,6 @@ class IncidenceMatrix:
     def __init__(self, domain, entries=None, stencil=None, band=None, size=None,
                  triplets=None):
         self.domain = domain
-        self._transpose = None    # set here: a later new attribute slows every lookup
         self._pairs = [None, None]          # pairs' tables: columns, rows
         self._edges = [None, None]          # edge_table's finite tables: out, in
         self._components = None             # strong component count of a finite level
@@ -184,9 +183,10 @@ class IncidenceMatrix:
         """The out-edges (with ``into``, the in-edges) of the vertices
         lo .. hi-1 of a level, in ``DiagramSpec.edges_from`` (``edges_into``)
         order, as arrays (first, sources, targets, mults): vertex lo + i
-        owns edges first[i] .. first[i+1]-1.  Each entry of one pairs read
-        is laid out once per edge: a stencil's range, or a finite level's
-        whole table, kept, which the range is sliced out of."""
+        owns edges first[i] .. first[i+1]-1; a vertex off the level owns
+        none.  Each entry of one pairs read is laid out once per edge: a
+        stencil's range, or a finite level's whole table, kept, which the
+        range is sliced out of."""
         table = self._edges[into]
         if table is None:
             base = np.arange(0, self.size) if self.domain == FINITE else np.arange(lo, hi)
@@ -201,19 +201,17 @@ class IncidenceMatrix:
             for a in table:
                 a.flags.writeable = False     # handed out as they are
         first, *arrays = table
-        a, b = first[lo], first[hi]
-        return (first[lo:hi + 1] - a, *(x[a:b] for x in arrays))
+        first = (first[lo:hi + 1] if 0 <= lo and hi <= self.size
+                 else first.take(np.arange(lo, hi + 1), mode="clip"))   # off the level: none
+        a, b = first[0], first[-1]
+        return (first - a, *(x[a:b] for x in arrays))
 
     @property
-    def transpose_arrays(self):
-        """(rows, cols, counts) of a finite level's A = F^T, in (target, source)
-        order, and whether its graph has a cycle (else A is nilpotent); built
-        on first use and kept."""
-        if self._transpose is None:
-            cols, rows, counts = (np.ascontiguousarray(x) for x in self.triplets.T)
-            cyclic = bool(np.any(rows == cols)) or self.components < self.size
-            self._transpose = rows, cols, counts.astype(float), cyclic
-        return self._transpose
+    def has_cycle(self) -> bool:
+        """Whether a finite level's graph has a cycle (else A = F^T is
+        nilpotent): a self-loop, or a strong component of two vertices or more."""
+        t = self.triplets
+        return bool(np.any(t[:, 0] == t[:, 1])) or self.components < self.size
 
     @property
     def components(self) -> int:
@@ -521,7 +519,7 @@ def is_irreducible(spec: DiagramSpec, window: int | None = None,
     """
     if spec.is_stationary and spec.domain == FINITE:
         f = spec.matrix(0)
-        joined = f.size == 0 or (f.transpose_arrays[3] and f.components == 1)
+        joined = f.size == 0 or f.components == 1 and (f.size > 1 or f.has_cycle)
         return "yes" if joined else "no-within-horizon"
     verts = spec.vertices(window)
     k = len(verts)

@@ -68,22 +68,22 @@ IDENTITY_TOL = 1e-12      # closed-form identities
 class TailInvariantMeasure:
     """Measure whose cylinder values depend only on (length, range vertex).
 
-    Either backed by an explicit vector sequence mu^(0..N) or by a Perron
-    eigenpair of a stationary diagram, where mu^(n)_v = t_v / lam^n.  Its
-    Markov form has q = mu^(0) and p^(n)_{w,e} = mu^(n+1)_{r(e)} / mu^(n)_w.
-    On an infinite vertex domain the form covers the vectors' window only
-    and the total mass counts as infinite.
+    Either backed by an explicit vector sequence mu^(0..N) or, when
+    ``eigen`` is set, by a Perron eigenpair of a stationary diagram, where
+    mu^(n)_v = t_v / lam^n.  Its Markov form has q = mu^(0) and
+    p^(n)_{w,e} = mu^(n+1)_{r(e)} / mu^(n)_w.  On an infinite vertex domain
+    the form covers the vectors' window only and the total mass counts as
+    infinite.
     """
 
     diagram: DiagramSpec
-    provenance: str                      # "explicit" | "perron"
     vectors: list | None = None          # list of dicts, levels 0..N
     eigen: EigenPair | None = None
     markov: MarkovMeasure = field(init=False, repr=False)
     total_mass: float = field(init=False)
 
     def __post_init__(self):
-        stationary = self.provenance == "perron"
+        stationary = self.eigen is not None
         n_tables = 1 if stationary else len(self.vectors) - 1
         tables = [_tail_table(self.diagram, n, self.level_vector(n), self.level_vector(n + 1))
                   for n in range(n_tables)]
@@ -91,7 +91,7 @@ class TailInvariantMeasure:
         self.total_mass = self.markov.total_mass if self.diagram.domain == FINITE else math.inf
 
     def level_vector(self, n: int) -> dict:
-        if self.provenance == "perron":
+        if self.eigen is not None:
             lam = self.eigen.lam
             return {v: tv / lam ** n for v, tv in self.eigen.t.items()}
         if n >= len(self.vectors):
@@ -101,7 +101,7 @@ class TailInvariantMeasure:
     def value(self, path: FinitePath) -> float:
         edges = path.edges
         end = edges[-1].target if edges else path.anchor
-        if self.provenance == "perron":
+        if self.eigen is not None:
             return _in_window(self.eigen.t, end) / self.eigen.lam ** len(edges)
         return _in_window(self.level_vector(len(edges)), end)
 
@@ -110,7 +110,7 @@ class TailInvariantMeasure:
         if not len(level):
             return np.zeros(0)
         n = len(level.edges)
-        if self.provenance == "perron":
+        if self.eigen is not None:
             return _in_window_at(self.eigen.t, level.end) / self.eigen.lam ** n
         return _in_window_at(self.level_vector(n), level.end)
 
@@ -185,7 +185,7 @@ def tail_measure_from_vectors(diagram: DiagramSpec, vectors,
             back = sum(c * nxt[v] for v, c in column.items() if v in nxt)
             if abs(back - cur[w]) > tol:
                 raise InconsistentVectors(n, abs(back - cur[w]))
-    return TailInvariantMeasure(diagram, "explicit", vectors=vecs)
+    return TailInvariantMeasure(diagram, vectors=vecs)
 
 
 def stationary_tail_measure(diagram: DiagramSpec, tol: float = DEFAULT_TOL,
@@ -195,7 +195,7 @@ def stationary_tail_measure(diagram: DiagramSpec, tol: float = DEFAULT_TOL,
     eigenpair of A = F^T: cylinders of n edges ending at v get t_v/lam^n."""
     diagram.require_stationary()
     eigen = perron_eigenpair(diagram.matrix(0), window, tol, max_iter)
-    return TailInvariantMeasure(diagram, "perron", eigen=eigen)
+    return TailInvariantMeasure(diagram, eigen=eigen)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,6 @@ class MarkovMeasure:
     q: dict
     levels: list
     stationary: bool = True
-    full_support: bool = True
     total_mass: float = field(init=False)
     starts: tuple | None = field(init=False, repr=False)
     _rows: dict = field(init=False, repr=False, compare=False)
@@ -229,6 +228,16 @@ class MarkovMeasure:
     @property
     def markov(self) -> "MarkovMeasure":
         return self
+
+    @property
+    def full_support(self) -> bool:
+        """Whether q and every transition out of a window vertex are
+        positive, in each stored table."""
+        verts = self.diagram.vertices()
+        return all(x > 0 for x in self.q.values()) and all(
+            table.get((w, v, k), 0.0) > 0 for n, table in enumerate(self.levels)
+            for w, column in _columns(self.diagram, n, verts).items()
+            for v, c in column.items() for k in range(c))
 
     def _level(self, n: int) -> int:
         if self.stationary:
@@ -321,7 +330,6 @@ def markov_measure(diagram: DiagramSpec, q, p_levels,
         diagram.require_stationary()
     levels = [_as_table(table, f"level-{n} transition")
               for n, table in enumerate([p_levels] if stationary else p_levels)]
-    full_support = all(x > 0 for x in q.values())
     verts = diagram.vertices()
     for n, table in enumerate(levels):
         weighed = [w for (w, _, _), p in table.items() if p > 0]
@@ -334,8 +342,7 @@ def markov_measure(diagram: DiagramSpec, q, p_levels,
             weights = [table.get((w, v, k), 0.0) for v, c in columns[w].items() for k in range(c)]
             if weights and abs(sum(weights) - 1.0) > tol:
                 raise NotStochastic(w, f"outgoing mass {sum(weights):g} at vertex {w}, level {n}")
-            full_support &= min(weights, default=1.0) > 0
-    return MarkovMeasure(diagram, q, levels, stationary, full_support)
+    return MarkovMeasure(diagram, q, levels, stationary)
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +355,16 @@ class IFSWeights:
     Cylinder values: nu([f_0..f_{n-1}]) = p_{f_0} ... p_{f_{n-1}} q_{r(f_{n-1})},
     nu([w]) = q_w.  p is a general strictly positive weight vector; the
     total mass sum_w q_w is reported, not assumed finite or one.  The
-    Markov form has transitions p_e q_{r(e)} / q_{s(e)}.
+    Markov form has transitions p_e q_{r(e)} / q_{s(e)}.  The column sums
+    and the total mass are read off p and q.
     """
 
     diagram: DiagramSpec
     p: dict                 # (source, target) -> weight
     q: dict                 # vertex -> harmonic component
-    column_sums: dict       # vertex w -> sum of p_e over r(e) = w
     residual: float = 0.0
-    total_mass: float = math.inf
+    column_sums: dict = field(init=False)   # vertex w -> sum of p_e over r(e) = w
+    total_mass: float = field(init=False)   # the Markov form's sum of q
     markov: MarkovMeasure = field(init=False, repr=False)
     _table: dict = field(init=False, repr=False, compare=False)  # (source, target, mult) -> p_e
 
@@ -366,6 +374,11 @@ class IFSWeights:
                        for k in range(columns.get(w, {}).get(v, 0))}
         table = {(w, v, k): x * self.q[v] / self.q[w] for (w, v, k), x in self._table.items()}
         self.markov = MarkovMeasure(self.diagram, self.q, [table])
+        self.total_mass = self.markov.total_mass
+        into = {w: [] for w in self.diagram.vertices()}    # in-weights, in table order
+        for (_, v, _), x in self._table.items():
+            into.setdefault(v, []).append(x)
+        self.column_sums = {w: sum(xs) for w, xs in into.items()}
 
     def weight(self, edge: Edge) -> float:
         """p_e; 0.0 for an edge the diagram lacks."""
@@ -413,12 +426,7 @@ def ifs_measure(diagram: DiagramSpec, p, tol: float = DEFAULT_TOL) -> IFSWeights
     for (w, v), x in p.items():
         m[w, v] = x
     harmonic = solve_harmonic(m, tol)
-    q = dict(zip(verts, harmonic.q.tolist()))
-    into = {w: [] for w in verts}       # each vertex's in-weights, in p's order
-    for (_, v), x in p.items():
-        into[v].append(x)
-    cols = {w: sum(xs) for w, xs in into.items()}
-    return IFSWeights(diagram, p, q, cols, harmonic.residual, harmonic.total_mass)
+    return IFSWeights(diagram, p, dict(zip(verts, harmonic.q.tolist())), harmonic.residual)
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,9 @@ def tail_equivalent_on_prefix(x: FinitePath, y: FinitePath, m: int) -> bool:
 @dataclass(frozen=True, eq=False)
 class EdgeColumn:
     """The edges one position of a PathColumns level can hold: edge i runs
-    from ``sources[i]`` to ``targets[i]`` with multiplicity ``mults[i]``,
-    all at ``level``.  The edges are distinct."""
+    from ``sources[i]`` to ``targets[i]`` with multiplicity ``mults[i]``.
+    The edges are distinct; their level is the position the column holds."""
 
-    level: int
     sources: np.ndarray
     targets: np.ndarray
     mults: np.ndarray
@@ -172,7 +171,7 @@ class EdgeColumn:
 class PathColumns:
     """The paths of one length n as columns: row i is a path from vertex
     ``start[i]`` to vertex ``end[i]`` whose position j holds edge
-    ``ids[i, j]`` of the edge column ``edges[j]``.
+    ``ids[i, j]`` of the edge column ``edges[j]``, at level j.
 
     ``degree`` gives, for each row of the level this one was grown from,
     how many consecutive rows here extend it (None at level 0).
@@ -205,11 +204,11 @@ class PathColumns:
         if not self.edges:
             return [empty_path(v) for v in self.start.tolist()]
         cols = []
-        for col, ids in zip(self.edges, self.ids.T):
+        for j, (col, ids) in enumerate(zip(self.edges, self.ids.T)):
             edges = np.empty(len(col.sources), dtype=object)
             held = (slice(None) if len(ids) >= len(edges)
                     else np.flatnonzero(np.bincount(ids, minlength=len(edges))))
-            edges[held] = [Edge(col.level, s, t, k) for s, t, k in zip(
+            edges[held] = [Edge(j, s, t, k) for s, t, k in zip(
                 col.sources[held].tolist(), col.targets[held].tolist(), col.mults[held].tolist())]
             cols.append(edges[ids].tolist())
         return list(map(FinitePath, zip(*cols)))
@@ -223,9 +222,9 @@ class PathColumns:
     def prepend(self, spec: DiagramSpec, level: int = 0) -> "PathColumns":
         """Each row prefixed with every edge at ``level`` into its start, in
         edges_into order: one consecutive block per row, the row's edges
-        now at positions 1 .. n.  The edge columns keep their own level, so
-        the shift's inverse tau_f (stationary diagrams) prepends at level 0
-        and a backward walk at the level before the row's first edge."""
+        now at positions 1 .. n, one level up.  The shift's inverse tau_f
+        (stationary diagrams) reads level 0; a backward walk reads each
+        level in turn, down to 0, and its rows are paths once it is there."""
         edges, parent, ids, degree = _fan_out(self.start, spec, level, into=True)
         return PathColumns(edges.sources[ids], self.end[parent],
                            np.concatenate((ids[:, None], self.ids[parent]), axis=1),
@@ -236,7 +235,8 @@ def _fan_out(at: np.ndarray, spec: DiagramSpec, level: int, into: bool = False) 
     """Fan each vertex of ``at`` out to its edges at ``level`` (with
     ``into``, the edges into it), read from the matrix's edge table of the
     range of ``at``; returns that table as an EdgeColumn, each new row's
-    source row and edge index, and the degree of each entry of ``at``."""
+    source row and edge index, and the degree of each entry of ``at``.
+    ``level`` only picks the matrix: the column's position gives its level."""
     if len(at):
         lo = int(at.min())
         first, *arrays = spec.matrix(level).edge_table(lo, int(at.max()) + 1, into)
@@ -247,7 +247,7 @@ def _fan_out(at: np.ndarray, spec: DiagramSpec, level: int, into: bool = False) 
     degree = first[at + 1] - start
     parent = np.arange(len(at)).repeat(degree)
     ids = np.arange(len(parent)) + (start - (degree.cumsum() - degree)).repeat(degree)
-    return EdgeColumn(level, *arrays), parent, ids, degree
+    return EdgeColumn(*arrays), parent, ids, degree
 
 
 def path_columns(spec: DiagramSpec, n: int, window: int | None = None):
@@ -302,7 +302,8 @@ def cell(spec: DiagramSpec, n: int, v: int) -> LevelPartitionCell:
 def parse_path_literal(text: str, spec: DiagramSpec) -> FinitePath:
     """Parse the CLI path literal ``v0-v1-...:k0,k1,...`` (multiplicity
     indices optional, default 0); a part that is not an integer raises
-    PathError naming the literal."""
+    PathError naming the literal, and the first edge the diagram lacks
+    NotAdmissible.  The counts come from one pairs read per matrix."""
     vert_part, _, mult_part = text.partition(":")
     try:
         mults = [int(k) for k in mult_part.split(",")] if mult_part else []
@@ -313,7 +314,15 @@ def parse_path_literal(text: str, spec: DiagramSpec) -> FinitePath:
         raise PathError("path literal needs at least two vertices")
     mults = mults + [0] * (len(verts) - 1 - len(mults))
     edges = [Edge(i, verts[i], verts[i + 1], mults[i]) for i in range(len(verts) - 1)]
-    for e in edges:
-        if not spec.has_edge(e):
+    stored = len(edges) if spec.is_stationary else min(len(edges), len(spec.matrices))
+    reads = {0: range(stored)} if spec.is_stationary else {i: [i] for i in range(stored)}
+    count = []                         # f_{v_{i+1}, v_i} at each stored position i
+    for level, at in reads.items():    # one pairs read a matrix, of the targets in order
+        first, sources, counts = (x.tolist() for x in spec.matrix(level).pairs(
+            [verts[i + 1] for i in at], into=True))
+        count += [dict(zip(sources[a:b], counts[a:b])).get(verts[i], 0)
+                  for i, a, b in zip(at, first, first[1:])]
+    for e in edges:                    # past a sequence diagram's store: DiagramError
+        if not 0 <= e.mult < (count[e.level] if e.level < stored else spec.matrix(e.level)):
             raise NotAdmissible(e.level, f"no edge {e} in the diagram")
-    return validate_path(edges)
+    return FinitePath(tuple(edges))

@@ -121,9 +121,9 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
 
     Finite domains iterate on A + I over the full level with sum-one
     normalization: the shift makes an irreducible A primitive, periodic
-    ones included, and each product gathers the level's cached transpose
-    arrays.  Once converged the iteration polishes, stepping on (at most
-    200 steps) while the residual keeps improving.  The result carries the
+    ones included, and each product gathers the level's triplets.  Once
+    converged the iteration polishes, stepping on (at most 200 steps)
+    while the residual keeps improving.  The result carries the
     Collatz-Wielandt bracket min/max (A t)_v / t_v, which holds the Perron
     root.  A level graph without a cycle (nilpotent A) raises
     DegenerateSolution at once.
@@ -138,9 +138,10 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
     if not 0 < tol < np.inf:          # NaN fails too
         raise SolverError(f"tol {tol!r} is not a finite positive number")
     if f.domain == FINITE:
-        rows, cols, counts, cyclic = f.transpose_arrays
-        if not cyclic:
+        if not f.has_cycle:
             raise DegenerateSolution("level graph has no cycle: A = F^T is nilpotent")
+        cols, rows = np.ascontiguousarray(f.triplets[:, :2].T)    # A = F^T
+        counts = f.triplets[:, 2].astype(float)
 
         def a_mul(x):
             return np.bincount(rows, weights=counts * x[cols], minlength=len(x))

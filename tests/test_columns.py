@@ -22,6 +22,7 @@ from pathmeas import (
     Edge,
     IFSWeights,
     build_sfs,
+    cell,
     check_ifs_fixed_point,
     check_kolmogorov,
     check_shift_invariance,
@@ -35,6 +36,7 @@ from pathmeas import (
     shift,
     stationary_tail_measure,
     tail_measure_from_vectors,
+    validate_path,
 )
 from pathmeas.measures import ShiftInvarianceReport, TailInvarianceReport, _block_sums
 from pathmeas.pathspace import column_level, path_columns
@@ -117,7 +119,7 @@ def finite_case(draw):
         p = {(e.source, e.target): draw(st.sampled_from([0.2, 0.5, 1.5]))
              for e in spec.all_edges(0)}
         q = {v: draw(st.sampled_from([0.25, 1.0, 2.0])) for v in spec.vertices()}
-        m = IFSWeights(spec, p, q, {})
+        m = IFSWeights(spec, p, q)
     return m, n, None
 
 
@@ -183,6 +185,61 @@ def test_level_values_match_value_finite(case):
 @given(stencil_case())
 def test_level_values_match_value_stencil(case):
     _check(*case)
+
+
+@st.composite
+def levels_case(draw):
+    """(markov, n): a random finite stationary or sequence diagram
+    (multi-edges and sinks allowed) under a Markov measure with its own
+    table at each level, P_levels, enough for paths of n + 1 edges on a
+    stationary diagram and for every stored matrix of a sequence one."""
+    k = draw(st.integers(1, 4))
+    stationary = draw(st.booleans())
+    n_mats = 1 if stationary else draw(st.integers(1, 4))
+    spec = pm.diagram_from_dict({
+        "kind": "stationary" if stationary else "sequence",
+        "vertices": {"type": "finite", "count": k},
+        "matrices": [_matrix(draw, k) for _ in range(n_mats)]})
+    n = draw(st.integers(0, 4 if stationary else n_mats))
+    tables = [_table(draw, spec, j) for j in range(n + 1 if stationary else n_mats)]
+    return markov_measure(spec, _weights(draw, k), tables), n
+
+
+def _admissible(m, level, want):
+    """level.paths() equal ``want``, pass validate_path, and are valued by
+    ``value`` as ``values`` values the level."""
+    paths = level.paths()
+    assert paths == want
+    assert all(validate_path(p.edges) == p for p in paths if len(p))
+    assert [m.value(p) for p in paths] == m.values(level).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(levels_case())
+def test_columns_give_admissible_paths(case):
+    # position j of a level is level j: shift() and prepend() once kept each
+    # column's stored level, so their paths were inadmissible and valued
+    # with the wrong table
+    m, n = case
+    spec = m.diagram
+    for level in path_columns(spec, n):
+        paths = level.paths()
+        _admissible(m, level, paths)
+        if len(level.edges):
+            _admissible(m, level.shift(),
+                        [shift(p) if len(p) > 1 else empty_path(p.end) for p in paths])
+        if spec.is_stationary:
+            _admissible(m, level.prepend(spec),
+                        [prepend(f, p) for p in paths for f in spec.edges_into(p.start, 0)])
+    valued = dict(zip(paths, m.values(level).tolist()))
+    for v in spec.vertices():
+        try:
+            members = cell(spec, n, v).members
+        except pm.Unreachable:
+            continue
+        assert all(validate_path(p.edges) == p for p in members if len(p))
+        assert sorted(map(str, members)) == sorted(str(p) for p in paths if p.end == v)
+        assert [m.value(p) for p in members] == [valued[p] for p in members]
 
 
 def _same_report(audit, reference, *args):
@@ -262,7 +319,7 @@ def test_audits_build_no_edge(k, seed):
                             {e.key(): 1 / len(es) for es in out.values() for e in es})
     ifs = IFSWeights(spec, {(w, v): float(x) for (v, w), x in
                             zip(sorted(pairs), rng.uniform(0.2, 1.5, len(pairs)))},
-                     {v: float(x) for v, x in enumerate(rng.uniform(0.5, 2.0, k))}, {})
+                     {v: float(x) for v, x in enumerate(rng.uniform(0.5, 2.0, k))})
     tri = pm.diagram_from_dict(TRI_Z)
     z = markov_measure(tri, {v: 0.25 for v in range(4)},
                        {e.key(): 1 / 3 for w in tri.vertices() for e in tri.edges_from(w, 0)})
@@ -314,7 +371,7 @@ def test_constructors_build_no_edge(k, seed):
              lambda: markov_measure(spec, markov["q"], {(w, v, k): p for w, v, k, p in markov["P"]}),
              lambda: pm.ifs_measure(spec, ifs["p"]),
              lambda: tail_measure_from_vectors(spec, vectors),
-             lambda: pm.IFSWeights(spec, {(w, v): 0.5 for v, w in pairs}, {v: 1.0 for v in range(k)}, {}),
+             lambda: pm.IFSWeights(spec, {(w, v): 0.5 for v, w in pairs}, {v: 1.0 for v in range(k)}),
              lambda: stationary_tail_measure(tri),
              lambda: markov_measure(tri, {v: 0.25 for v in range(4)}, z_table),
              lambda: tail_measure_from_vectors(tri, [{v: 3.0 ** -n for v in range(-4 - n, 5 + n)}

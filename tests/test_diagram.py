@@ -181,7 +181,19 @@ def test_irreducible_counts_components_once(fib, identity2):
             assert [is_irreducible(spec), is_irreducible(spec)] == [verdict] * 2
             assert len(calls) == 1
         calls.clear()          # a self-loop makes a level cyclic without a count
-        assert level(2, [[0, 0, 1], [1, 0, 1]]).matrix(0).transpose_arrays[3] and not calls
+        assert level(2, [[0, 0, 1], [1, 0, 1]]).matrix(0).has_cycle and not calls
+
+
+def test_edge_table_range_off_the_level(fib):
+    # a vertex off a finite level owns no edges, as in pairs: the range was
+    # once trusted, so (-1, 1) gave vertex -1 no first and (1, 5) raised IndexError
+    f = fib.matrix(0)
+    for lo, hi in ((-1, 1), (1, 5), (-3, -1), (-2, 4), (0, 2), (1, 1)):
+        for into in (False, True):
+            first, *arrays = (x.tolist() for x in f.edge_table(lo, hi, into))
+            want = [fib.edges_into(u, 0) if into else fib.edges_from(u, 0) for u in range(lo, hi)]
+            assert first == [sum(map(len, want[:i])) for i in range(len(want) + 1)]
+            assert list(zip(*arrays)) == [e.key() for es in want for e in es]
 
 
 def test_irreducible_tri_z(tri_z):
@@ -405,10 +417,7 @@ def test_finite_adjacency_matches_entry_scan(case):
         assert list(zip(sources.tolist(), targets.tolist(), mults.tolist())) == edges
         owner = 1 if into else 0
         assert first.tolist() == [sum(e[owner] < u for e in edges) for u in range(n + 1)]
-    a_rows, a_cols, counts, cyclic = f.transpose_arrays
-    assert a_rows.tolist() == [w for v, w in ref] and a_cols.tolist() == [v for v, w in ref]
-    assert counts.tolist() == [float(c) for c in ref.values()]
-    assert cyclic == _has_cycle(ref, n)
+    assert f.has_cycle == _has_cycle(ref, n)
     verts = list(range(n, -2, -1))          # reversed, with one vertex past each end
     dense = f.to_dense(verts, verts)
     assert dense.tolist() == [[ref.get((v, w), 0) for w in verts] for v in verts]

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,20 @@ def test_markov_flags_missing_support(fib):
     table = {(0, 0, 0): 0.618, (0, 1, 0): 0.382, (1, 0, 0): 1.0}
     m = markov_measure(fib, [1.0, 0.0], table, tol=1e-3)
     assert not m.full_support
+
+
+def test_full_support_read_off_every_form(allones2, fib):
+    # a flag that only markov_measure once set: every tail and IFS form said True
+    vecs = tail_measure_from_vectors(fib, [{0: 1.0, 1: 0.0}, {0: 0.0, 1: 1.0}])
+    assert not vecs.markov.full_support
+    table = {(0, 0, 0): 0.618, (0, 1, 0): 0.382, (1, 0, 0): 1.0}
+    assert not markov_measure(fib, vecs.markov.q, table, tol=1e-3).full_support
+    assert tail_measure_from_vectors(allones2, [[1.0, 1.0], [0.5, 0.5]]).markov.full_support
+    assert stationary_tail_measure(fib).markov.full_support
+    assert ifs_measure(allones2, SYMMETRIC_P).markov.full_support
+    # no weight on the loop at vertex 1: its transition is missing
+    partial = pm.IFSWeights(allones2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, {0: 1.0, 1: 1.0})
+    assert not partial.markov.full_support
 
 
 def test_tail_to_markov_closed_form(allones2, fib):
@@ -257,6 +272,33 @@ def test_ifs_not_tail_invariant_ratio_law(allones2):
     a = nu.value(pm.FinitePath((Edge(0, 0, 0),)))
     b = nu.value(pm.FinitePath((Edge(0, 1, 0),)))
     assert a / b == pytest.approx(0.6 / 0.4, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_ifs_derived_fields_match_ifs_measure(k, seed):
+    # column_sums and total_mass are read off p and q: a measure built from
+    # them reports what ifs_measure once summed itself, and can be sampled
+    rng = np.random.default_rng(seed)
+    pairs = sorted({((w + 1) % k, w) for w in range(k)} | {
+        (int(v), int(w)) for v, w in rng.integers(0, k, (2 * k, 2))})
+    spec = pm.diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": k},
+                                 "matrices": [{"triplets": [[v, w, 1] for v, w in pairs]}]})
+    x = rng.uniform(0.2, 1.5, len(pairs))
+    a = np.zeros((k, k))
+    for (v, w), xe in zip(pairs, x):
+        a[w, v] = xe
+    rho = float(max(abs(np.linalg.eigvals(a))))
+    nu = ifs_measure(spec, [[w, v, xe / rho] for i in rng.permutation(len(pairs))
+                            for (v, w), xe in [(pairs[i], x[i])]])
+    into = {w: [] for w in range(k)}        # in-weights in p's order, as ifs_measure summed
+    for (_, v), xe in nu.p.items():
+        into[v].append(xe)
+    assert nu.column_sums == {w: sum(xs) for w, xs in into.items()}
+    direct = pm.IFSWeights(spec, nu.p, nu.q)
+    assert direct.column_sums == nu.column_sums
+    assert direct.total_mass == nu.total_mass == math.fsum(nu.q.values())
+    assert len(sample_paths(direct, 2, 3, seed)) == 3
 
 
 def test_ifs_shift_invariance_column_sums(allones2):
@@ -643,7 +685,7 @@ def test_ifs_markov_form_weighs_every_parallel_edge():
     # mult-0 loop only, so its rows summed to 1/2
     spec = pm.diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": 1},
                                  "matrices": [{"triplets": [[0, 0, 2]]}]})
-    nu = pm.IFSWeights(spec, {(0, 0): 0.5}, {0: 1.0}, {0: 0.5})
+    nu = pm.IFSWeights(spec, {(0, 0): 0.5}, {0: 1.0})
     for n in range(3):
         for path in enumerate_paths(spec, n):
             assert nu.value(path) == nu.markov.value(path), str(path)

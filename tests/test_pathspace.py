@@ -274,6 +274,44 @@ def test_parse_path_literal_mults():
         parse_path_literal("0-0:2", spec)
 
 
+def test_parse_path_literal_reads_each_matrix_once(fib):
+    # the counts come from one pairs read per matrix (once per edge before),
+    # and the errors stay those of the edge-by-edge check: the first failing
+    # position wins, and past a sequence diagram's store DiagramError (but
+    # NotAdmissible for a negative multiplicity, checked first)
+    seq = pm.diagram_from_dict({"kind": "sequence", "vertices": {"type": "finite", "count": 2},
+                                "matrices": [{"triplets": [[0, 0, 1], [1, 0, 2]]},
+                                             {"triplets": [[0, 1, 1], [1, 1, 1]]}]})
+    reads, pairs = [], pm.IncidenceMatrix.pairs
+
+    def counting(self, *args, **kwargs):
+        reads.append(self)
+        return pairs(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pm.IncidenceMatrix, "pairs", counting)
+        p = parse_path_literal("0-0-1-0-0-1", fib)
+        assert reads == [fib.matrix(0)]
+        assert p == validate_path(p.edges) and str(p) == "0-0-1-0-0-1:0,0,0,0,0"
+        reads.clear()
+        assert str(parse_path_literal("0-1-1:1", seq)) == "0-1-1:1,0"
+        assert reads == seq.matrices
+    for text, spec, index, message in [
+            ("0-1-1-0", fib, 1, "no edge (1->1:0)@1 in the diagram"),
+            ("0-0-0:0,1", fib, 1, "no edge (0->0:1)@1 in the diagram"),
+            ("0-5-0-1-1", fib, 0, "no edge (0->5:0)@0 in the diagram"),
+            ("0-0:-1", fib, 0, "no edge (0->0:-1)@0 in the diagram"),
+            ("0-2-0", fib, 0, "no edge (0->2:0)@0 in the diagram"),
+            ("1-0-0-0", seq, 0, "no edge (1->0:0)@0 in the diagram"),
+            ("0-0-0-0", seq, 1, "no edge (0->0:0)@1 in the diagram"),
+            ("0-1-1-1:0,0,-1", seq, 2, "no edge (1->1:-1)@2 in the diagram")]:
+        with pytest.raises(pm.NotAdmissible) as info:
+            parse_path_literal(text, spec)
+        assert (info.value.index, str(info.value)) == (index, message)
+    with pytest.raises(pm.DiagramError, match="no incidence matrix stored for level 2"):
+        parse_path_literal("0-1-1-1", seq)
+
+
 def test_edge_value_semantics_pinned():
     e = Edge(0, 1, 2)
     assert repr(e) == "Edge(level=0, source=1, target=2, mult=0)"
