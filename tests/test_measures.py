@@ -289,8 +289,8 @@ def test_ifs_derived_fields_match_ifs_measure(k, seed):
     for (v, w), xe in zip(pairs, x):
         a[w, v] = xe
     rho = float(max(abs(np.linalg.eigvals(a))))
-    nu = ifs_measure(spec, [[w, v, xe / rho] for i in rng.permutation(len(pairs))
-                            for (v, w), xe in [(pairs[i], x[i])]])
+    order = rng.permutation(len(pairs))     # p in an order of its own, not the triplets'
+    nu = ifs_measure(spec, [[pairs[i][1], pairs[i][0], x[i] / rho] for i in order])
     into = {w: [] for w in range(k)}        # in-weights in p's order, as ifs_measure summed
     for (_, v), xe in nu.p.items():
         into[v].append(xe)
