@@ -182,11 +182,13 @@ class IncidenceMatrix:
     def edge_table(self, lo: int, hi: int, into: bool = False) -> tuple:
         """The out-edges (with ``into``, the in-edges) of the vertices
         lo .. hi-1 of a level, in ``DiagramSpec.edges_from`` (``edges_into``)
-        order, as arrays (first, sources, targets, mults): vertex lo + i
-        owns edges first[i] .. first[i+1]-1; a vertex off the level owns
-        none.  Each entry of one pairs read is laid out once per edge: a
-        stencil's range, or a finite level's whole table, kept, which the
-        range is sliced out of."""
+        order, as arrays (first, sources, targets, mults, index): vertex
+        lo + i owns edges first[i] .. first[i+1]-1, and a vertex off the
+        level owns none; ``index`` gives each edge's position in a finite
+        level's out-edge table (None on a stencil).  Each entry of one pairs
+        read is laid out once per edge: a stencil's range, or a finite
+        level's whole table, kept with its index (the in-edge table's is a
+        permutation), which the range is sliced out of."""
         table = self._edges[into]
         if table is None:
             base = np.arange(0, self.size) if self.domain == FINITE else np.arange(lo, hi)
@@ -196,8 +198,11 @@ class IncidenceMatrix:
             table = (start[first], *((ends, here) if into else (here, ends)),
                      np.arange(start[-1]) - start[:-1].repeat(counts))
             if self.domain != FINITE:
-                return table
-            self._edges[into] = table
+                return (*table, None)
+            position = np.arange(start[-1])
+            if into:        # the out-edge table is the in-edge table stably sorted by source
+                position[np.argsort(table[1], kind="stable")] = np.arange(start[-1])
+            self._edges[into] = table = (*table, position)
             for a in table:
                 a.flags.writeable = False     # handed out as they are
         first, *arrays = table
@@ -495,7 +500,7 @@ def edge_graph_01(spec: DiagramSpec) -> DiagramSpec:
     if spec.domain != FINITE:
         raise DiagramError("edge graph is materialized for finite domains only")
     f = spec.matrix(0)
-    first, _, targets, _ = (x.tolist() for x in f.edge_table(0, f.size))
+    first, _, targets = (x.tolist() for x in f.edge_table(0, f.size)[:3])
     # edge e feeds the out-edges of its target: entry (target f, source e)
     rows = [(g, e, 1) for e, t in enumerate(targets) for g in range(first[t], first[t + 1])]
     return DiagramSpec("stationary", [IncidenceMatrix(FINITE, triplets=rows)])

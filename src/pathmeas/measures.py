@@ -13,6 +13,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, islice, repeat
 
 import numpy as np
@@ -22,6 +23,7 @@ from .diagram import (
     FINITE,
     DiagramSpec,
     Edge,
+    IncidenceMatrix,
     _index,
     height_vector,
     json_field,
@@ -143,12 +145,39 @@ def _lookup(table: dict, keys: np.ndarray, default: float = 0.0) -> np.ndarray:
     return np.array([table.get(k, default) for k in span], dtype=float)[keys - lo]
 
 
-def _column(table: dict, edges: EdgeColumn, ids: np.ndarray) -> np.ndarray:
-    """The weight of the edge of one column at every row: table.get(key,
-    0.0) for the key (source, target, mult), read once per edge of the
-    column."""
-    weights = map(table.get, edges.keys(), repeat(0.0))
-    return np.fromiter(weights, dtype=float, count=len(edges.sources))[ids]
+@dataclass(eq=False)
+class _Weights:
+    """One table of edge weights (source, target, mult) -> weight, read on
+    the edges of ``matrix``, and the same weights as one array in the
+    matrix's out-edge order, laid out on first use and kept."""
+
+    table: dict
+    matrix: IncidenceMatrix
+    _array: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            self._array = _weight_array(self.table, self.matrix)
+        return self._array
+
+    def column(self, edges: EdgeColumn, ids: np.ndarray) -> np.ndarray:
+        """The weight of the edge of one column at every row, 0.0 where the
+        table has none: one gather from the array when the column indexes
+        this matrix's out-edge table, else one table read per edge of the
+        column (a stencil's, or another matrix's)."""
+        if edges.matrix is self.matrix:
+            return self.array[edges.index][ids]
+        weights = map(self.table.get, edges.keys(), repeat(0.0))
+        return np.fromiter(weights, dtype=float, count=len(edges.sources))[ids]
+
+
+def _weight_array(table: dict, f: IncidenceMatrix) -> np.ndarray:
+    """table.get(key, 0.0) for every edge of a finite level, in its
+    out-edge table's order: one pass over the table."""
+    _, *columns, _ = f.edge_table(0, f.size)
+    keys = zip(*(c.tolist() for c in columns))
+    return np.fromiter(map(table.get, keys, repeat(0.0)), dtype=float, count=len(columns[0]))
 
 
 def _columns(diagram: DiagramSpec, level: int, verts) -> dict:
@@ -208,8 +237,10 @@ class MarkovMeasure:
 
     ``levels[n]`` maps an edge key (source, target, mult) at level n to its
     transition probability; a stationary measure reuses ``levels[0]``.
-    ``starts`` holds the vertices of q and their cumulative masses; ``row``
-    builds each vertex's out-edges the first time a walk reaches it.
+    Each table is also kept as one array in its finite level's out-edge
+    order, laid out the first time a column or row reads it.  ``starts``
+    holds the vertices of q and their cumulative masses; ``row`` builds
+    each vertex's out-edges the first time a walk reaches it.
     """
 
     diagram: DiagramSpec
@@ -219,11 +250,13 @@ class MarkovMeasure:
     total_mass: float = field(init=False)
     starts: tuple | None = field(init=False, repr=False)
     _rows: dict = field(init=False, repr=False, compare=False)
+    _weights: list = field(init=False, repr=False, compare=False)   # per table, on first use
 
     def __post_init__(self):
         self.total_mass = math.fsum(self.q.values())
         self.starts = _cumulative(list(self.q), list(self.q.values()))
         self._rows = {}
+        self._weights = [None] * len(self.levels)
 
     @property
     def markov(self) -> "MarkovMeasure":
@@ -231,12 +264,15 @@ class MarkovMeasure:
 
     @property
     def full_support(self) -> bool:
-        """Whether q and every transition out of a window vertex are
-        positive, in each stored table."""
-        verts = self.diagram.vertices()
+        """Whether q and every transition out of a vertex are positive, in
+        each stored table: out of every vertex of a finite level, and out of
+        each vertex whose row the table stores on a stencil, where a form
+        covers a window and leaves out the rows that run past it."""
+        finite = self.diagram.domain == FINITE
         return all(x > 0 for x in self.q.values()) and all(
             table.get((w, v, k), 0.0) > 0 for n, table in enumerate(self.levels)
-            for w, column in _columns(self.diagram, n, verts).items()
+            for w, column in _columns(self.diagram, n, self.diagram.vertices() if finite
+                                      else [w for w, _, _ in table]).items()
             for v, c in column.items() for k in range(c))
 
     def _level(self, n: int) -> int:
@@ -248,6 +284,13 @@ class MarkovMeasure:
 
     def level_table(self, n: int) -> dict:
         return self.levels[self._level(n)]
+
+    def _level_weights(self, n: int) -> _Weights:
+        """The table of level n on the level's matrix, made on first use."""
+        i = self._level(n)
+        if self._weights[i] is None:
+            self._weights[i] = _Weights(self.levels[i], self.diagram.matrix(i))
+        return self._weights[i]
 
     def transition(self, edge: Edge) -> float:
         return self.level_table(edge.level).get(edge.key(), 0.0)
@@ -261,9 +304,15 @@ class MarkovMeasure:
             return self._rows[n, w]
         except KeyError:
             pass
-        table = self.level_table(n)
-        out = tuple(self.diagram.edges_from(w, n))
-        row = _cumulative(out, [table.get(e.key(), 0.0) for e in out])
+        weights = self._level_weights(n)
+        f = self.diagram.matrix(n)
+        if f is weights.matrix and f.domain == FINITE:     # a slice of the kept table
+            _, _, targets, mults, index = f.edge_table(w, w + 1)
+            out = tuple(Edge(n, w, v, k) for v, k in zip(targets.tolist(), mults.tolist()))
+            row = _cumulative(out, weights.array[index].tolist())
+        else:
+            out = tuple(self.diagram.edges_from(w, n))
+            row = _cumulative(out, [weights.table.get(e.key(), 0.0) for e in out])
         if row is None:
             err = MeasureError if self.diagram.domain == FINITE else WindowTooSmall
             raise err(f"no transition row for vertex {w} at level {n}")
@@ -307,8 +356,21 @@ class MarkovMeasure:
             return np.zeros(0)
         vals = _lookup(self.q, level.start)
         for j, (edges, ids) in enumerate(zip(level.edges, level.ids.T)):
-            vals *= _column(self.level_table(j), edges, ids)
+            vals *= self._level_weights(j).column(edges, ids)
         return vals
+
+    @cached_property
+    def _ifs_weights(self) -> tuple:
+        """IFS weights w_e = q_{s(e)} p_e / q_{r(e)} of level 0 (edges whose
+        range has positive mass), on level 0's matrix, and the inflow
+        (qP)_v of each vertex; the measure is the IFS measure of these
+        weights.  A form that stores no level-0 table has neither.  Kept."""
+        weights, inflow = {}, {}
+        for (w, v, k), p in (self.levels[0] if self.levels else {}).items():
+            inflow[v] = inflow.get(v, 0.0) + self.q.get(w, 0.0) * p
+            if self.q.get(v, 0.0) > 0:
+                weights[(w, v, k)] = self.q.get(w, 0.0) * p / self.q[v]
+        return _Weights(weights, self.diagram.matrix(0)), inflow
 
 
 def _cumulative(items, weights):
@@ -366,27 +428,28 @@ class IFSWeights:
     column_sums: dict = field(init=False)   # vertex w -> sum of p_e over r(e) = w
     total_mass: float = field(init=False)   # the Markov form's sum of q
     markov: MarkovMeasure = field(init=False, repr=False)
-    _table: dict = field(init=False, repr=False, compare=False)  # (source, target, mult) -> p_e
+    _p: _Weights = field(init=False, repr=False, compare=False)  # (source, target, mult) -> p_e
 
     def __post_init__(self):
         columns = _columns(self.diagram, 0, [w for w, _ in self.p])
-        self._table = {(w, v, k): x for (w, v), x in self.p.items()
-                       for k in range(columns.get(w, {}).get(v, 0))}
-        table = {(w, v, k): x * self.q[v] / self.q[w] for (w, v, k), x in self._table.items()}
+        p = {(w, v, k): x for (w, v), x in self.p.items()
+             for k in range(columns.get(w, {}).get(v, 0))}
+        self._p = _Weights(p, self.diagram.matrix(0))
+        table = {(w, v, k): x * self.q[v] / self.q[w] for (w, v, k), x in p.items()}
         self.markov = MarkovMeasure(self.diagram, self.q, [table])
         self.total_mass = self.markov.total_mass
         into = {w: [] for w in self.diagram.vertices()}    # in-weights, in table order
-        for (_, v, _), x in self._table.items():
+        for (_, v, _), x in p.items():
             into.setdefault(v, []).append(x)
         self.column_sums = {w: sum(xs) for w, xs in into.items()}
 
     def weight(self, edge: Edge) -> float:
         """p_e; 0.0 for an edge the diagram lacks."""
-        return self._table.get(edge._key, 0.0)
+        return self._p.table.get(edge._key, 0.0)
 
     def value(self, path: FinitePath) -> float:
         """q at the end, then times the weight of each edge in turn."""
-        edges, table = path.edges, self._table
+        edges, table = path.edges, self._p.table
         m = self.q[edges[-1].target if edges else path.anchor]
         try:
             for e in edges:
@@ -400,7 +463,7 @@ class IFSWeights:
         same order: q at the end, then p_{f_0}, p_{f_1}, ..."""
         vals = _lookup(self.q, level.end)
         for edges, ids in zip(level.edges, level.ids.T):
-            vals *= _column(self._table, edges, ids)
+            vals *= self._p.column(edges, ids)
         return vals
 
 
@@ -452,7 +515,7 @@ def check_ifs_fixed_point(ifs: IFSWeights, max_len: int = 4,
                            f"not a {type(ifs).__name__}")
     worst, count = 0.0, 0
     for level in islice(path_columns(ifs.diagram, max_len), 1, None):
-        lhs = _column(ifs._table, level.edges[0], level.ids[:, 0]) * ifs.values(level.shift())
+        lhs = ifs._p.column(level.edges[0], level.ids[:, 0]) * ifs.values(level.shift())
         worst = max(worst, float(np.abs(lhs - ifs.values(level)).max(initial=0.0)))
         count += len(level)
     return FixedPointReport(float(worst), count, bool(worst < tol))
@@ -496,8 +559,8 @@ def _ratio_law_deviation(measure, level: PathColumns) -> float:
     """max |nu[f]/nu[e] - w_f/w_e| over the level-1 cylinders of ``level``
     with a common range vertex, each valued once; edges without a weight
     or without mass take no part."""
-    weights, _ = _form_weights(measure.markov)
-    w = _column(weights, level.edges[0], level.ids[:, 0])
+    weights, _ = measure.markov._ifs_weights
+    w = weights.column(level.edges[0], level.ids[:, 0])
     keep = w != 0                      # only the rows with a weight are valued
     by_range = {}
     for v, val, wv in zip(level.end[keep].tolist(), measure.values(level[keep]).tolist(),
@@ -506,19 +569,6 @@ def _ratio_law_deviation(measure, level: PathColumns) -> float:
             by_range.setdefault(v, []).append((val, wv))
     return float(max((abs(vf / ve - wf / we) for pairs in by_range.values()
                       for ve, we in pairs for vf, wf in pairs), default=0.0))
-
-
-def _form_weights(form: MarkovMeasure) -> tuple:
-    """IFS weights w_e = q_{s(e)} p_e / q_{r(e)} of a Markov form's level 0
-    (edges whose range has positive mass) and the inflow (qP)_v of each
-    vertex; the measure is the IFS measure of these weights.  A form that
-    stores no level-0 table has neither."""
-    weights, inflow = {}, {}
-    for (w, v, k), p in (form.levels[0] if form.levels else {}).items():
-        inflow[v] = inflow.get(v, 0.0) + form.q.get(w, 0.0) * p
-        if form.q.get(v, 0.0) > 0:
-            weights[(w, v, k)] = form.q.get(w, 0.0) * p / form.q[v]
-    return weights, inflow
 
 
 @dataclass
@@ -546,7 +596,7 @@ def check_shift_invariance(measure, max_len: int = 4,
         worst = max(worst, float((np.abs(pre - vals) / vals).max(initial=0.0)))
         factors.update(zip(live.start.tolist(), (pre / vals).tolist()))   # the last path from v wins
     q = measure.markov.q
-    _, inflow = _form_weights(measure.markov)
+    _, inflow = measure.markov._ifs_weights
     predicted = {v: inflow.get(v, 0.0) / q[v] for v in measure.diagram.vertices(window)
                  if q.get(v, 0.0) > 0}
     return ShiftInvarianceReport(float(worst), bool(worst <= tol), factors, predicted)
@@ -597,7 +647,7 @@ def nonstationary_shift_product(m, path: FinitePath, n_terms: int,
 
 def _vertex_transition_residual(m: MarkovMeasure) -> float:
     """sup-norm of q P_0 - q, aggregating edge weights to vertex pairs."""
-    _, inflow = _form_weights(m)
+    _, inflow = m._ifs_weights
     return max(abs(inflow.get(v, 0.0) - m.q.get(v, 0.0)) for v in m.diagram.vertices())
 
 

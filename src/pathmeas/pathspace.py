@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagram import DiagramSpec, Edge
+from .diagram import DiagramSpec, Edge, IncidenceMatrix
 from .errors import (
     DomainViolation,
     EmptyPath,
@@ -156,11 +156,18 @@ def tail_equivalent_on_prefix(x: FinitePath, y: FinitePath, m: int) -> bool:
 class EdgeColumn:
     """The edges one position of a PathColumns level can hold: edge i runs
     from ``sources[i]`` to ``targets[i]`` with multiplicity ``mults[i]``.
-    The edges are distinct; their level is the position the column holds."""
+    The edges are distinct; their level is the position the column holds.
+
+    A column read off a finite level's edge table records that level's
+    ``matrix`` and each edge's ``index`` in its out-edge table, which a
+    measure's kept weight array is gathered by; both are None on a stencil.
+    """
 
     sources: np.ndarray
     targets: np.ndarray
     mults: np.ndarray
+    index: np.ndarray | None = None
+    matrix: IncidenceMatrix | None = None
 
     def keys(self) -> list:
         """Each edge's (source, target, mult), as Edge.key() gives it."""
@@ -239,15 +246,17 @@ def _fan_out(at: np.ndarray, spec: DiagramSpec, level: int, into: bool = False) 
     ``level`` only picks the matrix: the column's position gives its level."""
     if len(at):
         lo = int(at.min())
-        first, *arrays = spec.matrix(level).edge_table(lo, int(at.max()) + 1, into)
+        f = spec.matrix(level)
+        first, *arrays, index = f.edge_table(lo, int(at.max()) + 1, into)
+        edges = EdgeColumn(*arrays, index, f if index is not None else None)
         at = at - lo
     else:          # no row to extend: no matrix is read
-        first, arrays = np.zeros(1, np.intp), [np.zeros(0, np.intp)] * 3
+        first, edges = np.zeros(1, np.intp), EdgeColumn(*[np.zeros(0, np.intp)] * 3)
     start = first[at]
     degree = first[at + 1] - start
     parent = np.arange(len(at)).repeat(degree)
     ids = np.arange(len(parent)) + (start - (degree.cumsum() - degree)).repeat(degree)
-    return EdgeColumn(*arrays), parent, ids, degree
+    return edges, parent, ids, degree
 
 
 def path_columns(spec: DiagramSpec, n: int, window: int | None = None):
@@ -301,15 +310,18 @@ def cell(spec: DiagramSpec, n: int, v: int) -> LevelPartitionCell:
 
 def parse_path_literal(text: str, spec: DiagramSpec) -> FinitePath:
     """Parse the CLI path literal ``v0-v1-...:k0,k1,...`` (multiplicity
-    indices optional, default 0); a part that is not an integer raises
-    PathError naming the literal, and the first edge the diagram lacks
-    NotAdmissible.  The counts come from one pairs read per matrix."""
+    indices optional, default 0); a part that is not an integer, or a
+    vertex outside the int64 range, raises PathError naming the literal,
+    and the first edge the diagram lacks NotAdmissible.  The counts come
+    from one pairs read per matrix."""
     vert_part, _, mult_part = text.partition(":")
     try:
         mults = [int(k) for k in mult_part.split(",")] if mult_part else []
         verts = [int(v) for v in vert_part.split("-")]
     except ValueError:
         raise PathError(f"path literal {text!r} holds a part that is not an integer") from None
+    if not all(-1 << 63 <= v < 1 << 63 for v in verts):
+        raise PathError(f"path literal {text!r} holds a vertex outside the int64 range")
     if len(verts) < 2:
         raise PathError("path literal needs at least two vertices")
     mults = mults + [0] * (len(verts) - 1 - len(mults))

@@ -43,7 +43,7 @@ def build_sfs(diagram: DiagramSpec) -> SemibranchingSystem:
     if diagram.domain != FINITE:
         raise DiagramError("s.f.s. is materialized for finite levels only")
     f = diagram.matrix(0)
-    first, tails, heads, _ = (x.tolist() for x in f.edge_table(0, f.size))
+    first, tails, heads = (x.tolist() for x in f.edge_table(0, f.size)[:3])
     edges = list(zip(tails, heads))
     out = [tuple(edges[a:b]) for a, b in zip(first, first[1:])]    # each vertex's out-edges
     # ranges partition: each length-1 path lies in exactly the R of its

@@ -649,6 +649,19 @@ def test_bad_literal_path_error_exit1(files, args):
     assert error["kind"] == "PathError" and "path literal" in error["message"]
 
 
+@pytest.mark.parametrize("path", ["0-99999999999999999999", "99999999999999999999-0",
+                                  "0-9223372036854775808-0", "0-1:99999999999999999999"])
+def test_vertex_past_int64_path_error_exit1(files, path):
+    # a vertex past int64 once ended in a bare OverflowError traceback, no JSON;
+    # a huge multiplicity is no edge of the diagram
+    res = run(["measure", "eval", "--diagram", files["fib"], "--measure", files["tail"],
+               "--path", path])
+    assert res.exit_code == 1
+    error = json.loads(res.output)["error"]
+    kind = "NotAdmissible" if ":" in path else "PathError"
+    assert error["kind"] == kind and "path literal" * (kind == "PathError") in error["message"]
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_eigen_tolerance_never_met_exit1(files, tol):
     res = run(["eigen", "--diagram", files["fib"], "--tol", tol])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import pathmeas as pm
 import pathmeas.cli as cli
+import pathmeas.measures as measures
 from pathmeas import (
     Edge,
     IFSWeights,
@@ -273,6 +274,110 @@ def test_audits_match_reference_finite(case):
         _same_report(check_shift_invariance, ref_shift_invariance, m, max(n, 1))
     if isinstance(m, IFSWeights):
         _same_report(check_ifs_fixed_point, ref_ifs_fixed_point, m, max(n, 1))
+
+
+def _kept_levels(m, n, data):
+    """The levels a kept-array gather serves, each with the paths its rows
+    hold: each path_columns level (whose columns must index their matrix's
+    out-edge table), its shift, its prepend at level 0 (in-edge columns)
+    and a random subset of its rows."""
+    spec = m.diagram
+    for j, level in enumerate(path_columns(spec, n)):
+        assert all(col.matrix is spec.matrix(i) and col.index is not None
+                   for i, col in enumerate(level.edges))
+        paths = level.paths()
+        yield level, paths
+        if j:
+            yield level.shift(), [shift(p) if len(p) > 1 else empty_path(p.end) for p in paths]
+        pre = level.prepend(spec)
+        yield pre, [prepend(f, p) for p in paths for f in spec.edges_into(p.start, 0)]
+        rows = data.draw(st.lists(st.integers(0, max(len(level) - 1, 0)), max_size=len(level)))
+        yield level[np.array(rows, dtype=np.intp)], [paths[r] for r in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_case(), st.data())
+def test_kept_arrays_value_as_the_tables(case, data):
+    # each level table is gathered from one array in out-edge order; the
+    # gather must give, float for float, what the table gives each path
+    m, n, _ = case
+    weights, _ = m.markov._ifs_weights
+    for level, paths in _kept_levels(m, n, data):
+        assert level.paths() == paths
+        _same_values(m, paths, level)
+        if len(level.edges):        # the ratio law's IFS weights, on level 0's column
+            got = weights.column(level.edges[0], level.ids[:, 0]).tolist()
+            assert got == [weights.table.get(p.edges[0].key(), 0.0) for p in paths]
+
+
+def _arrays_built(monkeypatch) -> Counter:
+    """How often each (table, matrix) has its weight array laid out."""
+    built = Counter()
+    lay_out = measures._weight_array
+
+    def counting(table, f):
+        built[id(table), id(f)] += 1
+        return lay_out(table, f)
+
+    monkeypatch.setattr(measures, "_weight_array", counting)
+    return built
+
+
+def test_weight_arrays_built_once(monkeypatch, allones2):
+    built = _arrays_built(monkeypatch)
+    ifs = pm.ifs_measure(allones2, [[0, 0, 0.6], [0, 1, 0.4], [1, 0, 0.4], [1, 1, 0.6]])
+    half = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
+    seq = pm.diagram_from_dict({"kind": "sequence", "vertices": {"type": "finite", "count": 2},
+                                "matrices": [pm.diagram_to_dict(allones2)["matrices"][0]] * 3})
+    measures_ = [ifs, stationary_tail_measure(allones2), markov_measure(seq, [0.5, 0.5], [half] * 3)]
+    for _ in range(3):
+        for m in measures_:
+            check_kolmogorov(m, 3)
+            check_tail_invariance(m, 3)
+            pm.sample_paths(m, 3, 10, seed=1)
+            empirical_check(m, 2, 50, seed=1)
+            if m.diagram.is_stationary:
+                check_shift_invariance(m, 3)
+        check_ifs_fixed_point(ifs, 3)
+    assert built and max(built.values()) == 1
+    # the IFS weights p, its Markov form, the form's IFS weights; the tail
+    # form and its IFS weights; the sequence form's three tables and its
+    # IFS weights (the ratio law's)
+    assert len(built) == 3 + 2 + 4
+
+
+def test_two_measures_keep_their_own_arrays(fib):
+    a = markov_measure(fib, [0.5, 0.5], {(0, 0, 0): 0.25, (0, 1, 0): 0.75, (1, 0, 0): 1.0})
+    b = markov_measure(fib, [0.5, 0.5], {(0, 0, 0): 0.75, (0, 1, 0): 0.25, (1, 0, 0): 1.0})
+    level = column_level(fib, 3)
+    paths = level.paths()
+    for m in (a, b, a):
+        assert m.values(level).tolist() == [m.value(p) for p in paths]
+    kept_a, kept_b = a._level_weights(0), b._level_weights(0)
+    assert kept_a.array is not kept_b.array
+    assert kept_a.array.tolist() == [0.25, 0.75, 1.0] and kept_b.array.tolist() == [0.75, 0.25, 1.0]
+
+
+def test_cold_sampler_rows_read_no_pairs(monkeypatch):
+    # a finite row is a slice of the level's kept edge table and of the
+    # form's kept weight array: once the level's edge table is laid out,
+    # drawing reads no pairs, where each (level, vertex) row once read one
+    spec = pm.diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": 4},
+                                 "matrices": [{"triplets": [[v, w, 1 + (v + w) % 2] for v in range(4)
+                                                            for w in range(4) if v != w]}]})
+    table = {}
+    for w in range(4):
+        out = spec.edges_from(w, 0)
+        table.update({e.key(): 1 / len(out) for e in out})
+    column_level(spec, 1)
+    cold, warm = (markov_measure(spec, [0.25] * 4, table) for _ in range(2))
+    want = pm.sample_paths(warm, 12, 20, seed=3)
+    reads = []
+    pairs = pm.IncidenceMatrix.pairs
+    monkeypatch.setattr(pm.IncidenceMatrix, "pairs",
+                        lambda self, *a, **k: reads.append(a) or pairs(self, *a, **k))
+    assert pm.sample_paths(cold, 12, 20, seed=3) == want
+    assert len(cold._rows) > 20 and reads == []
 
 
 def test_level_values_typed_errors(allones2, nat):

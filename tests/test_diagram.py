@@ -190,10 +190,17 @@ def test_edge_table_range_off_the_level(fib):
     f = fib.matrix(0)
     for lo, hi in ((-1, 1), (1, 5), (-3, -1), (-2, 4), (0, 2), (1, 1)):
         for into in (False, True):
-            first, *arrays = (x.tolist() for x in f.edge_table(lo, hi, into))
+            first, *arrays, _ = (x.tolist() for x in f.edge_table(lo, hi, into))
             want = [fib.edges_into(u, 0) if into else fib.edges_from(u, 0) for u in range(lo, hi)]
             assert first == [sum(map(len, want[:i])) for i in range(len(want) + 1)]
             assert list(zip(*arrays)) == [e.key() for es in want for e in es]
+
+
+def test_edge_table_index_none_on_a_stencil(tri_z):
+    first, *arrays, index = tri_z.matrix(0).edge_table(-2, 2)
+    assert index is None
+    assert list(zip(*(x.tolist() for x in arrays))) == [
+        e.key() for u in range(-2, 2) for e in tri_z.edges_from(u, 0)]
 
 
 def test_irreducible_tri_z(tri_z):
@@ -413,10 +420,15 @@ def test_finite_adjacency_matches_entry_scan(case):
         assert f.column(u) == [(v, c) for (v, w), c in ref.items() if w == u]
     edges_into = [(w, v, k) for (v, w), c in ref.items() for k in range(c)]
     for into, edges in ((False, sorted(edges_into)), (True, edges_into)):
-        first, sources, targets, mults = f.edge_table(0, n, into)
+        first, sources, targets, mults, _ = f.edge_table(0, n, into)
         assert list(zip(sources.tolist(), targets.tolist(), mults.tolist())) == edges
         owner = 1 if into else 0
         assert first.tolist() == [sum(e[owner] < u for e in edges) for u in range(n + 1)]
+        # each edge's position in the out-edge table, a range's as well
+        for lo, hi in ((0, n), (1, max(n - 1, 1)), (n - 1, n + 1)):
+            *_, index = f.edge_table(lo, hi, into)
+            want = [e for e in edges if lo <= e[owner] < hi]
+            assert [sorted(edges_into)[i] for i in index.tolist()] == want
     assert f.has_cycle == _has_cycle(ref, n)
     verts = list(range(n, -2, -1))          # reversed, with one vertex past each end
     dense = f.to_dense(verts, verts)

@@ -137,6 +137,24 @@ def test_full_support_read_off_every_form(allones2, fib):
     assert not partial.markov.full_support
 
 
+def test_full_support_reads_the_rows_a_stencil_form_stores(tri_z, nat):
+    # a Perron tail form leaves out the window's rows that run past it; the
+    # rule once read them as zero transitions, so t > 0 everywhere gave False
+    for spec in (tri_z, nat):
+        tail = stationary_tail_measure(spec)
+        assert all(t > 0 for t in tail.eigen.t.values())
+        assert tail.markov.full_support
+        stored = {w for w, _, _ in tail.markov.levels[0]}
+        assert stored and stored < set(spec.vertices())
+        # a zero in a stored row still counts
+        table = dict(tail.markov.levels[0])
+        table[min(table)] = 0.0
+        assert not pm.MarkovMeasure(spec, tail.markov.q, [table]).full_support
+        q = dict(tail.markov.q)
+        q[0] = 0.0
+        assert not pm.MarkovMeasure(spec, q, tail.markov.levels).full_support
+
+
 def test_tail_to_markov_closed_form(allones2, fib):
     ma = stationary_tail_measure(allones2).markov
     for e in allones2.all_edges(0):

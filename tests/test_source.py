@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "pathmeas").glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "pathmeas").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -31,3 +31,43 @@ def test_no_unused_module_imports(path):
 def test_unused_import_check_sees_what_it_should():
     assert unused_imports("from __future__ import annotations\nimport os\nimport a.b\n"
                           "from m import x, y as z\nprint(a.b, z)\n") == ["os", "x"]
+
+
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def shared_containers(source: str) -> list:
+    """The names that a module, or a class body in it, binds to a mutable
+    container (a dict, list or set literal, comprehension or call): state
+    shared by the whole process, where kept derived data belongs on the
+    object it derives from (a cache keyed by id() can outlive its object)."""
+    found = []
+
+    def scan(body):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                scan(node.body)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
+                value = node.value
+                call = isinstance(value, ast.Call) and (
+                    getattr(value.func, "id", None) or getattr(value.func, "attr", None))
+                if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                                      ast.SetComp)) or call in MUTABLE_CALLS:
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found.extend(ast.unparse(t) for t in targets)
+
+    scan(ast.parse(source).body)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_shared_mutable_containers(path):
+    assert shared_containers(path.read_text()) == []
+
+
+def test_shared_container_check_sees_what_it_should():
+    assert shared_containers(
+        "import collections\nA = {}\nB: list = []\nC = {1}\nD = dict()\n"
+        "E = collections.OrderedDict()\nF = [x for x in y]\nG = (1, 2)\nH = frozenset()\n"
+        "class K:\n    cache = {}\n    n = 0\n    rows: dict = field(default_factory=dict)\n"
+        "def f():\n    local = {}\n") == ["A", "B", "C", "D", "E", "F", "cache"]
