@@ -57,6 +57,28 @@ class Edge:
         return f"({self.source}->{self.target}:{self.mult})@{self.level}"
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeColumn:
+    """The edges one position of a PathColumns level can hold: edge i runs
+    from ``sources[i]`` to ``targets[i]`` with multiplicity ``mults[i]``.
+    The edges are distinct; their level is the position the column holds.
+
+    A column read off a finite level's edge table records that level's
+    ``matrix`` and each edge's ``index`` in its out-edge table, which a
+    measure's kept weight array is gathered by; both are None on a stencil.
+    """
+
+    sources: np.ndarray
+    targets: np.ndarray
+    mults: np.ndarray
+    index: np.ndarray | None = None
+    matrix: IncidenceMatrix | None = None
+
+    def keys(self) -> list:
+        """Each edge's (source, target, mult), as Edge.key() gives it."""
+        return list(zip(self.sources.tolist(), self.targets.tolist(), self.mults.tolist()))
+
+
 class IncidenceMatrix:
     """Sparse nonnegative integer matrix F with entries f_{v,w}.
 
@@ -66,14 +88,15 @@ class IncidenceMatrix:
     offset d = v - w to an edge count, which keeps every row and column
     finite by construction.  ``row``, ``column``, ``entry``, ``to_dense``
     and ``edge_table`` read the entries through ``pairs`` on every domain;
-    ``entries`` is built on each call.  Only edge_table lists each edge.
+    ``entries`` is built on each call.  Only edge_table and edge_column
+    list each edge.
     """
 
     def __init__(self, domain, entries=None, stencil=None, band=None, size=None,
                  triplets=None):
         self.domain = domain
         self._pairs = [None, None]          # pairs' tables: columns, rows
-        self._edges = [None, None]          # edge_table's finite tables: out, in
+        self._edges = [None, None]          # edge_column's (first, EdgeColumn): out, in
         self._components = None             # strong component count of a finite level
         if domain == FINITE:
             if entries is not None:
@@ -154,6 +177,7 @@ class IncidenceMatrix:
             table = self._pairs[into] = self._build_pairs(into)
         if self.domain == FINITE:         # clipped, a vertex off the level owns nothing
             start, ends, counts = table
+            at = np.minimum(at, self.size)    # at + 1 stays in range at int64's largest
             lo = start.take(at, mode="clip")
             degree = start.take(at + 1, mode="clip") - lo
             first = np.concatenate(([0], degree.cumsum()))
@@ -185,31 +209,46 @@ class IncidenceMatrix:
         order, as arrays (first, sources, targets, mults, index): vertex
         lo + i owns edges first[i] .. first[i+1]-1, and a vertex off the
         level owns none; ``index`` gives each edge's position in a finite
-        level's out-edge table (None on a stencil).  Each entry of one pairs
-        read is laid out once per edge: a stencil's range, or a finite
-        level's whole table, kept with its index (the in-edge table's is a
-        permutation), which the range is sliced out of."""
-        table = self._edges[into]
-        if table is None:
-            base = np.arange(0, self.size) if self.domain == FINITE else np.arange(lo, hi)
-            first, ends, counts = self.pairs(base, into)
-            start = np.concatenate(([0], counts.cumsum()))     # each entry's first edge
-            here, ends = base.repeat(np.diff(first)).repeat(counts), ends.repeat(counts)
-            table = (start[first], *((ends, here) if into else (here, ends)),
-                     np.arange(start[-1]) - start[:-1].repeat(counts))
-            if self.domain != FINITE:
-                return (*table, None)
-            position = np.arange(start[-1])
-            if into:        # the out-edge table is the in-edge table stably sorted by source
-                position[np.argsort(table[1], kind="stable")] = np.arange(start[-1])
-            self._edges[into] = table = (*table, position)
-            for a in table:
-                a.flags.writeable = False     # handed out as they are
-        first, *arrays = table
+        level's out-edge table (None on a stencil).  A stencil lays the
+        range out; a finite level slices it out of ``edge_column``.  A range
+        with hi < lo raises DiagramError."""
+        if hi < lo:
+            raise DiagramError(f"edge range from {lo} to {hi} runs backward")
+        if self.domain != FINITE:
+            return (*self._lay_out(np.arange(lo, hi), into), None)
+        first, col = self.edge_column(into)
         first = (first[lo:hi + 1] if 0 <= lo and hi <= self.size
                  else first.take(np.arange(lo, hi + 1), mode="clip"))   # off the level: none
         a, b = first[0], first[-1]
-        return (first - a, *(x[a:b] for x in arrays))
+        return (first - a, *(x[a:b] for x in (col.sources, col.targets, col.mults, col.index)))
+
+    def edge_column(self, into: bool = False) -> tuple:
+        """A finite level's whole out-edge (with ``into``, in-edge) table, as
+        (first, EdgeColumn): vertex x owns edges first[x] .. first[x+1]-1, and
+        the column records this matrix and each edge's position in the
+        out-edge table (the in-edge table's is a permutation).  Laid out on
+        first use, from one pairs read, and kept; a stencil has none."""
+        kept = self._edges[into]
+        if kept is None:
+            if self.domain != FINITE:
+                raise DiagramError("a stencil's edges are laid out by range, in edge_table")
+            first, sources, targets, mults = self._lay_out(np.arange(self.size), into)
+            position = np.arange(len(mults))
+            if into:        # the out-edge table is the in-edge table stably sorted by source
+                position[np.argsort(sources, kind="stable")] = np.arange(len(mults))
+            for a in (first, sources, targets, mults, position):
+                a.flags.writeable = False     # handed out as they are
+            kept = self._edges[into] = (first, EdgeColumn(sources, targets, mults, position, self))
+        return kept
+
+    def _lay_out(self, base: np.ndarray, into: bool) -> tuple:
+        """(first, sources, targets, mults) of the vertices ``base``: each
+        entry of one pairs read laid out once per edge."""
+        first, ends, counts = self.pairs(base, into)
+        start = np.concatenate(([0], counts.cumsum()))     # each entry's first edge
+        here, ends = base.repeat(np.diff(first)).repeat(counts), ends.repeat(counts)
+        return (start[first], *((ends, here) if into else (here, ends)),
+                np.arange(start[-1]) - start[:-1].repeat(counts))
 
     @property
     def has_cycle(self) -> bool:

@@ -113,8 +113,14 @@ class TailInvariantMeasure:
             return np.zeros(0)
         n = len(level.edges)
         if self.eigen is not None:
-            return _in_window_at(self.eigen.t, level.end) / self.eigen.lam ** n
+            return _in_window_at(self.eigen.t, level.end, self._t_array) / self.eigen.lam ** n
         return _in_window_at(self.level_vector(n), level.end)
+
+    @cached_property
+    def _t_array(self) -> np.ndarray | None:
+        """A Perron measure's t as a _vertex_array of level 0 (NaN off the
+        level), laid out on first use and kept."""
+        return _vertex_array(self.eigen.t, self.diagram.matrix(0), math.nan)
 
     def cell_value(self, n: int, v: int, window=None) -> float:
         """Mass of the partition cell X_v^(n) = H^(n)_v cylinders."""
@@ -128,21 +134,35 @@ def _in_window(vector: dict, v: int) -> float:
     return vector[v]
 
 
-def _in_window_at(vector: dict, keys: np.ndarray) -> np.ndarray:
+def _in_window_at(vector: dict, keys: np.ndarray, array: np.ndarray | None = None) -> np.ndarray:
     """vector[v] for every vertex of ``keys``, raising as _in_window does
-    at the first one outside the window."""
-    vals = _lookup(vector, keys, math.nan)
+    at the first one outside the window; read from ``array``, the vector's
+    _vertex_array, where it has one."""
+    vals = _lookup(vector, keys, math.nan, array)
     for v in keys[np.isnan(vals)].tolist():         # NaN: no value stored
         _in_window(vector, v)
     return vals
 
 
-def _lookup(table: dict, keys: np.ndarray, default: float = 0.0) -> np.ndarray:
-    """table.get(k, default) for every entry of an integer array, one dict
-    lookup per integer of its range."""
+def _lookup(table: dict, keys: np.ndarray, default: float = 0.0,
+            array: np.ndarray | None = None) -> np.ndarray:
+    """table.get(k, default) for every entry of an integer array: one gather
+    from ``array``, the table's _vertex_array, whose ends a key off the
+    level clips to, or one dict lookup per integer of the keys' range."""
+    if array is not None:
+        return array.take(keys + 1, mode="clip")
     lo = int(keys.min(initial=0))
     span = range(lo, int(keys.max(initial=lo - 1)) + 1)
     return np.array([table.get(k, default) for k in span], dtype=float)[keys - lo]
+
+
+def _vertex_array(table: dict, f: IncidenceMatrix, off: float) -> np.ndarray | None:
+    """table.get(v, off) for each vertex v of a finite level, as one float
+    array holding v's value at v + 1 and ``off`` at both ends: one pass over
+    the level.  None on a stencil, or when a key lies off the level."""
+    if f.domain != FINITE or not all(0 <= v < f.size for v in table):
+        return None
+    return np.array([off, *map(table.get, range(f.size), repeat(off)), off], dtype=float)
 
 
 @dataclass(eq=False)
@@ -175,9 +195,9 @@ class _Weights:
 def _weight_array(table: dict, f: IncidenceMatrix) -> np.ndarray:
     """table.get(key, 0.0) for every edge of a finite level, in its
     out-edge table's order: one pass over the table."""
-    _, *columns, _ = f.edge_table(0, f.size)
-    keys = zip(*(c.tolist() for c in columns))
-    return np.fromiter(map(table.get, keys, repeat(0.0)), dtype=float, count=len(columns[0]))
+    _, edges = f.edge_column()
+    return np.fromiter(map(table.get, edges.keys(), repeat(0.0)), dtype=float,
+                       count=len(edges.sources))
 
 
 def _columns(diagram: DiagramSpec, level: int, verts) -> dict:
@@ -354,10 +374,15 @@ class MarkovMeasure:
         as level j, multiplied in the same order: q, then p_0, p_1, ..."""
         if not len(level):
             return np.zeros(0)
-        vals = _lookup(self.q, level.start)
+        vals = _lookup(self.q, level.start, 0.0, self._q_array)
         for j, (edges, ids) in enumerate(zip(level.edges, level.ids.T)):
             vals *= self._level_weights(j).column(edges, ids)
         return vals
+
+    @cached_property
+    def _q_array(self) -> np.ndarray | None:
+        """q as a _vertex_array of level 0, laid out on first use and kept."""
+        return _vertex_array(self.q, self.diagram.matrix(0), 0.0)
 
     @cached_property
     def _ifs_weights(self) -> tuple:
@@ -461,7 +486,7 @@ class IFSWeights:
     def values(self, level: PathColumns) -> np.ndarray:
         """``value`` of every row of a columnar level, multiplied in the
         same order: q at the end, then p_{f_0}, p_{f_1}, ..."""
-        vals = _lookup(self.q, level.end)
+        vals = _lookup(self.q, level.end, 0.0, self.markov._q_array)   # the form's q is q
         for edges, ids in zip(level.edges, level.ids.T):
             vals *= self._p.column(edges, ids)
         return vals
@@ -813,20 +838,21 @@ COMPENSATED_SUM = sys.version_info >= (3, 12)   # sum() of floats compensates th
 def _block_sums(values: np.ndarray, sizes: np.ndarray,
                 compensated: bool = COMPENSATED_SUM) -> np.ndarray:
     """sum() of each consecutive block of ``values`` (block i holds sizes[i]
-    of them), added position by position in sum()'s order, so each result
-    is what sum() returns for the block of floats: left to right, with
-    Neumaier's compensation where sum() applies it."""
+    of them, all of ``values`` in turn), so each result is what sum()
+    returns for the block of floats: added left to right from 0.0, which
+    np.bincount does in one pass, or, where sum() applies Neumaier's
+    compensation, position by position in sum()'s order."""
+    if not compensated:
+        return np.bincount(np.arange(len(sizes)).repeat(sizes), values, len(sizes))
     total, comp = np.zeros(len(sizes)), np.zeros(len(sizes))
     first = sizes.cumsum() - sizes
     for r in range(int(sizes.max(initial=0))):
         live = (sizes > r).nonzero()[0]
         s, x = total[live], values[first[live] + r]
         total[live] = t = s + x
-        if compensated:
-            comp[live] += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-    if compensated:
-        fix = (comp != 0) & np.isfinite(comp)
-        total[fix] += comp[fix]
+        comp[live] += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+    fix = (comp != 0) & np.isfinite(comp)
+    total[fix] += comp[fix]
     return total
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagram import DiagramSpec, Edge, IncidenceMatrix
+from .diagram import FINITE, DiagramSpec, Edge, EdgeColumn
 from .errors import (
     DomainViolation,
     EmptyPath,
@@ -153,28 +153,6 @@ def tail_equivalent_on_prefix(x: FinitePath, y: FinitePath, m: int) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class EdgeColumn:
-    """The edges one position of a PathColumns level can hold: edge i runs
-    from ``sources[i]`` to ``targets[i]`` with multiplicity ``mults[i]``.
-    The edges are distinct; their level is the position the column holds.
-
-    A column read off a finite level's edge table records that level's
-    ``matrix`` and each edge's ``index`` in its out-edge table, which a
-    measure's kept weight array is gathered by; both are None on a stencil.
-    """
-
-    sources: np.ndarray
-    targets: np.ndarray
-    mults: np.ndarray
-    index: np.ndarray | None = None
-    matrix: IncidenceMatrix | None = None
-
-    def keys(self) -> list:
-        """Each edge's (source, target, mult), as Edge.key() gives it."""
-        return list(zip(self.sources.tolist(), self.targets.tolist(), self.mults.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
 class PathColumns:
     """The paths of one length n as columns: row i is a path from vertex
     ``start[i]`` to vertex ``end[i]`` whose position j holds edge
@@ -212,12 +190,13 @@ class PathColumns:
             return [empty_path(v) for v in self.start.tolist()]
         cols = []
         for j, (col, ids) in enumerate(zip(self.edges, self.ids.T)):
-            edges = np.empty(len(col.sources), dtype=object)
-            held = (slice(None) if len(ids) >= len(edges)
-                    else np.flatnonzero(np.bincount(ids, minlength=len(edges))))
-            edges[held] = [Edge(j, s, t, k) for s, t, k in zip(
+            held, at = slice(None), ids
+            if len(ids) < len(col.sources):    # in O(rows), as a column may be a whole level
+                held, at = np.unique(ids, return_inverse=True)
+            edges = np.empty(len(col.sources[held]), dtype=object)
+            edges[:] = [Edge(j, s, t, k) for s, t, k in zip(
                 col.sources[held].tolist(), col.targets[held].tolist(), col.mults[held].tolist())]
-            cols.append(edges[ids].tolist())
+            cols.append(edges[at].tolist())
         return list(map(FinitePath, zip(*cols)))
 
     def shift(self) -> "PathColumns":
@@ -240,20 +219,23 @@ class PathColumns:
 
 def _fan_out(at: np.ndarray, spec: DiagramSpec, level: int, into: bool = False) -> tuple:
     """Fan each vertex of ``at`` out to its edges at ``level`` (with
-    ``into``, the edges into it), read from the matrix's edge table of the
-    range of ``at``; returns that table as an EdgeColumn, each new row's
-    source row and edge index, and the degree of each entry of ``at``.
-    ``level`` only picks the matrix: the column's position gives its level."""
-    if len(at):
-        lo = int(at.min())
-        f = spec.matrix(level)
-        first, *arrays, index = f.edge_table(lo, int(at.max()) + 1, into)
-        edges = EdgeColumn(*arrays, index, f if index is not None else None)
-        at = at - lo
-    else:          # no row to extend: no matrix is read
+    ``into``, the edges into it); returns the edge table read, as an
+    EdgeColumn, each new row's source row and edge index, and the degree of
+    each entry of ``at``.  A finite level reads its whole kept table, a
+    stencil lays out the range of ``at``; a vertex off a finite level owns
+    no edge.  ``level`` only picks the matrix: the column's position gives
+    its level."""
+    if not len(at):            # no row to extend: no matrix is read
         first, edges = np.zeros(1, np.intp), EdgeColumn(*[np.zeros(0, np.intp)] * 3)
-    start = first[at]
-    degree = first[at + 1] - start
+    elif (f := spec.matrix(level)).domain == FINITE:
+        first, edges = f.edge_column(into)
+        at = np.minimum(at, f.size)       # at + 1 stays in range at int64's largest
+    else:
+        lo = int(at.min())
+        first, *arrays, _ = f.edge_table(lo, int(at.max()) + 1, into)
+        edges, at = EdgeColumn(*arrays), at - lo
+    start = first.take(at, mode="clip")
+    degree = first.take(at + 1, mode="clip") - start
     parent = np.arange(len(at)).repeat(degree)
     ids = np.arange(len(parent)) + (start - (degree.cumsum() - degree)).repeat(degree)
     return edges, parent, ids, degree
@@ -310,10 +292,10 @@ def cell(spec: DiagramSpec, n: int, v: int) -> LevelPartitionCell:
 
 def parse_path_literal(text: str, spec: DiagramSpec) -> FinitePath:
     """Parse the CLI path literal ``v0-v1-...:k0,k1,...`` (multiplicity
-    indices optional, default 0); a part that is not an integer, or a
-    vertex outside the int64 range, raises PathError naming the literal,
-    and the first edge the diagram lacks NotAdmissible.  The counts come
-    from one pairs read per matrix."""
+    indices optional, default 0); a part that is not an integer, a vertex
+    outside the int64 range, or more multiplicities than edges raises
+    PathError naming the literal, and the first edge the diagram lacks
+    NotAdmissible.  The counts come from one pairs read per matrix."""
     vert_part, _, mult_part = text.partition(":")
     try:
         mults = [int(k) for k in mult_part.split(",")] if mult_part else []
@@ -324,6 +306,8 @@ def parse_path_literal(text: str, spec: DiagramSpec) -> FinitePath:
         raise PathError(f"path literal {text!r} holds a vertex outside the int64 range")
     if len(verts) < 2:
         raise PathError("path literal needs at least two vertices")
+    if len(mults) >= len(verts):
+        raise PathError(f"path literal {text!r} holds more multiplicities than edges")
     mults = mults + [0] * (len(verts) - 1 - len(mults))
     edges = [Edge(i, verts[i], verts[i + 1], mults[i]) for i in range(len(verts) - 1)]
     stored = len(edges) if spec.is_stationary else min(len(edges), len(spec.matrices))

@@ -640,9 +640,11 @@ def test_eval_pinned_bytes(tmp_path, case):
     ["measure", "eval", "--path", "0-1:y"],
     ["sfs", "rn", "--edge", "1-x", "--path", "0-0-0"],
     ["sfs", "rn", "--edge", "1-0", "--path", "0-0-"],
+    ["measure", "eval", "--path", "0-1:0,0"],
 ])
 def test_bad_literal_path_error_exit1(files, args):
-    # a literal part that is not an integer once exited 2 as a ValueError
+    # a literal part that is not an integer once exited 2 as a ValueError;
+    # a multiplicity past the last edge was once dropped, valuing 0-1:0
     res = run([*args[:2], "--diagram", files["allones"], "--measure", files["ifs"], *args[2:]])
     assert res.exit_code == 1
     error = json.loads(res.output)["error"]

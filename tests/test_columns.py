@@ -40,7 +40,7 @@ from pathmeas import (
     validate_path,
 )
 from pathmeas.measures import ShiftInvarianceReport, TailInvarianceReport, _block_sums
-from pathmeas.pathspace import column_level, path_columns
+from pathmeas.pathspace import PathColumns, column_level, path_columns
 from test_audit_oracle import (
     ref_ifs_fixed_point,
     ref_kolmogorov,
@@ -308,6 +308,26 @@ def test_kept_arrays_value_as_the_tables(case, data):
         if len(level.edges):        # the ratio law's IFS weights, on level 0's column
             got = weights.column(level.edges[0], level.ids[:, 0]).tolist()
             assert got == [weights.table.get(p.edges[0].key(), 0.0) for p in paths]
+    # rows that start or end off the level, as a hand-built level may: the
+    # kept fan-out column gives them no edge, the kept q array 0.0, and a
+    # Perron tail's kept t array the WindowTooSmall of its dict read
+    spec, k = m.diagram, m.diagram.matrix(0).size
+    verts = [-1, 0, k, k - 1, k + 3, -(1 << 62), (1 << 63) - 1]
+    at = np.array(verts, dtype=np.intp)
+    off = PathColumns(at, at, np.zeros((len(at), 0), np.intp), ())
+    pre = off.prepend(spec)
+    assert pre.degree.tolist() == [len(spec.edges_into(v, 0)) if 0 <= v < k else 0 for v in verts]
+    assert pre.paths() == [prepend(f, empty_path(v)) for v in verts if 0 <= v < k
+                           for f in spec.edges_into(v, 0)]
+    assert m.markov.values(off).tolist() == [m.markov.q.get(v, 0.0) for v in verts]
+    if isinstance(m, IFSWeights):
+        assert m.values(off).tolist() == [m.q.get(v, 0.0) for v in verts]
+    else:          # a tail from vectors reads its dicts over the span of the rows
+        near = 5 if getattr(m, "vectors", None) is not None else len(verts)
+        _same_values(m, [empty_path(v) for v in verts[:near]], off[:near])
+    if isinstance(m, pm.TailInvariantMeasure):   # the first vertex off the level is named
+        with pytest.raises(pm.WindowTooSmall, match=f"vertex {k} "):
+            m.values(off[np.array([1, 2, 0])])
 
 
 def _arrays_built(monkeypatch) -> Counter:
@@ -323,13 +343,34 @@ def _arrays_built(monkeypatch) -> Counter:
     return built
 
 
+def _columns_built(monkeypatch) -> Counter:
+    """How often each (matrix, direction) has its fan-out column laid out,
+    and each table its vertex array."""
+    built = Counter()
+    lay_out, vertex_array = pm.IncidenceMatrix._lay_out, measures._vertex_array
+
+    def counting(self, base, into):
+        built["column", id(self), into] += 1
+        return lay_out(self, base, into)
+
+    def counting_vertices(table, f, off):
+        built["vertices", id(table)] += 1
+        return vertex_array(table, f, off)
+
+    monkeypatch.setattr(pm.IncidenceMatrix, "_lay_out", counting)
+    monkeypatch.setattr(measures, "_vertex_array", counting_vertices)
+    return built
+
+
 def test_weight_arrays_built_once(monkeypatch, allones2):
-    built = _arrays_built(monkeypatch)
+    built, kept = _arrays_built(monkeypatch), _columns_built(monkeypatch)
     ifs = pm.ifs_measure(allones2, [[0, 0, 0.6], [0, 1, 0.4], [1, 0, 0.4], [1, 1, 0.6]])
     half = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
     seq = pm.diagram_from_dict({"kind": "sequence", "vertices": {"type": "finite", "count": 2},
                                 "matrices": [pm.diagram_to_dict(allones2)["matrices"][0]] * 3})
-    measures_ = [ifs, stationary_tail_measure(allones2), markov_measure(seq, [0.5, 0.5], [half] * 3)]
+    tail, markov = stationary_tail_measure(allones2), markov_measure(seq, [0.5, 0.5], [half] * 3)
+    measures_ = [ifs, tail, markov]
+    assert not kept          # nothing is laid out when a diagram or a measure is built
     for _ in range(3):
         for m in measures_:
             check_kolmogorov(m, 3)
@@ -344,6 +385,15 @@ def test_weight_arrays_built_once(monkeypatch, allones2):
     # form and its IFS weights; the sequence form's three tables and its
     # IFS weights (the ratio law's)
     assert len(built) == 3 + 2 + 4
+    # one fan-out column per direction read: allones2's out- and in-edges
+    # (the shift audit prepends), each of the sequence's three out-edges;
+    # one vertex array per measure valued: the IFS q, the Perron t, the Markov q
+    assert max(kept.values()) == 1
+    assert set(kept) == {("column", id(allones2.matrix(0)), False),
+                         ("column", id(allones2.matrix(0)), True),
+                         *(("column", id(f), False) for f in seq.matrices),
+                         ("vertices", id(ifs.q)), ("vertices", id(tail.eigen.t)),
+                         ("vertices", id(markov.q))}
 
 
 def test_two_measures_keep_their_own_arrays(fib):

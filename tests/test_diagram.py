@@ -196,9 +196,22 @@ def test_edge_table_range_off_the_level(fib):
             assert list(zip(*arrays)) == [e.key() for es in want for e in es]
 
 
+def test_edge_table_reversed_range_diagram_error(fib, tri_z):
+    # hi < lo once raised a bare IndexError (first[0] of an empty slice)
+    for f in (fib.matrix(0), tri_z.matrix(0)):
+        for lo, hi in ((1, -1), (1, 0)):
+            for into in (False, True):
+                with pytest.raises(pm.DiagramError, match="backward"):
+                    f.edge_table(lo, hi, into)
+        first, *arrays, _ = f.edge_table(1, 1)         # an empty range stays empty
+        assert first.tolist() == [0] and all(len(a) == 0 for a in arrays)
+
+
 def test_edge_table_index_none_on_a_stencil(tri_z):
     first, *arrays, index = tri_z.matrix(0).edge_table(-2, 2)
     assert index is None
+    with pytest.raises(pm.DiagramError, match="stencil"):   # no whole-level column
+        tri_z.matrix(0).edge_column()
     assert list(zip(*(x.tolist() for x in arrays))) == [
         e.key() for u in range(-2, 2) for e in tri_z.edges_from(u, 0)]
 

@@ -32,6 +32,22 @@ def test_validate_admissible(allones2):
     assert p.start == 0 and p.end == 1
 
 
+def test_literal_with_more_multiplicities_than_edges(fib):
+    # the extra multiplicities were once dropped: 0-1:0,5,7 valued as 0-1:0
+    for text in ("0-1:0,5,7", "0-1:0,0", "0-0-1:0,0,0"):
+        with pytest.raises(pm.PathError, match=text):
+            parse_path_literal(text, fib)
+    assert str(parse_path_literal("0-0-1:0,0", fib)) == "0-0-1:0,0"
+
+
+def test_literal_at_largest_int64_not_admissible(fib):
+    # the largest int64 vertex once wrapped past the clipped read (a bare ValueError)
+    top = (1 << 63) - 1
+    with pytest.raises(pm.NotAdmissible):
+        parse_path_literal(f"0-{top}", fib)
+    assert fib.matrix(0).row(top) == fib.matrix(0).column(top) == []
+
+
 def test_validate_rejects_mismatch():
     with pytest.raises(pm.NotAdmissible) as exc:
         validate_path([Edge(0, 0, 0), Edge(1, 1, 0)])
