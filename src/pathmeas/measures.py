@@ -148,12 +148,11 @@ def _lookup(table: dict, keys: np.ndarray, default: float = 0.0,
             array: np.ndarray | None = None) -> np.ndarray:
     """table.get(k, default) for every entry of an integer array: one gather
     from ``array``, the table's _vertex_array, whose ends a key off the
-    level clips to, or one dict lookup per integer of the keys' range."""
+    level clips to, or one dict lookup per distinct key."""
     if array is not None:
         return array.take(keys + 1, mode="clip")
-    lo = int(keys.min(initial=0))
-    span = range(lo, int(keys.max(initial=lo - 1)) + 1)
-    return np.array([table.get(k, default) for k in span], dtype=float)[keys - lo]
+    distinct, at = np.unique(keys, return_inverse=True)
+    return np.array([table.get(k, default) for k in distinct.tolist()], dtype=float)[at]
 
 
 def _vertex_array(table: dict, f: IncidenceMatrix, off: float) -> np.ndarray | None:
@@ -475,7 +474,7 @@ class IFSWeights:
     def value(self, path: FinitePath) -> float:
         """q at the end, then times the weight of each edge in turn."""
         edges, table = path.edges, self._p.table
-        m = self.q[edges[-1].target if edges else path.anchor]
+        m = self.q.get(edges[-1].target if edges else path.anchor, 0.0)
         try:
             for e in edges:
                 m *= table[e._key]

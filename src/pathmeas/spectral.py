@@ -1,7 +1,9 @@
 """Perron eigenpairs and harmonic (fixed-point) vectors.
 
 All solvers are deterministic: the finite Perron iteration starts from
-all-ones, stencil eigenpairs are closed form, harmonic and stationary
+the sum-one row sums of a power (A + I)^(2^k) on a level of at most
+SQUARED_START_LIMIT (16) vertices and from the uniform vector on larger
+ones, stencil eigenpairs are closed form, harmonic and stationary
 vectors are one bordered least-squares solve, and results carry the
 residual of the equation they claim to solve, recomputable by an
 independent multiply.
@@ -19,6 +21,11 @@ from .errors import (DegenerateSolution, NoConvergence, NotStochastic, Reducible
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+# Largest level that starts from squared powers.  A square costs n^3
+# products, so on a fast-mixing level the squared start loses to the
+# uniform one from about 48 vertices (timings in CHANGES.md); 16 keeps a
+# margin.
+SQUARED_START_LIMIT = 16
 
 
 @dataclass
@@ -31,8 +38,8 @@ class EigenPair:
     residual: float          # sup |A t - lam t| / lam over the level
     summable: str            # "yes" (finite level) | "no" (stencil)
     window: int | None = None
-    iterations: int = 0
-    trace: list | None = None
+    iterations: int = 0      # power steps after the start vector
+    trace: list | None = None  # (step, residual) of each of those steps
     bracket: tuple | None = None  # finite levels: min, max of (A t)_v / t_v
 
     def vector(self, vertices) -> np.ndarray:
@@ -114,6 +121,32 @@ def _final_class_fixed_vector(m: np.ndarray):
     return q
 
 
+def _squared_start(rows, cols, counts, n: int, tol: float) -> np.ndarray:
+    """Start vector of the finite Perron iteration on a level of at most
+    SQUARED_START_LIMIT vertices: the row sums of (A + I)^(2^k), sum-one.
+
+    For a primitive A + I the powers tend to a rank-one matrix whose
+    columns are the Perron vector (Seneta, Non-negative Matrices and
+    Markov Chains, ch. 1), so their row sums do too.  The dense matrix is
+    squared at most 17 times (2^17 > DEFAULT_MAX_ITER), rescaled by its
+    largest entry each time, until the sum-one row sums move by less than
+    1e-3 tol.  Each square is an elementwise product summed by numpy, not
+    a BLAS call, so its bits do not depend on the CPU.  Where an entry is
+    at most 1e-13 of the largest (a reducible level) the start stays the
+    uniform vector, and so does every error the iteration raises."""
+    p = np.eye(n)
+    p[rows, cols] += counts
+    r = np.full(n, 1.0 / n)
+    for _ in range(17):
+        p = (p[:, :, None] * p).sum(axis=1)
+        p /= p.max()
+        last, r = r, p.sum(axis=1)
+        r /= r.sum()
+        if np.max(np.abs(r - last)) < 1e-3 * tol:
+            break
+    return r if r.min() > 1e-13 * r.max() else np.full(n, 1.0 / n)
+
+
 def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
                      tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> EigenPair:
@@ -121,12 +154,18 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
 
     Finite domains iterate on A + I over the full level with sum-one
     normalization: the shift makes an irreducible A primitive, periodic
-    ones included, and each product gathers the level's triplets.  Once
-    converged the iteration polishes, stepping on (at most 200 steps)
-    while the residual keeps improving.  The result carries the
-    Collatz-Wielandt bracket min/max (A t)_v / t_v, which holds the Perron
-    root.  A level graph without a cycle (nilpotent A) raises
-    DegenerateSolution at once.
+    ones included, and each product gathers the level's triplets.  A level
+    of at most SQUARED_START_LIMIT (16) vertices starts from the row sums
+    of a squared power of the dense A + I (_squared_start), as a rule the
+    Perron vector to rounding, so that the loop takes one step; larger
+    levels start from the uniform vector.  ``iterations``, the rows of
+    ``trace`` and ``max_iter`` count the steps after the start, up to
+    convergence.  Once converged the iteration polishes, stepping on (at
+    most 200 steps) while the residual keeps improving.  The result
+    carries the Collatz-Wielandt bracket min/max (A t)_v / t_v, which
+    holds the Perron root; while it is wider than tol lam, the iteration
+    steps on as long as it narrows (at most max_iter steps).  A level
+    graph without a cycle (nilpotent A) raises DegenerateSolution at once.
 
     A stencil (infinite domain) has every row sum equal to sum_d c_d, so
     its pair is closed form: lam = sum_d c_d and t = 1 on the window's
@@ -156,8 +195,15 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
             ms = a_mul(s) + s
             return s, ms, mu, float(np.max(np.abs(ms - mu * s)) / (mu - 1.0))
 
+        def certified(s):
+            """t = s sum-one, A t and the Collatz-Wielandt bracket of t."""
+            t = s / np.sum(s)
+            at = a_mul(t)
+            return t, at, float(np.min(at / t)), float(np.max(at / t))
+
         trace = []
-        t = np.ones(f.size) / f.size
+        t = (_squared_start(rows, cols, counts, f.size, tol) if f.size <= SQUARED_START_LIMIT
+             else np.ones(f.size) / f.size)
         mt = a_mul(t) + t
         for k in range(1, max_iter + 1):
             s, ms, mu, residual = step(mt)
@@ -174,9 +220,15 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
             s, ms, mu, residual = polished
         if np.min(s) <= 1e-13 * np.max(s):
             raise ReducibleSuspected("eigenvector support is a proper vertex subset")
-        t = s / np.sum(s)
-        at = a_mul(t)
-        lo, hi = float(np.min(at / t)), float(np.max(at / t))
+        t, at, lo, hi = certified(s)
+        for _ in range(max_iter):    # a bracket wider than tol lam: step on while it narrows
+            if hi - lo <= tol * hi:
+                break
+            s, ms_next, mu_next, _ = step(ms)
+            cert = certified(s)
+            if cert[3] - cert[2] >= hi - lo:
+                break
+            ms, mu, (t, at, lo, hi) = ms_next, mu_next, cert
         lam = min(max(mu - 1.0, lo), hi)    # the Perron root lies in [lo, hi]
         residual = float(np.max(np.abs(at - lam * t)) / lam)
         return EigenPair(lam, dict(enumerate(t.tolist())), "sum-one", residual, "yes",

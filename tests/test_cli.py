@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from decimal import Decimal, localcontext
 
 import pytest
 from click.testing import CliRunner
@@ -35,6 +36,10 @@ TAIL = {"type": "tail"}
 HALF = [[w, v, 0, 0.5] for w in (0, 1) for v in (0, 1)]
 MARKOV2 = {"type": "markov", "q": [0.5, 0.5], "P_levels": [HALF, HALF]}
 TAIL3 = {"type": "tail", "vectors": [[0.5, 0.5], [0.25, 0.25], [0.125, 0.125]]}
+# the 17-cycle w -> w+1 with a self-loop at 0: one vertex above the levels
+# whose Perron iteration starts from squared powers, so it starts uniform
+CYCLE17 = {"kind": "stationary", "vertices": {"type": "finite", "count": 17},
+           "matrices": [{"triplets": [[(w + 1) % 17, w, 1] for w in range(17)] + [[0, 0, 1]]}]}
 
 
 @pytest.fixture
@@ -42,7 +47,7 @@ def files(tmp_path):
     paths = {}
     for name, obj in [("allones", ALLONES), ("fib", FIB), ("zerorow", ZERO_ROW),
                       ("nat", NAT), ("tri_z", TRI_Z), ("kernel", KERNEL), ("ifs", IFS), ("tail", TAIL),
-                      ("markov2", MARKOV2), ("tail3", TAIL3)]:
+                      ("markov2", MARKOV2), ("tail3", TAIL3), ("cycle17", CYCLE17)]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(obj))
         paths[name] = str(p)
@@ -120,7 +125,7 @@ def test_bad_edge_count_exit1(tmp_path, command, count):
 
 
 def test_eigen_csv(files):
-    res = run(["eigen", "--diagram", files["fib"], "--format", "csv"])
+    res = run(["eigen", "--diagram", files["cycle17"], "--format", "csv"])
     assert res.exit_code == 0
     lines = res.output.strip().splitlines()
     assert lines[0] == "iteration,residual"
@@ -612,7 +617,7 @@ MARKOV_QUAD4 = {"type": "markov", "q": [0.1, 0.2, 0.3, 0.4],
 # `measure eval --len 3` stdout, recorded once: each name is built from a
 # row's start vertex, its edges' targets and their multiplicities
 PINNED_EVAL = {
-    ("fib", "tail"): '{"len":3,"values":{"0-0-0-0:0,0,0":0.14589803375031543,"0-0-0-1:0,0,0":0.09016994374947424,"0-0-1-0:0,0,0":0.14589803375031543,"0-1-0-0:0,0,0":0.14589803375031543,"0-1-0-1:0,0,0":0.09016994374947424,"1-0-0-0:0,0,0":0.14589803375031543,"1-0-0-1:0,0,0":0.09016994374947424,"1-0-1-0:0,0,0":0.14589803375031543}}',
+    ("fib", "tail"): '{"len":3,"values":{"0-0-0-0:0,0,0":0.14589803375031546,"0-0-0-1:0,0,0":0.09016994374947424,"0-0-1-0:0,0,0":0.14589803375031546,"0-1-0-0:0,0,0":0.14589803375031546,"0-1-0-1:0,0,0":0.09016994374947424,"1-0-0-0:0,0,0":0.14589803375031546,"1-0-0-1:0,0,0":0.09016994374947424,"1-0-1-0:0,0,0":0.14589803375031546}}',
     ("quad4", "markov_quad4"): '{"len":3,"values":{"0-0-0-0:0,0,0":0.0015625,"0-0-0-1:0,0,0":0.004687500000000001,"0-0-1-2:0,0,0":0.018750000000000003,"0-1-2-0:0,0,0":0.037500000000000006,"0-1-2-3:0,0,0":0.037500000000000006,"1-2-0-0:0,0,0":0.025,"1-2-0-1:0,0,0":0.07500000000000001,"1-2-3-1:0,0,0":0.020000000000000004,"1-2-3-2:0,0,0":0.03,"1-2-3-3:0,0,0":0.05,"2-0-0-0:0,0,0":0.009375,"2-0-0-1:0,0,0":0.028124999999999997,"2-0-1-2:0,0,0":0.11249999999999999,"2-3-1-2:0,0,0":0.03,"2-3-2-0:0,0,0":0.0225,"2-3-2-3:0,0,0":0.0225,"2-3-3-1:0,0,0":0.015,"2-3-3-2:0,0,0":0.0225,"2-3-3-3:0,0,0":0.0375,"3-1-2-0:0,0,0":0.04000000000000001,"3-1-2-3:0,0,0":0.04000000000000001,"3-2-0-0:0,0,0":0.015,"3-2-0-1:0,0,0":0.045,"3-2-3-1:0,0,0":0.012,"3-2-3-2:0,0,0":0.018,"3-2-3-3:0,0,0":0.03,"3-3-1-2:0,0,0":0.04000000000000001,"3-3-2-0:0,0,0":0.03,"3-3-2-3:0,0,0":0.03,"3-3-3-1:0,0,0":0.020000000000000004,"3-3-3-2:0,0,0":0.03,"3-3-3-3:0,0,0":0.05}}',
     ("double", "markov_double"): '{"len":3,"values":{"0-0-0-0:0,0,0":0.0020000000000000005,"0-0-0-1:0,0,0":0.0030000000000000005,"0-0-0-1:0,0,1":0.005000000000000001,"0-0-1-0:0,0,0":0.0045,"0-0-1-0:0,1,0":0.0075,"0-0-1-1:0,0,0":0.010499999999999999,"0-0-1-1:0,1,0":0.017499999999999998,"0-1-0-0:0,0,0":0.0045,"0-1-0-0:1,0,0":0.0075,"0-1-0-1:0,0,0":0.00675,"0-1-0-1:0,0,1":0.01125,"0-1-0-1:1,0,0":0.01125,"0-1-0-1:1,0,1":0.01875,"0-1-1-0:0,0,0":0.01575,"0-1-1-0:1,0,0":0.02625,"0-1-1-1:0,0,0":0.03675,"0-1-1-1:1,0,0":0.06124999999999999,"1-0-0-0:0,0,0":0.009,"1-0-0-1:0,0,0":0.0135,"1-0-0-1:0,0,1":0.0225,"1-0-1-0:0,0,0":0.020249999999999997,"1-0-1-0:0,1,0":0.033749999999999995,"1-0-1-1:0,0,0":0.04724999999999999,"1-0-1-1:0,1,0":0.07874999999999999,"1-1-0-0:0,0,0":0.03149999999999999,"1-1-0-1:0,0,0":0.04724999999999999,"1-1-0-1:0,0,1":0.07874999999999999,"1-1-1-0:0,0,0":0.11024999999999997,"1-1-1-1:0,0,0":0.2572499999999999}}',
 }
@@ -630,6 +635,19 @@ def test_eval_pinned_bytes(tmp_path, case):
                "--len", "3"])
     assert res.exit_code == 0
     assert res.output.strip() == PINNED_EVAL[case]
+
+
+def test_eval_fib_tail_is_correctly_rounded():
+    # the Perron tail of fib gives a length-3 cylinder t_v / phi^3 with
+    # t = (phi^-1, phi^-2): phi^-4 ending at vertex 0 and phi^-5 at vertex 1
+    with localcontext() as ctx:
+        ctx.prec = 50
+        phi = (1 + Decimal(5).sqrt()) / 2
+        expected = {0: float(phi ** -4), 1: float(phi ** -5)}
+    values = json.loads(PINNED_EVAL["fib", "tail"])["values"]
+    assert len(values) == 8
+    for name, x in values.items():
+        assert x == expected[int(name.split(":")[0].split("-")[-1])]
 
 
 # ---------------------------------------------------------------------------

@@ -322,9 +322,8 @@ def test_kept_arrays_value_as_the_tables(case, data):
     assert m.markov.values(off).tolist() == [m.markov.q.get(v, 0.0) for v in verts]
     if isinstance(m, IFSWeights):
         assert m.values(off).tolist() == [m.q.get(v, 0.0) for v in verts]
-    else:          # a tail from vectors reads its dicts over the span of the rows
-        near = 5 if getattr(m, "vectors", None) is not None else len(verts)
-        _same_values(m, [empty_path(v) for v in verts[:near]], off[:near])
+    else:
+        _same_values(m, [empty_path(v) for v in verts], off)
     if isinstance(m, pm.TailInvariantMeasure):   # the first vertex off the level is named
         with pytest.raises(pm.WindowTooSmall, match=f"vertex {k} "):
             m.values(off[np.array([1, 2, 0])])

@@ -356,6 +356,26 @@ def test_ifs_edge_the_diagram_lacks_weighs_zero(allones2):
     assert nu.value(pm.FinitePath((present,))) == 0.5 * nu.q[1]
 
 
+def test_ifs_path_ending_off_the_level_weighs_zero(allones2):
+    # q was once read with [], so a path ending off the level raised a bare
+    # KeyError where values and the Markov form gave 0.0
+    nu = ifs_measure(allones2, SYMMETRIC_P)
+    for path in (pm.empty_path(5), pm.FinitePath((Edge(0, 0, 5),))):
+        assert nu.value(path) == 0.0 == nu.markov.value(path)
+    off = pm.PathColumns(np.array([5]), np.array([5]), np.zeros((1, 0), np.intp), ())
+    assert nu.values(off).tolist() == [0.0]
+
+
+def test_tail_from_vectors_far_apart_rows_raise_at_once(fib):
+    # the dict read once built one entry per integer between the smallest
+    # and the largest row, here 2**62 + 2**63 of them
+    m = tail_measure_from_vectors(fib, [[0.5, 0.5]])
+    at = np.array([-(1 << 62), 0, (1 << 63) - 1], dtype=np.intp)
+    off = pm.PathColumns(at, at, np.zeros((3, 0), np.intp), ())
+    with pytest.raises(pm.WindowTooSmall, match=f"vertex {-(1 << 62)} "):
+        m.values(off)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.1, 0.9))
 def test_ifs_fixed_point_property(a):

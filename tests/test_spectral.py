@@ -9,9 +9,11 @@ from scipy.sparse.csgraph import connected_components
 
 import pathmeas as pm
 from pathmeas import perron_eigenpair, solve_harmonic, stationary_distribution
-from pathmeas.spectral import recurrent_classes
+from pathmeas.spectral import SQUARED_START_LIMIT, recurrent_classes
 
 PHI = (1 + math.sqrt(5)) / 2
+FIB = np.array([[1, 1], [1, 0]])
+QUAD4 = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
 
 
 def finite_matrix(f):
@@ -21,6 +23,33 @@ def finite_matrix(f):
         (v, w): int(f[v, w]) for v in range(n) for w in range(n) if f[v, w]})
     m.size = n
     return m
+
+
+def uniform_start_level():
+    """A primitive level one vertex above SQUARED_START_LIMIT, where the
+    iteration still starts from the uniform vector: the cycle w -> w+1,
+    a self-loop at 0 and a chord w -> w+5, counts 1-3."""
+    n = SQUARED_START_LIMIT + 1
+    rng = np.random.default_rng(n)
+    f = np.zeros((n, n), dtype=int)
+    f[(np.arange(n) + 1) % n, np.arange(n)] = rng.integers(1, 4, n)
+    f[(np.arange(n) + 5) % n, np.arange(n)] = rng.integers(1, 4, n)
+    f[0, 0] = 1
+    return f
+
+
+def assert_trace_of_iterates(f, pair, t):
+    """Each trace row is A's residual |A s - lam s| / lam, lam = mu - 1, of
+    the iterate s = (A + I) t / mu from the previous one, t the start; not
+    the residual of the shifted A + I."""
+    a = f.T.astype(float)
+    for k, res in pair.trace:
+        m_t = a @ t + t
+        mu = np.sum(m_t)
+        s = m_t / mu
+        expected = np.max(np.abs(a @ s - (mu - 1) * s)) / (mu - 1)
+        assert res == pytest.approx(expected, rel=1e-6, abs=1e-15)
+        t = s
 
 
 def assert_bracketed(pair):
@@ -57,8 +86,8 @@ def test_eigen_residual_recomputed_independently(fib):
     assert abs(residual - pair.residual) < 1e-14
 
 
-def test_eigen_trace_is_decreasing(fib):
-    pair = perron_eigenpair(fib.matrix(0))
+def test_eigen_trace_is_decreasing():
+    pair = perron_eigenpair(finite_matrix(uniform_start_level()))
     assert pair.trace
     residuals = [r for _, r in pair.trace]
     assert residuals[-1] < residuals[0]
@@ -136,10 +165,11 @@ def test_perron_dominates_row_bounds(entries):
 
 @st.composite
 def irreducible_counts(draw):
-    """Random irreducible F on 2-6 vertices: the cycle w -> w+1 (mod n) plus
-    random edges, all from class w % p to class (w + 1) % p for a period p
-    dividing n, so p > 1 gives a periodic matrix."""
-    n = draw(st.integers(2, 6))
+    """Random irreducible F on 2-24 vertices, so on both sides of
+    SQUARED_START_LIMIT: the cycle w -> w+1 (mod n) plus random edges, all
+    from class w % p to class (w + 1) % p for a period p dividing n, so
+    p > 1 gives a periodic matrix."""
+    n = draw(st.integers(2, 24))
     p = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
     f = np.zeros((n, n))
     for v in range(n):
@@ -206,19 +236,51 @@ def test_large_sparse_level_agrees_with_bracket():
 
 def test_trace_rows_are_residuals_of_a():
     # the finite solver iterates on A + I; each trace row must still be
-    # A's residual |A s - lam s| / lam with lam = mu - 1, not a shifted one
-    f = np.array([[0, 1, 2], [3, 0, 1], [0, 2, 1]])
+    # A's residual, here from the uniform start of a level above the limit
+    f = uniform_start_level()
     pair = perron_eigenpair(finite_matrix(f))
-    a = f.T.astype(float)
-    t = np.full(3, 1 / 3)
-    for k, res in pair.trace:
-        m_t = a @ t + t
-        mu = np.sum(m_t)
-        s = m_t / mu
-        expected = np.max(np.abs(a @ s - (mu - 1) * s)) / (mu - 1)
-        assert res == pytest.approx(expected, rel=1e-6, abs=1e-15)
-        t = s
+    assert len(pair.trace) > 10
+    assert_trace_of_iterates(f, pair, np.full(f.shape[0], 1 / f.shape[0]))
     assert pair.trace[-1][1] < 1e-10
+
+
+@pytest.mark.parametrize("f", [FIB, QUAD4], ids=["fib", "quad4"])
+def test_small_level_starts_from_squared_powers(f):
+    # up to SQUARED_START_LIMIT vertices the start is the Perron vector to
+    # rounding: one step, A's residual of that step's iterate, and a
+    # bracket as narrow as the arithmetic allows
+    pair = perron_eigenpair(finite_matrix(f))
+    assert pair.iterations == 1 and len(pair.trace) == 1
+    vals, vecs = np.linalg.eig(f.T.astype(float))
+    perron = np.abs(vecs[:, np.argmax(vals.real)].real)
+    assert_trace_of_iterates(f, pair, perron / perron.sum())
+    lo, hi = pair.bracket
+    assert lo <= pair.lam <= hi and hi - lo <= 1e-14 * pair.lam
+    assert abs(pair.lam - np.max(vals.real)) <= 1e-14 * pair.lam
+
+
+def test_weighted_four_cycle_bracket_at_rounding():
+    # A + I has complex subdominant eigenvalues, so the residual-based
+    # polish once stopped with a bracket 1.43e-9 wide and lam off by 2e-10;
+    # lam^4 is the cycle's weight, 2 * 1 * 2 * 3
+    f = np.array([[0, 0, 0, 2], [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0]])
+    pair = perron_eigenpair(finite_matrix(f))
+    lo, hi = pair.bracket
+    assert hi - lo < 1e-14
+    assert abs(pair.lam - 12 ** 0.25) <= 1e-14 * 12 ** 0.25
+
+
+def test_long_weighted_cycle_bracket_within_tol():
+    # above SQUARED_START_LIMIT the uniform iteration met its residual tol
+    # with a bracket ~5e-9 wide; it now steps on while the bracket is wider
+    # than tol lam; lam^17 is the cycle's weight 3^4
+    n = 17
+    f = np.zeros((n, n), dtype=int)
+    f[(np.arange(n) + 1) % n, np.arange(n)] = [1] * 13 + [3] * 4
+    pair = perron_eigenpair(finite_matrix(f))
+    lo, hi = pair.bracket
+    assert lo <= pair.lam <= hi and hi - lo <= 1e-10 * hi
+    assert abs(pair.lam - 3 ** (4 / n)) <= 1e-10 * pair.lam
 
 
 def test_solve_harmonic_symmetric():
