@@ -594,9 +594,10 @@ def json_field(obj, key: str, what: str, error=DiagramError):
     return obj[key]
 
 
-def json_rows(rows, width: int, what: str, read, error=DiagramError):
+def json_rows(rows, width: int, what: str, read, error=DiagramError, values=None):
     """read(rows) for JSON rows of ``width`` entries; where it fails, ``error``
-    names the first row that is not a list of ``width`` entries, else the value.
+    names the first row that is not a list of ``width`` entries as a
+    ``what`` row, else the value as a ``values`` row (default ``what``).
     A DiagramError from ``read`` (a bad vertex index) passes through as
     itself when ``error`` is DiagramError, and is wrapped otherwise."""
     try:
@@ -609,7 +610,7 @@ def json_rows(rows, width: int, what: str, read, error=DiagramError):
         for row in rows:
             if not isinstance(row, (list, tuple)) or len(row) != width:
                 raise error(f"{what} row {row!r} does not have {width} entries") from exc
-        raise error(f"{what} row holds a bad value: {exc}") from exc
+        raise error(f"{values or what} row holds a bad value: {exc}") from exc
 
 
 def _matrix_from_json(obj, vert) -> IncidenceMatrix:

@@ -410,12 +410,19 @@ def markov_measure(diagram: DiagramSpec, q, p_levels,
     """Validate stochasticity (per-vertex unit row sums over outgoing
     edges) and support, then build the Markov measure with cylinder values
     q_{s(e_0)} p^(0)_{s(e_0),e_0} ... p^(n)_{s(e_n),e_n}."""
-    q = _as_vertex_dict(diagram, q, "initial mass")
     stationary = isinstance(p_levels, dict)
+    return _markov_measure(diagram, q, [p_levels] if stationary else p_levels, stationary,
+                           _as_table, tol)
+
+
+def _markov_measure(diagram: DiagramSpec, q, tables, stationary: bool, read,
+                    tol: float = CONSISTENCY_TOL) -> MarkovMeasure:
+    """markov_measure from its transition tables, each converted to the
+    checked (w, v, k) -> p dict by read(table, n), n its level."""
+    q = _as_vertex_dict(diagram, q, "initial mass")
     if stationary:
         diagram.require_stationary()
-    levels = [_as_table(table, f"level-{n} transition")
-              for n, table in enumerate([p_levels] if stationary else p_levels)]
+    levels = [read(table, n) for n, table in enumerate(tables)]
     verts = diagram.vertices()
     for n, table in enumerate(levels):
         weighed = [w for (w, _, _), p in table.items() if p > 0]
@@ -889,13 +896,25 @@ def _as_vertex_dict(diagram: DiagramSpec, values, what: str, window=None) -> dic
     return masses
 
 
-def _as_table(table, what: str) -> dict:
-    """Transition probabilities (w, v, k) -> p as checked floats keyed by
-    ints; a bad key or value raises MeasureError naming ``what``."""
+def _as_table(table, n: int) -> dict:
+    """Level-n transition probabilities (w, v, k) -> p as checked floats
+    keyed by ints; a bad key or value raises MeasureError naming the level."""
+    what = f"level-{n} transition"
     if not isinstance(table, dict):
         raise MeasureError(f"{what} is not a table")
     table = json_rows(list(table.items()), 2, what, lambda rows: {
         (_index(w), _index(v), _index(k)): float(p) for (w, v, k), p in rows}, MeasureError)
+    return require_masses(table, what)
+
+
+def _rows_as_table(rows, n: int, rows_what: str) -> dict:
+    """JSON rows [w, v, k, p] as the checked table of _as_table, in one
+    pass; a row that is not four entries raises MeasureError naming
+    ``rows_what``, a bad key or value naming the level."""
+    what = f"level-{n} transition"
+    table = json_rows(rows, 4, rows_what, lambda rows: {
+        (_index(w), _index(v), _index(k)): float(p) for w, v, k, p in rows},
+        MeasureError, values=what)
     return require_masses(table, what)
 
 
@@ -930,10 +949,8 @@ def measure_from_dict(diagram: DiagramSpec, obj: dict):
         levels = [obj["P"]] if stationary else obj.get("P_levels")
         if not isinstance(levels, (list, tuple)):
             raise MeasureError("markov measure has no 'P' and no list 'P_levels'")
-        tables = [json_rows(rows, 4, "P" if stationary else f"P_levels[{n}]",
-                            lambda rows: {(w, v, k): p for w, v, k, p in rows}, MeasureError)
-                  for n, rows in enumerate(levels)]
-        return markov_measure(diagram, q, tables[0] if stationary else tables)
+        return _markov_measure(diagram, q, levels, stationary, lambda rows, n: _rows_as_table(
+            rows, n, "P" if stationary else f"P_levels[{n}]"))
     if kind == "ifs":
         return ifs_measure(diagram, json_field(obj, "p", "ifs measure", MeasureError))
     raise MeasureError(f"unknown measure type {kind!r}")

@@ -1,12 +1,16 @@
 """Perron eigenpairs and harmonic (fixed-point) vectors.
 
-All solvers are deterministic: the finite Perron iteration starts from
-the sum-one row sums of a power (A + I)^(2^k) on a level of at most
-SQUARED_START_LIMIT (16) vertices and from the uniform vector on larger
-ones, stencil eigenpairs are closed form, harmonic and stationary
-vectors are one bordered least-squares solve, and results carry the
-residual of the equation they claim to solve, recomputable by an
-independent multiply.
+All solvers are deterministic and run the same three steps: a
+candidate, its certificate, and a fallback only where the certificate
+fails.  On a finite level of at most SQUARED_START_LIMIT (16) vertices
+the Perron candidate is the sum-one row sums of a power (A + I)^(2^k),
+accepted on its Collatz-Wielandt bracket; the fallback, and the solver
+of larger levels, is the power iteration on A + I.  Stencil eigenpairs
+are closed form, a stationary vector is one LU solve per recurrent
+class, and a harmonic vector one bordered least-squares solve, built
+class by class where that is not unique.  Results carry the residual
+of the equation they claim to solve, recomputable by an independent
+multiply.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class EigenPair:
     residual: float          # sup |A t - lam t| / lam over the level
     summable: str            # "yes" (finite level) | "no" (stencil)
     window: int | None = None
-    iterations: int = 0      # power steps after the start vector
+    iterations: int = 0      # power steps after the start vector; 0 when it is accepted
     trace: list | None = None  # (step, residual) of each of those steps
     bracket: tuple | None = None  # finite levels: min, max of (A t)_v / t_v
 
@@ -122,8 +126,8 @@ def _final_class_fixed_vector(m: np.ndarray):
 
 
 def _squared_start(rows, cols, counts, n: int, tol: float) -> np.ndarray:
-    """Start vector of the finite Perron iteration on a level of at most
-    SQUARED_START_LIMIT vertices: the row sums of (A + I)^(2^k), sum-one.
+    """Candidate Perron vector of a level of at most SQUARED_START_LIMIT
+    vertices: the row sums of (A + I)^(2^k), sum-one.
 
     For a primitive A + I the powers tend to a rank-one matrix whose
     columns are the Perron vector (Seneta, Non-negative Matrices and
@@ -131,9 +135,8 @@ def _squared_start(rows, cols, counts, n: int, tol: float) -> np.ndarray:
     squared at most 17 times (2^17 > DEFAULT_MAX_ITER), rescaled by its
     largest entry each time, until the sum-one row sums move by less than
     1e-3 tol.  Each square is an elementwise product summed by numpy, not
-    a BLAS call, so its bits do not depend on the CPU.  Where an entry is
-    at most 1e-13 of the largest (a reducible level) the start stays the
-    uniform vector, and so does every error the iteration raises."""
+    a BLAS call, so its bits do not depend on the CPU.  On a reducible
+    level an entry can vanish to rounding; the caller checks the support."""
     p = np.eye(n)
     p[rows, cols] += counts
     r = np.full(n, 1.0 / n)
@@ -142,9 +145,9 @@ def _squared_start(rows, cols, counts, n: int, tol: float) -> np.ndarray:
         p /= p.max()
         last, r = r, p.sum(axis=1)
         r /= r.sum()
-        if np.max(np.abs(r - last)) < 1e-3 * tol:
+        if np.abs(r - last).max() < 1e-3 * tol:
             break
-    return r if r.min() > 1e-13 * r.max() else np.full(n, 1.0 / n)
+    return r
 
 
 def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
@@ -152,20 +155,25 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
                      max_iter: int = DEFAULT_MAX_ITER) -> EigenPair:
     """Perron eigenpair of A = F^T.
 
-    Finite domains iterate on A + I over the full level with sum-one
-    normalization: the shift makes an irreducible A primitive, periodic
-    ones included, and each product gathers the level's triplets.  A level
-    of at most SQUARED_START_LIMIT (16) vertices starts from the row sums
+    Finite domains are sum-one and carry the Collatz-Wielandt bracket
+    min/max (A t)_v / t_v, which holds the Perron root.  On a level of at
+    most SQUARED_START_LIMIT (16) vertices the candidate is the row sums
     of a squared power of the dense A + I (_squared_start), as a rule the
-    Perron vector to rounding, so that the loop takes one step; larger
-    levels start from the uniform vector.  ``iterations``, the rows of
-    ``trace`` and ``max_iter`` count the steps after the start, up to
-    convergence.  Once converged the iteration polishes, stepping on (at
-    most 200 steps) while the residual keeps improving.  The result
-    carries the Collatz-Wielandt bracket min/max (A t)_v / t_v, which
-    holds the Perron root; while it is wider than tol lam, the iteration
-    steps on as long as it narrows (at most max_iter steps).  A level
-    graph without a cycle (nilpotent A) raises DegenerateSolution at once.
+    Perron vector to rounding.  Its certificate is one product A t: where
+    the bracket is at most tol lam wide and every entry exceeds 1e-13 of
+    the largest, t is returned with no step (``iterations`` 0, ``trace``
+    empty) and lam = sum(A t) clipped into the bracket.  Otherwise, and on
+    every larger level, the fallback iterates on A + I over the full level:
+    the shift makes an irreducible A primitive, periodic ones included,
+    and each product gathers the level's triplets.  It starts from the
+    candidate where only the bracket failed and from the uniform vector
+    otherwise.  ``iterations``, the rows of ``trace`` and ``max_iter``
+    count the steps after the start, up to convergence.  Once converged
+    the iteration polishes, stepping on (at most 200 steps) while the
+    residual keeps improving; while the bracket is wider than tol lam, it
+    steps on as long as the bracket narrows (at most max_iter steps).  A
+    level graph without a cycle (nilpotent A) raises DegenerateSolution
+    at once.
 
     A stencil (infinite domain) has every row sum equal to sum_d c_d, so
     its pair is closed form: lam = sum_d c_d and t = 1 on the window's
@@ -195,16 +203,29 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
             ms = a_mul(s) + s
             return s, ms, mu, float(np.max(np.abs(ms - mu * s)) / (mu - 1.0))
 
-        def certified(s):
-            """t = s sum-one, A t and the Collatz-Wielandt bracket of t."""
-            t = s / np.sum(s)
+        def certified(t):
+            """t, A t and the Collatz-Wielandt bracket of t."""
             at = a_mul(t)
-            return t, at, float(np.min(at / t)), float(np.max(at / t))
+            ratios = at / t
+            return t, at, float(ratios.min()), float(ratios.max())
 
-        trace = []
-        t = (_squared_start(rows, cols, counts, f.size, tol) if f.size <= SQUARED_START_LIMIT
-             else np.ones(f.size) / f.size)
+        def pair(t, at, lo, hi, estimate, k, trace):
+            """The sum-one pair of t, lam the estimate clipped into the
+            bracket, which holds the Perron root, and its residual."""
+            lam = min(max(estimate, lo), hi)
+            residual = float(np.max(np.abs(at - lam * t)) / lam)
+            return EigenPair(lam, dict(enumerate(t.tolist())), "sum-one", residual, "yes",
+                             iterations=k, trace=trace, bracket=(lo, hi))
+
+        t = np.ones(f.size) / f.size
+        if f.size <= SQUARED_START_LIMIT:
+            start = _squared_start(rows, cols, counts, f.size, tol)
+            if start.min() > 1e-13 * start.max():    # else reducible: the loop from uniform
+                t, at, lo, hi = certified(start)
+                if hi - lo <= tol * hi:
+                    return pair(t, at, lo, hi, float(at.sum()), 0, [])
         mt = a_mul(t) + t
+        trace = []
         for k in range(1, max_iter + 1):
             s, ms, mu, residual = step(mt)
             trace.append((k, residual))
@@ -220,19 +241,16 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
             s, ms, mu, residual = polished
         if np.min(s) <= 1e-13 * np.max(s):
             raise ReducibleSuspected("eigenvector support is a proper vertex subset")
-        t, at, lo, hi = certified(s)
+        t, at, lo, hi = certified(s / np.sum(s))
         for _ in range(max_iter):    # a bracket wider than tol lam: step on while it narrows
             if hi - lo <= tol * hi:
                 break
             s, ms_next, mu_next, _ = step(ms)
-            cert = certified(s)
+            cert = certified(s / np.sum(s))
             if cert[3] - cert[2] >= hi - lo:
                 break
             ms, mu, (t, at, lo, hi) = ms_next, mu_next, cert
-        lam = min(max(mu - 1.0, lo), hi)    # the Perron root lies in [lo, hi]
-        residual = float(np.max(np.abs(at - lam * t)) / lam)
-        return EigenPair(lam, dict(enumerate(t.tolist())), "sum-one", residual, "yes",
-                         iterations=k, trace=trace, bracket=(lo, hi))
+        return pair(t, at, lo, hi, mu - 1.0, k, trace)
 
     verts = f.vertices(window)
     lam = float(sum(f.stencil.values()))
@@ -290,10 +308,14 @@ def recurrent_classes(p: np.ndarray):
 def stationary_distribution(p: np.ndarray, tol: float = DEFAULT_TOL) -> StationaryDistribution:
     """Left fixed probability vector q P = q of a row-stochastic matrix.
 
-    Each recurrent class is one bordered least-squares solve.  With several
-    recurrent classes the fixed vector is not unique; the solver returns
-    the equal-weight mixture of the per-class stationary vectors and flags
-    non-uniqueness.
+    The candidate of each recurrent class is one LU solve of its block's
+    P^T - I, the diagonal read off the off-diagonal row sums, with the
+    last row set to ones, clipped at 0 and normalized to sum one.  With several recurrent classes the fixed vector is not
+    unique; the solver returns the equal-weight mixture of the per-class
+    stationary vectors and flags non-uniqueness.  The certificate is the
+    residual max |q P - q|: above max(100 tol, 1e-9) it raises
+    NoConvergence.  There is no fallback solve: the class systems are
+    nonsingular, and a singular one raises NoConvergence too.
     """
     p = _nonnegative_square(p)
     rows = p.sum(axis=1)
@@ -303,7 +325,25 @@ def stationary_distribution(p: np.ndarray, tol: float = DEFAULT_TOL) -> Stationa
     classes = recurrent_classes(p)
     q = np.zeros(p.shape[0])
     for members in classes:
-        qc = np.clip(_bordered_solve(p[np.ix_(members, members)].T)[0], 0.0, None)
+        # the class block B is stochastic and irreducible, so the rows of
+        # B^T - I sum to zero and span rank k - 1: the last is redundant,
+        # and with it set to ones the system is nonsingular.  Its diagonal
+        # is taken as minus B's off-diagonal row sums, equal to B_ii - 1
+        # but free of that difference's cancellation, which loses a
+        # coupling below the rounding of 1 (p_01 = p_10 = 1e-17 gave
+        # q = (1, 0)).  LAPACK fails only on an exact zero pivot, where
+        # the rounded block is singular (a class within rounding of
+        # splitting in two): a typed error, not the cue for a second solve
+        lhs = p[np.ix_(members, members)].T
+        np.fill_diagonal(lhs, 0.0)
+        np.fill_diagonal(lhs, -lhs.sum(axis=0))
+        lhs[-1] = 1.0
+        rhs = np.zeros(len(members))
+        rhs[-1] = 1.0
+        try:
+            qc = np.clip(np.linalg.solve(lhs, rhs), 0.0, None)
+        except np.linalg.LinAlgError:
+            raise NoConvergence("singular stationary system on a recurrent class") from None
         q[members] += qc / qc.sum() / len(classes)
     residual = float(np.max(np.abs(q @ p - q)))
     if residual > max(100 * tol, 1e-9):

@@ -144,6 +144,15 @@ def test_eigen_stencil_csv_is_header_only(files):
     assert res.output == "iteration,residual\n"
 
 
+@pytest.mark.parametrize("name", ["fib", "allones"])
+def test_eigen_small_level_csv_is_header_only(files, name):
+    # the squared start of a level of at most 16 vertices is accepted on
+    # its certificate, with no power step
+    res = run(["eigen", "--diagram", files[name], "--format", "csv"])
+    assert res.exit_code == 0
+    assert res.output == "iteration,residual\n"
+
+
 def test_eigen_negative_window_exit1(files):
     res = run(["eigen", "--diagram", files["tri_z"], "--window", "-1"])
     assert res.exit_code == 1

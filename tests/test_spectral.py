@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -247,16 +247,62 @@ def test_trace_rows_are_residuals_of_a():
 @pytest.mark.parametrize("f", [FIB, QUAD4], ids=["fib", "quad4"])
 def test_small_level_starts_from_squared_powers(f):
     # up to SQUARED_START_LIMIT vertices the start is the Perron vector to
-    # rounding: one step, A's residual of that step's iterate, and a
-    # bracket as narrow as the arithmetic allows
+    # rounding, accepted on its certificate with no step: a bracket as
+    # narrow as the arithmetic allows
     pair = perron_eigenpair(finite_matrix(f))
-    assert pair.iterations == 1 and len(pair.trace) == 1
+    assert pair.iterations == 0 and pair.trace == []
     vals, vecs = np.linalg.eig(f.T.astype(float))
     perron = np.abs(vecs[:, np.argmax(vals.real)].real)
-    assert_trace_of_iterates(f, pair, perron / perron.sum())
+    assert np.max(np.abs(pair.vector(range(f.shape[0])) - perron / perron.sum())) <= 1e-14
     lo, hi = pair.bracket
     assert lo <= pair.lam <= hi and hi - lo <= 1e-14 * pair.lam
     assert abs(pair.lam - np.max(vals.real)) <= 1e-14 * pair.lam
+
+
+@st.composite
+def small_irreducible_levels(draw):
+    """Random sparse irreducible F of at most SQUARED_START_LIMIT vertices:
+    either a circulant F[(w + d) % n, w] = c_d on at most three offsets,
+    d = 1 among them, whose columns have equal sums, so that the uniform
+    vector is the Perron vector; or the weighted cycle w -> w+1 (mod n)
+    plus at most n edges from class w % p to class (w + 1) % p, p a
+    divisor of n, so p > 1 gives a periodic level."""
+    n = draw(st.integers(2, SQUARED_START_LIMIT))
+    w = np.arange(n)
+    f = np.zeros((n, n), dtype=int)
+    if draw(st.booleans()):
+        for d in draw(st.sets(st.integers(0, n - 1), max_size=2)) | {1}:
+            f[(w + d) % n, w] += draw(st.integers(1, 2))
+        return f
+    p = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    f[(w + 1) % n, w] = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, n))):
+        source = draw(st.integers(0, n - 1))
+        target = (source + 1) % p + p * draw(st.integers(0, n // p - 1))
+        f[target, source] = draw(st.integers(1, 3))
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_irreducible_levels())
+@example(np.ones((2, 2), dtype=int))
+def test_small_level_pair_accepted_on_its_certificate(f):
+    n = f.shape[0]
+    spec = pm.diagram_from_dict({
+        "kind": "stationary", "vertices": {"type": "finite", "count": n},
+        "matrices": [{"triplets": [[v, w, int(f[v, w])] for v, w in zip(*np.nonzero(f))]}]})
+    pair = perron_eigenpair(spec.matrix(0))
+    lo, hi = pair.bracket
+    assert lo <= pair.lam <= hi and hi - lo <= 1e-14 * pair.lam
+    rho = float(np.max(np.abs(np.linalg.eigvals(f.T.astype(float)))))
+    assert abs(pair.lam - rho) <= 1e-14 * rho
+    a = f.T.astype(float)
+    t = pair.vector(range(n))
+    assert abs(pair.residual - np.max(np.abs(a @ t - pair.lam * t)) / pair.lam) <= 1e-15
+    # the tail measure's Kolmogorov identities hold to IDENTITY_TOL only
+    # when A t = lam t does to about that
+    report = pm.check_kolmogorov(pm.stationary_tail_measure(spec), 4)
+    assert report.holds, report
 
 
 def test_weighted_four_cycle_bracket_at_rounding():
@@ -478,6 +524,53 @@ def test_stationary_distribution_oracle():
     assert abs(sd.q[1] - 1 / 6) < 1e-12
     assert not sd.non_unique
     assert sd.residual < 1e-12
+
+
+def least_squares_stationary(p):
+    """The stationary vector of a stochastic p with one recurrent class, as
+    the least-squares solve of the bordered system [P^T - I; 1^T] q = [0; 1]."""
+    n = p.shape[0]
+    lhs = np.vstack([p.T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    return np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_stationary_class_solve_agrees_with_least_squares(k, n_rest, seed):
+    # one recurrent class of k states (a cycle plus random transitions)
+    # and n_rest transient states that each reach it, shuffled
+    rng = np.random.default_rng(seed)
+    n = k + n_rest
+    p = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    p[:k, k:] = 0.0
+    p[np.arange(k), (np.arange(k) + 1) % k] += 0.5
+    p[np.arange(k, n), rng.integers(0, k, n_rest)] += 0.5
+    p /= p.sum(axis=1, keepdims=True)
+    perm = rng.permutation(n)
+    p = p[np.ix_(perm, perm)]
+    sd = stationary_distribution(p)
+    assert not sd.non_unique
+    assert np.max(np.abs(sd.q - least_squares_stationary(p))) <= 1e-14
+
+
+@pytest.mark.parametrize("a, b", [(1e-300, 1e-300), (1e-17, 3e-17), (1e-15, 1e-15)])
+def test_stationary_coupling_below_rounding_of_one(a, b):
+    # 1 - a rounds to 1 (or nearly), so the diagonal of P - I loses the
+    # coupling; the stationary vector is proportional to (b, a)
+    sd = stationary_distribution(np.array([[1 - a, a], [b, 1 - b]]))
+    assert np.allclose(sd.q, np.array([b, a]) / (a + b), rtol=0, atol=1e-14)
+
+
+def test_stationary_singular_class_system_is_typed(monkeypatch):
+    # a class system is nonsingular unless rounding makes it exactly so;
+    # that zero pivot is NoConvergence, with no second solve behind it
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(pm.NoConvergence, match="singular"):
+        stationary_distribution(np.array([[0.9, 0.1], [0.5, 0.5]]))
 
 
 def test_stationary_distribution_non_unique():
