@@ -62,10 +62,6 @@ class EdgeMeasure:
         if {y for _, y in self.mass} != set(self.cells1.cells):
             raise MeasureError("range projection is not onto the level")
 
-    @property
-    def total(self) -> float:
-        return sum(self.mass.values())
-
 
 @dataclass(frozen=True)
 class CellArrays:
@@ -109,15 +105,8 @@ class CellKernel:
             self._arrays = CellArrays(mhat, P, mhat[:, None] * P, order, off)
         return self._arrays
 
-    def row(self, x) -> dict:
-        return self.rows[x]
-
     def p(self, x, y) -> float:
         return self.rows[x].get(y, 0.0)
-
-    def edge_mass(self, x, y) -> float:
-        """Reconstruction p(e) = p-hat(s(e)) p(s(e), r(e))."""
-        return self.marginal[x] * self.p(x, y)
 
     def check_stochastic(self, tol: float = 1e-9):
         for x, row in self.rows.items():
@@ -150,9 +139,12 @@ class HarmonicReport:
 def harmonic_check(kernel: CellKernel, q: dict,
                    tol: float = KERNEL_TOL) -> HarmonicReport:
     """Per-cell residual of sum_y p(x,y) q(y) - q(x); a NaN residual is
-    the worst one and fails the check."""
-    residuals = {x: abs(sum(p * q[y] for y, p in row.items()) - q[x])
-                 for x, row in kernel.rows.items()}
+    the worst one and fails the check.  A cell q lacks raises MeasureError."""
+    try:
+        residuals = {x: abs(sum(p * q[y] for y, p in row.items()) - q[x])
+                     for x, row in kernel.rows.items()}
+    except KeyError as exc:
+        raise MeasureError(f"q has no value at cell {exc.args[0]!r}") from None
     values = residuals.values()
     # max() keeps a NaN only when it comes first
     worst = math.nan if any(math.isnan(r) for r in values) else max(values)

@@ -10,7 +10,6 @@ frequency check live here as well.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -121,11 +120,6 @@ class TailInvariantMeasure:
         """A Perron measure's t as a _vertex_array of level 0 (NaN off the
         level), laid out on first use and kept."""
         return _vertex_array(self.eigen.t, self.diagram.matrix(0), math.nan)
-
-    def cell_value(self, n: int, v: int, window=None) -> float:
-        """Mass of the partition cell X_v^(n) = H^(n)_v cylinders."""
-        h = height_vector(self.diagram, n, window)
-        return h[v] * self.level_vector(n)[v]
 
 
 def _in_window(vector: dict, v: int) -> float:
@@ -281,19 +275,6 @@ class MarkovMeasure:
     def markov(self) -> "MarkovMeasure":
         return self
 
-    @property
-    def full_support(self) -> bool:
-        """Whether q and every transition out of a vertex are positive, in
-        each stored table: out of every vertex of a finite level, and out of
-        each vertex whose row the table stores on a stencil, where a form
-        covers a window and leaves out the rows that run past it."""
-        finite = self.diagram.domain == FINITE
-        return all(x > 0 for x in self.q.values()) and all(
-            table.get((w, v, k), 0.0) > 0 for n, table in enumerate(self.levels)
-            for w, column in _columns(self.diagram, n, self.diagram.vertices() if finite
-                                      else [w for w, _, _ in table]).items()
-            for v, c in column.items() for k in range(c))
-
     def _level(self, n: int) -> int:
         if self.stationary:
             return 0
@@ -341,6 +322,8 @@ class MarkovMeasure:
     def level_ratios(self, path: FinitePath, n_terms: int) -> list:
         """Partial products prod_{i=1}^k p^(i+1)_{s(e_i),e_i} / p^(i)_{s(e_i),e_i}
         along a path, for k = 1 .. n_terms; the path needs n_terms + 1 edges."""
+        if n_terms < 0:
+            raise MeasureError(f"term count {n_terms} is negative")
         if len(path) < n_terms + 1:
             raise TooShort(f"path has {len(path)} edges, {n_terms} terms need {n_terms + 1}")
         partials, prod = [], 1.0
@@ -448,8 +431,9 @@ class IFSWeights:
     Cylinder values: nu([f_0..f_{n-1}]) = p_{f_0} ... p_{f_{n-1}} q_{r(f_{n-1})},
     nu([w]) = q_w.  p is a general strictly positive weight vector; the
     total mass sum_w q_w is reported, not assumed finite or one.  The
-    Markov form has transitions p_e q_{r(e)} / q_{s(e)}.  The column sums
-    and the total mass are read off p and q.
+    Markov form has transitions p_e q_{r(e)} / q_{s(e)}, so both ends of a
+    weighted edge need positive q, read as markov_measure reads its q.
+    The column sums and the total mass are read off p and q.
     """
 
     diagram: DiagramSpec
@@ -462,6 +446,10 @@ class IFSWeights:
     _p: _Weights = field(init=False, repr=False, compare=False)  # (source, target, mult) -> p_e
 
     def __post_init__(self):
+        self.q = q = _as_vertex_dict(self.diagram, self.q, "harmonic vector")
+        for w, v in self.p:
+            if not (q.get(w, 0.0) > 0 and q.get(v, 0.0) > 0):
+                raise MeasureError(f"weight on edge ({w}->{v}), whose ends need positive q")
         columns = _columns(self.diagram, 0, [w for w, _ in self.p])
         p = {(w, v, k): x for (w, v), x in self.p.items()
              for k in range(columns.get(w, {}).get(v, 0))}
@@ -838,28 +826,13 @@ def check_kolmogorov(measure, max_len: int = 5, tol: float = IDENTITY_TOL,
     return FixedPointReport(float(worst), count, bool(worst < tol))
 
 
-COMPENSATED_SUM = sys.version_info >= (3, 12)   # sum() of floats compensates there
-
-
-def _block_sums(values: np.ndarray, sizes: np.ndarray,
-                compensated: bool = COMPENSATED_SUM) -> np.ndarray:
-    """sum() of each consecutive block of ``values`` (block i holds sizes[i]
-    of them, all of ``values`` in turn), so each result is what sum()
-    returns for the block of floats: added left to right from 0.0, which
-    np.bincount does in one pass, or, where sum() applies Neumaier's
-    compensation, position by position in sum()'s order."""
-    if not compensated:
-        return np.bincount(np.arange(len(sizes)).repeat(sizes), values, len(sizes))
-    total, comp = np.zeros(len(sizes)), np.zeros(len(sizes))
-    first = sizes.cumsum() - sizes
-    for r in range(int(sizes.max(initial=0))):
-        live = (sizes > r).nonzero()[0]
-        s, x = total[live], values[first[live] + r]
-        total[live] = t = s + x
-        comp[live] += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-    fix = (comp != 0) & np.isfinite(comp)
-    total[fix] += comp[fix]
-    return total
+def _block_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sum of each consecutive block of ``values`` (block i holds
+    sizes[i] of them, all of ``values`` in turn), added left to right from
+    0.0 in one np.bincount pass, the same bits on every Python.  The audits
+    add nonnegative values, where such a sum of d terms is within (d - 1)u
+    of the exact one relatively (u the unit roundoff), far inside IDENTITY_TOL."""
+    return np.bincount(np.arange(len(sizes)).repeat(sizes), values, len(sizes))
 
 
 # ---------------------------------------------------------------------------

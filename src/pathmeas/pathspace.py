@@ -277,8 +277,10 @@ def cell(spec: DiagramSpec, n: int, v: int) -> LevelPartitionCell:
     grown backward from v one level at a time, each path's extensions a
     consecutive block in edges_into order.
 
-    Contains exactly H^(n)_v members.
+    Contains exactly H^(n)_v members.  A negative n raises PathError.
     """
+    if n < 0:
+        raise PathError(f"path length {n} is negative")
     if int(v) != v or not spec.matrix(max(n - 1, 0)).in_domain(v):
         raise Unreachable(f"vertex {v} is not in the level domain")
     at = np.array([v], dtype=np.intp)

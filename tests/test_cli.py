@@ -364,6 +364,8 @@ def test_sample_pinned_bytes(tmp_path, case):
       "--len", "-1"], "PathError"),
     (["sfs", "rn", "--diagram", "fib", "--measure", "tail", "--edge", "1-0",
       "--path", "0-0-0", "--depth", "0"], "TooShort"),
+    (["sfs", "qstat", "--diagram", "fib", "--measure", "tail",
+      "--path", "0-0-0", "--terms", "-1"], "MeasureError"),
 ])
 def test_typed_error_exit1(files, args, kind):
     res = run([files.get(a, a) for a in args])
@@ -644,6 +646,33 @@ def test_eval_pinned_bytes(tmp_path, case):
                "--len", "3"])
     assert res.exit_code == 0
     assert res.output.strip() == PINNED_EVAL[case]
+
+
+ALL3 = {"kind": "stationary", "vertices": {"type": "finite", "count": 3},
+        "matrices": [{"triplets": [[v, w, 1] for w in range(3) for v in range(3)]}]}
+# the stationary chain of rows (0.1, 0.2, 0.7): invariant, with audits
+# whose block sums of three terms round differently under a compensated sum
+STATIONARY3 = {"type": "markov", "q": [0.1, 0.2, 0.7],
+               "P": [[w, v, 0, p] for w in range(3) for v, p in enumerate((0.1, 0.2, 0.7))]}
+# `measure check --len 3` stdout: the audits add each block left to right,
+# so these bytes are the same on every Python
+PINNED_CHECK = {
+    "kolmogorov": '{"holds":true,"max_dev":1.6184009105322986e-16,"n_cylinders":39,"tol":1e-12}',
+    "shift": '{"factors":{"0":1.0,"1":1.0,"2":1.0},"invariant":true,'
+             '"max_dev":3.0977204928157267e-16,"predicted":{"0":1.0,"1":1.0,"2":1.0},"tol":1e-12}',
+}
+
+
+@pytest.mark.parametrize("what", sorted(PINNED_CHECK))
+def test_check_pinned_bytes(tmp_path, what):
+    paths = []
+    for name, obj in (("all3", ALL3), ("stationary3", STATIONARY3)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj))
+    res = run(["measure", "check", "--diagram", str(paths[0]), "--measure", str(paths[1]),
+               "--what", what, "--len", "3"])
+    assert res.exit_code == 0
+    assert res.output.strip() == PINNED_CHECK[what]
 
 
 def test_eval_fib_tail_is_correctly_rounded():

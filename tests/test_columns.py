@@ -6,8 +6,6 @@ walk builds, in the same order, and each measure's ``values`` must equal
 error), on the level itself and on its shifted and prepended columns.
 """
 
-import math
-import sys
 from collections import Counter
 
 import numpy as np
@@ -574,19 +572,7 @@ def test_names_match_str(obj, window):
 
 
 # ---------------------------------------------------------------------------
-# block sums in sum()'s order
-
-def _neumaier(xs):
-    """CPython's sum() of floats from 3.12 on, transcribed."""
-    if not xs:
-        return 0
-    s, c = 0 + xs[0], 0.0
-    for x in xs[1:]:
-        t = s + x
-        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
-        s = t
-    return s + c if c and math.isfinite(c) else s
-
+# block sums, added left to right
 
 def _plain(xs):
     s = 0.0
@@ -604,9 +590,4 @@ FLOATS = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
 def test_block_sums_match_sum(blocks):
     values = np.array([x for b in blocks for x in b], dtype=float)
     sizes = np.array([len(b) for b in blocks], dtype=np.intp)
-    assert _block_sums(values, sizes).tolist() == [sum(b) for b in blocks]
-    assert _block_sums(values, sizes, compensated=True).tolist() == [_neumaier(b) for b in blocks]
-    assert _block_sums(values, sizes, compensated=False).tolist() == [_plain(b) for b in blocks]
-    # the transcription this interpreter's sum() follows
-    reference = _neumaier if sys.version_info >= (3, 12) else _plain
-    assert [sum(b) for b in blocks] == [reference(b) for b in blocks]
+    assert _block_sums(values, sizes).tolist() == [_plain(b) for b in blocks]

@@ -37,7 +37,7 @@ def test_disintegrate_closed_form(kern):
 def test_reconstruction_exact(kern):
     p = edge_measure_from_dict(KERNEL_DICT)
     for (x, y), mass in p.mass.items():
-        assert kern.edge_mass(x, y) == pytest.approx(mass, abs=1e-15)
+        assert kern.marginal[x] * kern.p(x, y) == pytest.approx(mass, abs=1e-15)
 
 
 def test_edge_measure_rejects_bad_support():
@@ -58,6 +58,12 @@ def test_harmonic_constant(kern):
 def test_harmonic_rejects_nonharmonic(kern):
     report = harmonic_check(kern, {"a": 1.0, "b": 2.0})
     assert not report.passed
+
+
+def test_harmonic_check_names_a_missing_cell(kern):
+    # a q without cell b once raised a bare KeyError: 'b'
+    with pytest.raises(pm.MeasureError, match="q has no value at cell 'b'"):
+        harmonic_check(kern, {"a": 1.0})
 
 
 def test_solve_harmonic_kernel(kern):

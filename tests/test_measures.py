@@ -14,6 +14,7 @@ from pathmeas import (
     check_kolmogorov,
     check_shift_invariance,
     check_tail_invariance,
+    column_level,
     empirical_check,
     enumerate_paths,
     ifs_measure,
@@ -63,7 +64,9 @@ def test_stationary_tail_values(allones2, fib):
     mf = stationary_tail_measure(fib)
     assert mf.value(parse_path_literal("1-0", fib)) == pytest.approx(
         0.3819660, abs=1e-7)
-    assert mf.cell_value(1, 0) == pytest.approx(0.7639320, abs=1e-7)
+    # the cell X_0^(1) holds the length-1 paths ending at 0
+    level = column_level(fib, 1)
+    assert mf.values(level)[level.end == 0].sum() == pytest.approx(0.7639320, abs=1e-7)
 
 
 def test_tail_consistency_and_spread(allones2, fib):
@@ -102,7 +105,6 @@ def test_markov_symmetric_value(allones2):
     table = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}
     m = markov_measure(allones2, [0.5, 0.5], table)
     assert m.value(parse_path_literal("0-1-0", allones2)) == 0.125
-    assert m.full_support
 
 
 def test_markov_rejects_substochastic(allones2):
@@ -115,44 +117,6 @@ def test_markov_rejects_off_support(fib):
     table = {(0, 0, 0): 0.5, (0, 1, 0): 0.5, (1, 0, 0): 0.5, (1, 1, 0): 0.5}
     with pytest.raises(pm.SupportMismatch):
         markov_measure(fib, [0.5, 0.5], table)
-
-
-def test_markov_flags_missing_support(fib):
-    table = {(0, 0, 0): 0.618, (0, 1, 0): 0.382, (1, 0, 0): 1.0}
-    m = markov_measure(fib, [1.0, 0.0], table, tol=1e-3)
-    assert not m.full_support
-
-
-def test_full_support_read_off_every_form(allones2, fib):
-    # a flag that only markov_measure once set: every tail and IFS form said True
-    vecs = tail_measure_from_vectors(fib, [{0: 1.0, 1: 0.0}, {0: 0.0, 1: 1.0}])
-    assert not vecs.markov.full_support
-    table = {(0, 0, 0): 0.618, (0, 1, 0): 0.382, (1, 0, 0): 1.0}
-    assert not markov_measure(fib, vecs.markov.q, table, tol=1e-3).full_support
-    assert tail_measure_from_vectors(allones2, [[1.0, 1.0], [0.5, 0.5]]).markov.full_support
-    assert stationary_tail_measure(fib).markov.full_support
-    assert ifs_measure(allones2, SYMMETRIC_P).markov.full_support
-    # no weight on the loop at vertex 1: its transition is missing
-    partial = pm.IFSWeights(allones2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, {0: 1.0, 1: 1.0})
-    assert not partial.markov.full_support
-
-
-def test_full_support_reads_the_rows_a_stencil_form_stores(tri_z, nat):
-    # a Perron tail form leaves out the window's rows that run past it; the
-    # rule once read them as zero transitions, so t > 0 everywhere gave False
-    for spec in (tri_z, nat):
-        tail = stationary_tail_measure(spec)
-        assert all(t > 0 for t in tail.eigen.t.values())
-        assert tail.markov.full_support
-        stored = {w for w, _, _ in tail.markov.levels[0]}
-        assert stored and stored < set(spec.vertices())
-        # a zero in a stored row still counts
-        table = dict(tail.markov.levels[0])
-        table[min(table)] = 0.0
-        assert not pm.MarkovMeasure(spec, tail.markov.q, [table]).full_support
-        q = dict(tail.markov.q)
-        q[0] = 0.0
-        assert not pm.MarkovMeasure(spec, q, tail.markov.levels).full_support
 
 
 def test_tail_to_markov_closed_form(allones2, fib):
@@ -433,6 +397,9 @@ def test_nonstationary_shift_product(allones2):
     report = pm.nonstationary_shift_product(mk, x, 4)
     assert report.converges_to_one
     assert report.qp0_residual < 1e-12
+    assert pm.nonstationary_shift_product(mk, x, 0).partials == []
+    with pytest.raises(pm.MeasureError, match="term count -1 is negative"):
+        pm.nonstationary_shift_product(mk, x, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +683,16 @@ def test_ifs_rejects_bad_weight_at_once(allones2, weight):
     # or raise DegenerateSolution, never MeasureError
     with pytest.raises(pm.MeasureError, match="not finite and positive"):
         ifs_measure(allones2, [[0, 0, weight]] + SYMMETRIC_P[1:])
+
+
+def test_ifs_weights_read_their_q(fib):
+    # q was once read unchecked: {} raised KeyError, a zero ZeroDivisionError,
+    # a string TypeError, and NaN built a measure of NaN total mass
+    p = {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}
+    for q, match in [({}, "positive q"), ({0: 0.0, 1: 1.0}, "positive q"),
+                     ({0: "x", 1: 1.0}, "bad value"), ({0: math.nan, 1: 1.0}, "not finite")]:
+        with pytest.raises(pm.MeasureError, match=match):
+            pm.IFSWeights(fib, p, q)
 
 
 def test_ifs_markov_form_weighs_every_parallel_edge():

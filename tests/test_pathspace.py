@@ -204,6 +204,12 @@ def test_cell_unreachable(fib):
         cell(fib, 1, 5)
 
 
+def test_cell_rejects_a_negative_length(fib):
+    # cell(fib, -1, 0) once returned a level -1 cell holding [0]
+    with pytest.raises(pm.PathError, match="path length -1 is negative"):
+        cell(fib, -1, 0)
+
+
 def _object_cell(spec, n, v):
     """X_v^(n) grown backward path by path from edges_into: the members
     and errors cell() must reproduce."""

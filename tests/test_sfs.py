@@ -175,3 +175,14 @@ def test_level_ratios_need_terms_plus_one_edges(allones2):
     with pytest.raises(pm.TooShort):
         quasi_stationary_test(m, x, n_terms=4)
     assert quasi_stationary_test(m, x, n_terms=3).partials == pytest.approx([1.0] * 3)
+
+
+def test_level_ratios_reject_a_negative_term_count(allones2):
+    # -1 terms once gave an empty, failed report
+    m = stationary_tail_measure(allones2)
+    x = parse_path_literal("0-0-0", allones2)
+    with pytest.raises(pm.MeasureError, match="term count -1 is negative"):
+        m.markov.level_ratios(x, -1)
+    with pytest.raises(pm.MeasureError, match="term count -1 is negative"):
+        quasi_stationary_test(m, x, n_terms=-1)
+    assert quasi_stationary_test(m, x, n_terms=0).partials == []

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,34 @@ def test_shared_container_check_sees_what_it_should():
         "E = collections.OrderedDict()\nF = [x for x in y]\nG = (1, 2)\nH = frozenset()\n"
         "class K:\n    cache = {}\n    n = 0\n    rows: dict = field(default_factory=dict)\n"
         "def f():\n    local = {}\n") == ["A", "B", "C", "D", "E", "F", "cache"]
+
+
+def _names_read(node) -> Counter:
+    """How often each name or attribute is read within ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_private_functions(sources: list) -> list:
+    """The single-underscore functions and methods defined in ``sources``
+    (the texts of one package's modules) that no code in the package
+    refers to, outside their own definition: dead helpers."""
+    trees = [ast.parse(source) for source in sources]
+    read = sum(map(_names_read, trees), Counter())
+    return [node.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and read[node.name] == _names_read(node)[node.name]]
+
+
+def test_no_unreferenced_private_functions():
+    assert unreferenced_private_functions([p.read_text() for p in SOURCES]) == []
+
+
+def test_unreferenced_function_check_sees_what_it_should():
+    assert unreferenced_private_functions([
+        "def _used():\n    pass\ndef _dead():\n    return _dead()\n"
+        "def __init__(self):\n    pass\ndef public():\n    pass\n"
+        "class K:\n    def _method(self):\n        pass\n    def _kept(self):\n"
+        "        return self._kept\n",
+        "from a import _used\nprint(_used(), K()._kept)\n"]) == ["_dead", "_method"]
