@@ -447,12 +447,12 @@ class IFSWeights:
 
     def __post_init__(self):
         self.q = q = _as_vertex_dict(self.diagram, self.q, "harmonic vector")
-        for w, v in self.p:
-            if not (q.get(w, 0.0) > 0 and q.get(v, 0.0) > 0):
-                raise MeasureError(f"weight on edge ({w}->{v}), whose ends need positive q")
         columns = _columns(self.diagram, 0, [w for w, _ in self.p])
         p = {(w, v, k): x for (w, v), x in self.p.items()
              for k in range(columns.get(w, {}).get(v, 0))}
+        for w, v, _ in p:               # a weight on a pair the diagram lacks is unused
+            if not (q.get(w, 0.0) > 0 and q.get(v, 0.0) > 0):
+                raise MeasureError(f"weight on edge ({w}->{v}), whose ends need positive q")
         self._p = _Weights(p, self.diagram.matrix(0))
         table = {(w, v, k): x * self.q[v] / self.q[w] for (w, v, k), x in p.items()}
         self.markov = MarkovMeasure(self.diagram, self.q, [table])

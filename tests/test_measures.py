@@ -693,6 +693,10 @@ def test_ifs_weights_read_their_q(fib):
                      ({0: "x", 1: 1.0}, "bad value"), ({0: math.nan, 1: 1.0}, "not finite")]:
         with pytest.raises(pm.MeasureError, match=match):
             pm.IFSWeights(fib, p, q)
+    # a weight on a pair fib lacks is unused, so an end of it needs no q
+    q = {0: 1.0, 1: 1.0}
+    extra = pm.IFSWeights(fib, {**p, (1, 1): 0.3, (0, 5): 0.2}, q)
+    assert extra.markov.levels == pm.IFSWeights(fib, p, q).markov.levels
 
 
 def test_ifs_markov_form_weighs_every_parallel_edge():
