@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product
 
@@ -139,12 +140,17 @@ class HarmonicReport:
 def harmonic_check(kernel: CellKernel, q: dict,
                    tol: float = KERNEL_TOL) -> HarmonicReport:
     """Per-cell residual of sum_y p(x,y) q(y) - q(x); a NaN residual is
-    the worst one and fails the check.  A cell q lacks raises MeasureError."""
+    the worst one and fails the check.  A q that is not a mapping, lacks a
+    cell or holds a value that is not a number raises MeasureError."""
+    if not isinstance(q, Mapping):
+        raise MeasureError("q is not an object of cell values")
     try:
         residuals = {x: abs(sum(p * q[y] for y, p in row.items()) - q[x])
                      for x, row in kernel.rows.items()}
     except KeyError as exc:
         raise MeasureError(f"q has no value at cell {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise MeasureError(f"q holds a cell value that is not a number: {exc}") from None
     values = residuals.values()
     # max() keeps a NaN only when it comes first
     worst = math.nan if any(math.isnan(r) for r in values) else max(values)

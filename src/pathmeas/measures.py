@@ -446,6 +446,7 @@ class IFSWeights:
     _p: _Weights = field(init=False, repr=False, compare=False)  # (source, target, mult) -> p_e
 
     def __post_init__(self):
+        require_masses(self.p, "edge weight", positive=True)   # not converted: ifs_measure has
         self.q = q = _as_vertex_dict(self.diagram, self.q, "harmonic vector")
         columns = _columns(self.diagram, 0, [w for w, _ in self.p])
         p = {(w, v, k): x for (w, v), x in self.p.items()
@@ -689,14 +690,19 @@ def _draw_form(measure, length: int, count: int, start) -> MarkovMeasure:
 
 def _walk(form: MarkovMeasure, u: list, start) -> FinitePath:
     """The path that the uniforms u (one for the start, one per edge) pick
-    by inverse-CDF steps over the form's rows."""
+    by inverse-CDF steps over the form's rows.  A step reads the form's
+    kept rows directly; ``row`` runs only on a first visit, where it builds
+    the row or raises."""
     w = start
     if w is None:
         verts, cum = form.starts
         w = verts[bisect_right(cum, u[0])]
-    row, edges = form.row, []
+    rows, edges = form._rows, []
     for n in range(len(u) - 1):
-        out, cum = row(w, n)
+        try:
+            out, cum = rows[n, w]
+        except KeyError:
+            out, cum = form.row(w, n)
         e = out[bisect_right(cum, u[n + 1])]
         edges.append(e)
         w = e.target
@@ -714,8 +720,11 @@ def sample_paths(measure, length: int, count: int, seed: int,
 
 
 def sample_path(measure, length: int, seed: int, start: int | None = None) -> FinitePath:
-    """Draw one admissible path of the given length; deterministic per seed."""
-    return sample_paths(measure, length, 1, seed, start)[0]
+    """Draw one admissible path of the given length; deterministic per seed.
+    Its uniforms, ``random(length + 1)``, are the same doubles as the first
+    row of ``sample_paths``'s block, so it draws that call's first path."""
+    form = _draw_form(measure, length, 1, start)
+    return _walk(form, np.random.default_rng(seed).random(length + 1).tolist(), start)
 
 
 def _draw_counts(measure, length: int, count: int, seed: int) -> tuple:
@@ -790,8 +799,9 @@ def empirical_check(measure, length: int, n_samples: int, seed: int,
         raise InfiniteMass("an empirical check draws its starting vertices from q, "
                            "which needs finite total mass")
     level, hits = _draw_counts(measure, length, n_samples, seed)
-    values = measure.values(level).tolist()
-    total = sum(values)
+    values = measure.values(level)
+    total = float(_block_sums(values, np.array([len(values)]))[0])   # the same bits on every Python
+    values = values.tolist()
     rows, worst = [], 0.0
     for name, value, hit in zip(level.names(), values, hits.tolist()):
         exact, freq = value / total, hit / n_samples
@@ -840,9 +850,13 @@ def _block_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def require_masses(values: dict, what: str, positive: bool = False) -> dict:
     """``values`` (key -> number); MeasureError at the first that is NaN,
-    infinite or negative, or zero when ``positive``."""
+    infinite, negative or not a number, or zero when ``positive``."""
     for key, x in values.items():
-        if not (x > 0 if positive else x >= 0) or x == math.inf:
+        try:
+            bad = not (x > 0 if positive else x >= 0) or x == math.inf
+        except TypeError:                     # not a number
+            bad = True
+        if bad:
             sign = "positive" if positive else "nonnegative"
             raise MeasureError(f"{what} {x!r} at {key!r} is not finite and {sign}")
     return values

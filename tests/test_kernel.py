@@ -66,6 +66,13 @@ def test_harmonic_check_names_a_missing_cell(kern):
         harmonic_check(kern, {"a": 1.0})
 
 
+@pytest.mark.parametrize("q", [[1.0, 1.0], None, {"a": "x", "b": 1.0}])
+def test_harmonic_check_rejects_a_q_of_no_numbers(kern, q):
+    # each once raised a bare TypeError
+    with pytest.raises(pm.MeasureError, match="q "):
+        harmonic_check(kern, q)
+
+
 def test_solve_harmonic_kernel(kern):
     h = solve_harmonic_kernel(kern)
     assert h.q == {"a": 1.0, "b": 1.0}

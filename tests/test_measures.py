@@ -1,6 +1,10 @@
 import math
+import operator
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -438,6 +442,79 @@ def test_sample_paths_first_is_sample_path(allones2, fib):
             pm.validate_path(p.edges)
 
 
+def _reference_walk(spec, form, length, seed, start=None):
+    """The literal of the path a seeded draw should give, from numpy's
+    uniforms, the diagram's ``edges_from`` and the form's stored tables:
+    each pick is a bisect_right over cumulative masses over their total."""
+    u = np.random.default_rng(seed).random(length + 1).tolist()
+
+    def pick(items, masses, x):
+        cum = list(accumulate(masses))
+        return items[bisect_right([c / cum[-1] for c in cum], x)]
+
+    w = start if start is not None else pick(list(form.q), list(form.q.values()), u[0])
+    verts, mults = [w], []
+    for n in range(length):
+        table = form.levels[0 if form.stationary else n]
+        out = spec.edges_from(w, n)
+        e = pick(out, [table.get((e.source, e.target, e.mult), 0.0) for e in out], u[n + 1])
+        w = e.target
+        verts.append(w)
+        mults.append(e.mult)
+    if not length:
+        return f"[{w}]"
+    return "-".join(map(str, verts)) + ":" + ",".join(map(str, mults))
+
+
+def _random_rows(spec, rng):
+    """A transition table of random positive weights on every edge of
+    level 0, each vertex's row summing to one."""
+    table = {}
+    for w in spec.vertices():
+        out = spec.edges_from(w, 0)
+        x = rng.random(len(out)) + 0.05
+        table.update(((e.source, e.target, e.mult), p) for e, p in zip(out, (x / x.sum()).tolist()))
+    return table
+
+
+def test_sample_path_matches_a_reference_walk(fib):
+    rng = np.random.default_rng(25)
+    multi = pm.diagram_from_dict({
+        "kind": "stationary", "vertices": {"type": "finite", "count": 3},
+        "matrices": [{"triplets": [[0, 0, 1], [1, 0, 2], [2, 1, 1], [0, 2, 1], [2, 2, 3]]}]})
+    quad = pm.diagram_from_dict({
+        "kind": "stationary", "vertices": {"type": "finite", "count": 4},
+        "matrices": [{"triplets": [[w, v, 1] for w in range(4) for v in range(4) if v != w]
+                      + [[0, 0, 1], [3, 3, 1]]}]})
+    into = {}                   # IFS weights of unit column sums: M has root 1
+    for e in quad.all_edges():
+        into.setdefault(e.target, []).append((e.source, rng.random() + 0.1))
+    ifs_p = [[w, v, x / sum(y for _, y in ws)] for v, ws in into.items() for w, x in ws]
+    measures = [
+        (multi, markov_measure(multi, [0.2, 0.5, 0.3], _random_rows(multi, rng))),
+        (quad, markov_measure(quad, rng.random(4).tolist(),
+                              [_random_rows(quad, rng) for _ in range(12)])),
+        (quad, ifs_measure(quad, ifs_p)),
+        (multi, stationary_tail_measure(multi)),
+        (fib, stationary_tail_measure(fib)),
+    ]
+    for spec, m in measures:
+        for length in range(13):
+            for seed in range(40):
+                want = _reference_walk(spec, m.markov, length, seed)
+                assert str(sample_path(m, length, seed)) == want, (length, seed)
+
+
+def test_sample_path_matches_a_reference_walk_on_a_stencil(tri_z, nat):
+    for spec in (tri_z, nat):
+        m = stationary_tail_measure(spec)
+        for start in (0, 1, 5):
+            for length in range(13):
+                for seed in range(20):
+                    want = _reference_walk(spec, m.markov, length, seed, start)
+                    assert str(sample_path(m, length, seed, start=start)) == want
+
+
 @pytest.mark.parametrize("length", [0, 1, 3])
 @pytest.mark.parametrize("start", [99, 2, -5])
 def test_sample_start_outside_domain(fib, nat, length, start):
@@ -494,6 +571,25 @@ def test_empirical_ifs(allones2):
     nu = ifs_measure(allones2, ASYMMETRIC_P)
     report = empirical_check(nu, length=3, n_samples=20000, seed=12)
     assert report.passed
+
+
+def test_empirical_exact_adds_values_left_to_right(allones2, fib):
+    # the total was once builtin sum(), whose float path compensates on
+    # Python 3.12+, so these probabilities moved in their last bits there
+    ones3 = pm.diagram_from_dict({
+        "kind": "stationary", "vertices": {"type": "finite", "count": 3},
+        "matrices": [{"triplets": [[w, v, 1] for w in range(3) for v in range(3)]}]})
+    chain = {(w, v, 0): p for w in range(3) for v, p in enumerate((0.1, 0.2, 0.7))}
+    for m, length in [(stationary_tail_measure(ones3), 4),
+                      (markov_measure(ones3, [0.1, 0.2, 0.7], chain), 3),
+                      (stationary_tail_measure(fib), 4),
+                      (ifs_measure(allones2, ASYMMETRIC_P), 4)]:
+        report = empirical_check(m, length, 200, seed=1)
+        level = column_level(m.diagram, length)
+        values = m.values(level).tolist()
+        total = reduce(operator.add, values, 0.0)
+        assert [row.cylinder for row in report.rows] == level.names()
+        assert all(row.exact == value / total for row, value in zip(report.rows, values))
 
 
 @pytest.mark.parametrize("length, count", [(-1, 1), (2, -1)])
@@ -693,6 +789,10 @@ def test_ifs_weights_read_their_q(fib):
                      ({0: "x", 1: 1.0}, "bad value"), ({0: math.nan, 1: 1.0}, "not finite")]:
         with pytest.raises(pm.MeasureError, match=match):
             pm.IFSWeights(fib, p, q)
+    # p was read unchecked too: a NaN weight gave column sums {0: nan, 1: 0.5}
+    for x in (NAN, INF, 0.0, -1.0, "x", None):
+        with pytest.raises(pm.MeasureError, match="edge weight"):
+            pm.IFSWeights(fib, {**p, (0, 0): x}, {0: 1.0, 1: 1.0})
     # a weight on a pair fib lacks is unused, so an end of it needs no q
     q = {0: 1.0, 1: 1.0}
     extra = pm.IFSWeights(fib, {**p, (1, 1): 0.3, (0, 5): 0.2}, q)
