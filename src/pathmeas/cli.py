@@ -52,7 +52,7 @@ def guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (json.JSONDecodeError, OSError, KeyError, ValueError, TypeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, ArithmeticError) as exc:
             fail(EXIT_INPUT_ERROR, type(exc).__name__, str(exc))
         except PathmeasError as exc:
             fail(EXIT_CHECK_FAILED, type(exc).__name__, str(exc))
@@ -109,7 +109,6 @@ def eigen(diagram_path, tol, window, fmt):
     emit({"lambda": pair.lam,
           "t": {str(v): x for v, x in pair.t.items()},
           "residual": pair.residual, "bracket": pair.bracket,
-          "summable": pair.summable,
           "normalization": pair.normalization,
           "tol": tol, "window": pair.window})
 

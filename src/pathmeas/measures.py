@@ -446,7 +446,11 @@ class IFSWeights:
     _p: _Weights = field(init=False, repr=False, compare=False)  # (source, target, mult) -> p_e
 
     def __post_init__(self):
-        require_masses(self.p, "edge weight", positive=True)   # not converted: ifs_measure has
+        try:                            # read as _as_vertex_dict reads q
+            self.p = {wv: float(x) for wv, x in self.p.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MeasureError(f"edge weight holds a bad value: {exc}") from exc
+        require_masses(self.p, "edge weight", positive=True)
         self.q = q = _as_vertex_dict(self.diagram, self.q, "harmonic vector")
         columns = _columns(self.diagram, 0, [w for w, _ in self.p])
         p = {(w, v, k): x for (w, v), x in self.p.items()
@@ -688,6 +692,15 @@ def _draw_form(measure, length: int, count: int, start) -> MarkovMeasure:
     return form
 
 
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator of ``seed``; a seed it refuses, negative or not an
+    integer, raises MeasureError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise MeasureError(f"seed {seed!r} is not a nonnegative integer") from None
+
+
 def _walk(form: MarkovMeasure, u: list, start) -> FinitePath:
     """The path that the uniforms u (one for the start, one per edge) pick
     by inverse-CDF steps over the form's rows.  A step reads the form's
@@ -715,7 +728,7 @@ def sample_paths(measure, length: int, count: int, seed: int,
     steps over the measure's Markov form; deterministic per seed.  Without
     ``start`` the first vertex is drawn from q, which needs finite mass."""
     form = _draw_form(measure, length, count, start)
-    block = np.random.default_rng(seed).random((count, length + 1)).tolist()
+    block = _rng(seed).random((count, length + 1)).tolist()
     return [_walk(form, u, start) for u in block]
 
 
@@ -724,7 +737,7 @@ def sample_path(measure, length: int, seed: int, start: int | None = None) -> Fi
     Its uniforms, ``random(length + 1)``, are the same doubles as the first
     row of ``sample_paths``'s block, so it draws that call's first path."""
     form = _draw_form(measure, length, 1, start)
-    return _walk(form, np.random.default_rng(seed).random(length + 1).tolist(), start)
+    return _walk(form, _rng(seed).random(length + 1).tolist(), start)
 
 
 def _draw_counts(measure, length: int, count: int, seed: int) -> tuple:
@@ -750,7 +763,7 @@ def _draw_counts(measure, length: int, count: int, seed: int) -> tuple:
     for v, x in form.q.items():
         if x > 0 and not 0 <= v - lo < len(level):
             raise WindowTooSmall(f"q puts mass on vertex {v}, outside the window of the paths")
-    u = np.random.default_rng(seed).random((count, length + 1))
+    u = _rng(seed).random((count, length + 1))
     verts, cum = form.starts
     at = (np.array(verts, dtype=np.intp) - lo)[np.searchsorted(cum, u[:, 0], side="right")]
     for n in range(length):

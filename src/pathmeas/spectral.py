@@ -5,12 +5,13 @@ candidate, its certificate, and a fallback only where the certificate
 fails.  On a finite level of at most SQUARED_START_LIMIT (16) vertices
 the Perron candidate is the sum-one row sums of a power (A + I)^(2^k),
 accepted on its Collatz-Wielandt bracket; the fallback, and the solver
-of larger levels, is the power iteration on A + I.  Stencil eigenpairs
-are closed form, a stationary vector is one LU solve per recurrent
-class, and a harmonic vector one bordered least-squares solve, built
-class by class where that is not unique.  Results carry the residual
-of the equation they claim to solve, recomputable by an independent
-multiply.
+of larger levels, is the power iteration on A + I, whose only stop is
+that bracket, so a finite pair is returned certified or not at all.
+Stencil eigenpairs are closed form, a stationary vector is one LU solve
+per recurrent class, and a harmonic vector one bordered least-squares
+solve, built class by class where that is not unique.  Results carry
+the residual of the equation they claim to solve, recomputable by an
+independent multiply.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ class EigenPair:
     t: dict                  # vertex -> component
     normalization: str       # "sum-one" | "sup-one"
     residual: float          # sup |A t - lam t| / lam over the level
-    summable: str            # "yes" (finite level) | "no" (stencil)
     window: int | None = None
-    iterations: int = 0      # power steps after the start vector; 0 when it is accepted
-    trace: list | None = None  # (step, residual) of each of those steps
+    iterations: int = 0      # power step of the returned iterate; 0 when the start is accepted
+    trace: list | None = None  # (step, residual) of each step until the residual is under tol
     bracket: tuple | None = None  # finite levels: min, max of (A t)_v / t_v
 
     def vector(self, vertices) -> np.ndarray:
@@ -125,6 +125,14 @@ def _final_class_fixed_vector(m: np.ndarray):
     return q
 
 
+def _bracket(x: np.ndarray, mx: np.ndarray) -> tuple:
+    """The Collatz-Wielandt bracket min, max of mx_v / x_v, mx = M x for a
+    positive x: it holds the Perron root of the nonnegative M (Seneta,
+    Non-negative Matrices and Markov Chains, ch. 1)."""
+    ratios = mx / x
+    return float(ratios.min()), float(ratios.max())
+
+
 def _squared_start(rows, cols, counts, n: int, tol: float) -> np.ndarray:
     """Candidate Perron vector of a level of at most SQUARED_START_LIMIT
     vertices: the row sums of (A + I)^(2^k), sum-one.
@@ -155,32 +163,36 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
                      max_iter: int = DEFAULT_MAX_ITER) -> EigenPair:
     """Perron eigenpair of A = F^T.
 
-    Finite domains are sum-one and carry the Collatz-Wielandt bracket
-    min/max (A t)_v / t_v, which holds the Perron root.  On a level of at
-    most SQUARED_START_LIMIT (16) vertices the candidate is the row sums
-    of a squared power of the dense A + I (_squared_start), as a rule the
-    Perron vector to rounding.  Its certificate is one product A t: where
-    the bracket is at most tol lam wide and every entry exceeds 1e-13 of
-    the largest, t is returned with no step (``iterations`` 0, ``trace``
-    empty) and lam = sum(A t) clipped into the bracket.  Otherwise, and on
-    every larger level, the fallback iterates on A + I over the full level:
-    the shift makes an irreducible A primitive, periodic ones included,
-    and each product gathers the level's triplets.  It starts from the
-    candidate where only the bracket failed and from the uniform vector
-    otherwise.  ``iterations``, the rows of ``trace`` and ``max_iter``
-    count the steps after the start, up to convergence.  Once converged
-    the iteration polishes, stepping on (at most 200 steps) while the
-    residual keeps improving; while the bracket is wider than tol lam, it
-    steps on as long as the bracket narrows (at most max_iter steps).  A
-    level graph without a cycle (nilpotent A) raises DegenerateSolution
-    at once.
+    A finite level's pair is sum-one and certified by its Collatz-Wielandt
+    bracket lo, hi = min, max of (A t)_v / t_v, which holds the Perron
+    root: it is returned only where hi - lo <= tol lo, with lam = sum(A t)
+    clipped into the bracket.  On a level of at most SQUARED_START_LIMIT
+    (16) vertices the candidate is the row sums of a squared power of the
+    dense A + I (_squared_start), accepted with no step (``iterations`` 0,
+    ``trace`` empty) where its entries exceed 1e-13 of the largest and one
+    product A t certifies it; where it fails on a reducible level, as on
+    the Jordan block F = [[1,0],[1,1]], ReducibleSuspected is raised.
+
+    Otherwise one loop iterates on A + I, from that candidate (or, where an
+    entry vanished and above the limit, the uniform vector): the shift
+    makes an irreducible A primitive, periodic ones included, and a step is
+    one product that gathers the level's triplets.  Each step appends
+    (step, |A s - lam s| / lam) to ``trace`` until that residual is under
+    tol; each later step reads its bracket off the product it holds, A s =
+    (A + I) s - s, and the loop returns the last iterate that narrowed a
+    certified bracket, ``iterations`` its step.  Until one is certified, an
+    iterate with an entry at most 1e-13 of the largest raises
+    ReducibleSuspected on a reducible level.  After ``max_iter`` steps
+    NoConvergence names the last bracket.  Reducibility is read from
+    IncidenceMatrix.components only on these failures.  A level graph
+    without a cycle (nilpotent A) raises DegenerateSolution at once.
 
     A stencil (infinite domain) has every row sum equal to sum_d c_d, so
     its pair is closed form: lam = sum_d c_d and t = 1 on the window's
-    vertices, sup-one normalized and not summable.  The residual is that
-    of the whole level: 0 on the integers; on the naturals vertex 0 has no
-    sources w < 0, so (A t)_0 falls short of lam by sum_{d<0} c_d.  A
-    ``tol`` that is not a finite positive number raises SolverError.
+    vertices, sup-one normalized.  The residual is that of the whole
+    level: 0 on the integers; on the naturals vertex 0 has no sources
+    w < 0, so (A t)_0 falls short of lam by sum_{d<0} c_d.  A ``tol`` that
+    is not a finite positive number raises SolverError.
     """
     if not 0 < tol < np.inf:          # NaN fails too
         raise SolverError(f"tol {tol!r} is not a finite positive number")
@@ -193,71 +205,49 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
         def a_mul(x):
             return np.bincount(rows, weights=counts * x[cols], minlength=len(x))
 
-        def step(mt):
-            """From (A + I) t: the next iterate s, (A + I) s, mu = |(A + I) t|_1
-            and the residual |A s - lam s| / lam, lam = mu - 1.  Iterates of
-            the nonnegative A + I stay positive, so the sum is the 1-norm
-            and mu > 1 on a level with a cycle."""
-            mu = float(mt.sum())
-            s = mt / mu
-            ms = a_mul(s) + s
-            return s, ms, mu, float(np.max(np.abs(ms - mu * s)) / (mu - 1.0))
-
-        def certified(t):
-            """t, A t and the Collatz-Wielandt bracket of t."""
-            at = a_mul(t)
-            ratios = at / t
-            return t, at, float(ratios.min()), float(ratios.max())
-
-        def pair(t, at, lo, hi, estimate, k, trace):
-            """The sum-one pair of t, lam the estimate clipped into the
-            bracket, which holds the Perron root, and its residual."""
-            lam = min(max(estimate, lo), hi)
+        def pair(t, at, lo, hi, k, trace):
+            lam = min(max(float(at.sum()), lo), hi)    # sum(A t), kept in the bracket
             residual = float(np.max(np.abs(at - lam * t)) / lam)
-            return EigenPair(lam, dict(enumerate(t.tolist())), "sum-one", residual, "yes",
+            return EigenPair(lam, dict(enumerate(t.tolist())), "sum-one", residual,
                              iterations=k, trace=trace, bracket=(lo, hi))
 
-        t = np.ones(f.size) / f.size
+        t = np.full(f.size, 1.0 / f.size)
         if f.size <= SQUARED_START_LIMIT:
             start = _squared_start(rows, cols, counts, f.size, tol)
-            if start.min() > 1e-13 * start.max():    # else reducible: the loop from uniform
-                t, at, lo, hi = certified(start)
-                if hi - lo <= tol * hi:
-                    return pair(t, at, lo, hi, float(at.sum()), 0, [])
-        mt = a_mul(t) + t
-        trace = []
+            if start.min() > 1e-13 * start.max():    # else an entry vanished: from uniform
+                lo, hi = _bracket(t := start, at := a_mul(start))
+                if hi - lo <= tol * lo:
+                    return pair(t, at, lo, hi, 0, [])
+            if f.components > 1:
+                raise ReducibleSuspected("reducible level: the squared start fails its bracket")
+        trace, best = [], None
+        s, ms = t, a_mul(t) + t
         for k in range(1, max_iter + 1):
-            s, ms, mu, residual = step(mt)
-            trace.append((k, residual))
-            if residual < tol and np.max(np.abs(s - t)) < tol:
+            mu = float(ms.sum())         # iterates of A + I stay positive: the 1-norm
+            s = ms / mu
+            ms = a_mul(s) + s            # (A + I) s, so A s = ms - s with no second product
+            if not trace or trace[-1][1] >= tol:    # the residual phase
+                trace.append((k, float(np.max(np.abs(ms - mu * s)) / (mu - 1.0))))
+                if trace[-1][1] >= tol:
+                    continue
+            if best is None and s.min() <= 1e-13 * s.max() and f.components > 1:
+                raise ReducibleSuspected("eigenvector support is a proper vertex subset")
+            lo, hi = _bracket(s, at := ms - s)
+            if hi - lo <= tol * lo and (best is None or hi - lo < best[3] - best[2]):
+                best = (s, at, lo, hi, k)
+            elif best is not None:       # the certified bracket stopped narrowing
                 break
-            t, mt = s, ms
-        else:
-            raise NoConvergence(f"no convergence after {max_iter} iterations")
-        for _ in range(200):
-            polished = step(ms)
-            if polished[3] >= residual:
-                break
-            s, ms, mu, residual = polished
-        if np.min(s) <= 1e-13 * np.max(s):
-            raise ReducibleSuspected("eigenvector support is a proper vertex subset")
-        t, at, lo, hi = certified(s / np.sum(s))
-        for _ in range(max_iter):    # a bracket wider than tol lam: step on while it narrows
-            if hi - lo <= tol * hi:
-                break
-            s, ms_next, mu_next, _ = step(ms)
-            cert = certified(s / np.sum(s))
-            if cert[3] - cert[2] >= hi - lo:
-                break
-            ms, mu, (t, at, lo, hi) = ms_next, mu_next, cert
-        return pair(t, at, lo, hi, mu - 1.0, k, trace)
+        if best is None:
+            lo, hi = _bracket(s, ms - s)
+            raise NoConvergence(f"no certified pair in {max_iter} steps: bracket [{lo!r}, {hi!r}]")
+        return pair(*best, trace)
 
     verts = f.vertices(window)
     lam = float(sum(f.stencil.values()))
     if lam == 0:
         raise DegenerateSolution("stencil has no edges: A = F^T is zero")
     lost = sum(c for d, c in f.stencil.items() if d < 0) if f.domain == NATURALS else 0
-    return EigenPair(lam, dict.fromkeys(verts, 1.0), "sup-one", lost / lam, "no",
+    return EigenPair(lam, dict.fromkeys(verts, 1.0), "sup-one", lost / lam,
                      window=window, trace=[])
 
 
@@ -285,8 +275,7 @@ def solve_harmonic(m: np.ndarray, tol: float = DEFAULT_TOL) -> HarmonicVector:
     if q is not None and np.max(q) != 0:    # 0 where the solve underflowed
         q = q / np.max(q)
     if q is not None and np.min(q) > 0:
-        mq = m @ q
-        lo, hi = float(np.min(mq / q)), float(np.max(mq / q))
+        lo, hi = _bracket(q, mq := m @ q)
         if 1.0 - slack <= lo and hi <= 1.0 + slack:
             return HarmonicVector(q, float(np.max(np.abs(mq - q))), (lo, hi), float(np.sum(q)))
     rho = float(np.max(np.abs(np.linalg.eigvals(m))))
@@ -325,15 +314,13 @@ def stationary_distribution(p: np.ndarray, tol: float = DEFAULT_TOL) -> Stationa
     classes = recurrent_classes(p)
     q = np.zeros(p.shape[0])
     for members in classes:
-        # the class block B is stochastic and irreducible, so the rows of
-        # B^T - I sum to zero and span rank k - 1: the last is redundant,
-        # and with it set to ones the system is nonsingular.  Its diagonal
-        # is taken as minus B's off-diagonal row sums, equal to B_ii - 1
-        # but free of that difference's cancellation, which loses a
+        # the class block B is stochastic and irreducible, so B^T - I has
+        # rank k - 1 and, with its redundant last row set to ones, is
+        # nonsingular.  Its diagonal is minus B's off-diagonal row sums,
+        # B_ii - 1 free of that difference's cancellation, which loses a
         # coupling below the rounding of 1 (p_01 = p_10 = 1e-17 gave
-        # q = (1, 0)).  LAPACK fails only on an exact zero pivot, where
-        # the rounded block is singular (a class within rounding of
-        # splitting in two): a typed error, not the cue for a second solve
+        # q = (1, 0)).  LAPACK fails only on an exact zero pivot (a class
+        # within rounding of splitting in two): a typed error, no second solve
         lhs = p[np.ix_(members, members)].T
         np.fill_diagonal(lhs, 0.0)
         np.fill_diagonal(lhs, -lhs.sum(axis=0))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import weakref
 from decimal import Decimal, localcontext
 
@@ -40,6 +41,10 @@ TAIL3 = {"type": "tail", "vectors": [[0.5, 0.5], [0.25, 0.25], [0.125, 0.125]]}
 # whose Perron iteration starts from squared powers, so it starts uniform
 CYCLE17 = {"kind": "stationary", "vertices": {"type": "finite", "count": 17},
            "matrices": [{"triplets": [[(w + 1) % 17, w, 1] for w in range(17)] + [[0, 0, 1]]}]}
+# the Jordan block F = [[1,0],[1,1]]: A = F^T has the double root 1 and no
+# positive eigenvector
+JORDAN = {"kind": "stationary", "vertices": {"type": "finite", "count": 2},
+          "matrices": [{"triplets": [[0, 0, 1], [1, 0, 1], [1, 1, 1]]}]}
 
 
 @pytest.fixture
@@ -47,7 +52,8 @@ def files(tmp_path):
     paths = {}
     for name, obj in [("allones", ALLONES), ("fib", FIB), ("zerorow", ZERO_ROW),
                       ("nat", NAT), ("tri_z", TRI_Z), ("kernel", KERNEL), ("ifs", IFS), ("tail", TAIL),
-                      ("markov2", MARKOV2), ("tail3", TAIL3), ("cycle17", CYCLE17)]:
+                      ("markov2", MARKOV2), ("tail3", TAIL3), ("cycle17", CYCLE17),
+                      ("jordan", JORDAN)]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(obj))
         paths[name] = str(p)
@@ -101,7 +107,7 @@ def test_eigen_fib(files):
     out = json.loads(res.output)
     assert abs(out["lambda"] - 1.6180339887498949) < 1e-10
     assert out["tol"] == 1e-10
-    assert "residual" in out and "summable" in out
+    assert "residual" in out and "summable" not in out
 
 
 def test_eigen_bracket(files):
@@ -151,6 +157,26 @@ def test_eigen_small_level_csv_is_header_only(files, name):
     res = run(["eigen", "--diagram", files[name], "--format", "csv"])
     assert res.exit_code == 0
     assert res.output == "iteration,residual\n"
+
+
+def test_eigen_jordan_block_exit1(files):
+    # the power loop once returned an uncertified pair here after 68,924
+    # steps, with a bracket ~66,000 times tol lambda, and exit 0
+    start = time.perf_counter()
+    res = run(["eigen", "--diagram", files["jordan"]])
+    assert time.perf_counter() - start < 0.1
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"]["kind"] == "ReducibleSuspected"
+
+
+def test_eval_overflow_is_a_json_error_exit2(files):
+    # lambda^n overflows past ~1,475 edges of fib's Perron tail; the
+    # OverflowError once ended in a traceback with no JSON on stdout
+    res = run(["measure", "eval", "--diagram", files["fib"], "--measure", files["tail"],
+               "--path", "-".join(["0"] * 1501)])
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == 2
+    assert json.loads(res.output)["error"]["kind"] == "OverflowError"
 
 
 def test_eigen_negative_window_exit1(files):
@@ -366,6 +392,8 @@ def test_sample_pinned_bytes(tmp_path, case):
       "--path", "0-0-0", "--depth", "0"], "TooShort"),
     (["sfs", "qstat", "--diagram", "fib", "--measure", "tail",
       "--path", "0-0-0", "--terms", "-1"], "MeasureError"),
+    (["measure", "sample", "--diagram", "allones", "--measure", "ifs", "--seed", "-1"],
+     "MeasureError"),
 ])
 def test_typed_error_exit1(files, args, kind):
     res = run([files.get(a, a) for a in args])

@@ -3,6 +3,7 @@ import operator
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
+from decimal import Decimal
 from functools import reduce
 from itertools import accumulate
 
@@ -797,6 +798,30 @@ def test_ifs_weights_read_their_q(fib):
     q = {0: 1.0, 1: 1.0}
     extra = pm.IFSWeights(fib, {**p, (1, 1): 0.3, (0, 5): 0.2}, q)
     assert extra.markov.levels == pm.IFSWeights(fib, p, q).markov.levels
+
+
+def test_ifs_weights_convert_their_p(allones2):
+    # a Decimal weight once passed the check unconverted and then raised a
+    # bare TypeError (Decimal * float) where the Markov table was built
+    q = {0: 1.0, 1: 1.0}
+    nu = pm.IFSWeights(allones2, {(w, v): Decimal("0.5") for w in (0, 1) for v in (0, 1)}, q)
+    ref = pm.IFSWeights(allones2, {(w, v): 0.5 for w in (0, 1) for v in (0, 1)}, q)
+    assert (nu.p, nu.column_sums, nu.total_mass) == (ref.p, ref.column_sums, ref.total_mass)
+    assert nu.markov.levels == ref.markov.levels
+    for x in ("x", [0.5], 10 ** 400):
+        with pytest.raises(pm.MeasureError, match="edge weight"):
+            pm.IFSWeights(allones2, {(0, 0): x, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5}, q)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_bad_seed_is_a_measure_error(allones2, seed):
+    # numpy's ValueError (negative) and TypeError (not an integer) once
+    # escaped untyped, so `measure sample --seed -1` exited 2
+    nu = ifs_measure(allones2, SYMMETRIC_P)
+    for draw in (lambda: sample_path(nu, 3, seed), lambda: sample_paths(nu, 3, 2, seed),
+                 lambda: empirical_check(nu, 2, 10, seed)):
+        with pytest.raises(pm.MeasureError, match="seed"):
+            draw()
 
 
 def test_ifs_markov_form_weighs_every_parallel_edge():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from scipy.sparse.csgraph import connected_components
 
 import pathmeas as pm
 from pathmeas import perron_eigenpair, solve_harmonic, stationary_distribution
-from pathmeas.spectral import SQUARED_START_LIMIT, recurrent_classes
+from pathmeas.diagram import strong_components
+from pathmeas.spectral import DEFAULT_TOL, SQUARED_START_LIMIT, recurrent_classes
 
 PHI = (1 + math.sqrt(5)) / 2
 FIB = np.array([[1, 1], [1, 0]])
@@ -65,7 +67,6 @@ def test_allones_eigenpair(allones2):
     assert abs(pair.t[1] - 0.5) < 1e-12
     assert pair.residual < 1e-12
     assert pair.normalization == "sum-one"
-    assert pair.summable == "yes"
 
 
 def test_fib_eigenpair(fib):
@@ -106,7 +107,6 @@ def test_tri_z_eigenpair(tri_z):
     assert abs(pair.lam - 3.0) < 1e-10
     t = np.array(list(pair.t.values()))
     assert np.max(np.abs(t - 1.0)) < 1e-10
-    assert pair.summable == "no"
     assert pair.normalization == "sup-one"
     assert pair.window is not None
     assert pair.bracket is None
@@ -139,7 +139,7 @@ def test_stencil_pair_closed_form(f, window):
     assert pair.lam == lam
     assert list(pair.t) == f.vertices(window)
     assert (pair.window, pair.iterations, pair.trace) == (window, 0, [])
-    assert (pair.normalization, pair.summable, pair.bracket) == ("sup-one", "no", None)
+    assert (pair.normalization, pair.bracket) == ("sup-one", None)
     # (A t)_w = sum_d c_d t_{w+d}, summed on every row whose stencil stays
     # in the window (on the naturals that leaves out rows near 0 when an
     # offset is negative)
@@ -327,6 +327,127 @@ def test_long_weighted_cycle_bracket_within_tol():
     lo, hi = pair.bracket
     assert lo <= pair.lam <= hi and hi - lo <= 1e-10 * hi
     assert abs(pair.lam - 3 ** (4 / n)) <= 1e-10 * pair.lam
+
+
+JORDAN = np.array([[1, 0], [1, 1]])     # A = F^T: the double root 1, no positive eigenvector
+
+
+def test_jordan_block_raises_at_once():
+    # the power loop once returned lam = 1.0000067 here after 68,924 steps,
+    # with a bracket ~66,000 times tol lam wide
+    start = time.perf_counter()
+    with pytest.raises(pm.ReducibleSuspected):
+        perron_eigenpair(finite_matrix(JORDAN))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_reducible_level_with_a_positive_pair_keeps_it():
+    # A = [[1,1],[0,2]] is reducible, yet its Perron vector (1, 1) is positive
+    pair = perron_eigenpair(finite_matrix(np.array([[1, 0], [1, 2]])))
+    assert pair.lam == 2.0 and pair.t == {0: 0.5, 1: 0.5} and pair.iterations == 0
+
+
+def test_reducible_level_above_the_limit_raises():
+    # vertex 0 has a loop of 10 and leads into a 16-cycle that cannot reach
+    # it: the Perron vector lives on vertex 0 alone
+    entries = {(0, 0): 10, (1, 0): 1}
+    entries.update({(1 + w % 16, w): 1 for w in range(1, 17)})
+    with pytest.raises(pm.ReducibleSuspected):
+        perron_eigenpair(pm.IncidenceMatrix("finite", entries=entries))
+
+
+def test_no_convergence_names_the_bracket():
+    with pytest.raises(pm.NoConvergence, match=r"in 5 steps: bracket \[\S+, \S+\]"):
+        perron_eigenpair(finite_matrix(uniform_start_level()), max_iter=5)
+
+
+def test_certified_solve_with_a_self_loop_reads_no_components(monkeypatch):
+    # has_cycle stops at the self-loop and the component count is read only
+    # where a certificate fails, so a certified solve runs no Tarjan pass
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return strong_components(*args)
+
+    monkeypatch.setattr(pm.diagram, "strong_components", counted)
+    for f in (FIB, uniform_start_level()):      # the squared start; the loop
+        assert np.diagonal(f).any()          # a self-loop
+        perron_eigenpair(finite_matrix(f))
+    assert calls == []
+    with pytest.raises(pm.ReducibleSuspected):      # the counter sees a failed one
+        perron_eigenpair(finite_matrix(JORDAN))
+    assert len(calls) == 1
+
+
+def cycle_block(draw, n):
+    """Irreducible n x n counts: the weighted cycle w -> w+1 (mod n) plus at
+    most n random chords, counts 1-3."""
+    f = np.zeros((n, n), dtype=int)
+    f[(np.arange(n) + 1) % n, np.arange(n)] = draw(st.lists(st.integers(1, 3),
+                                                            min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, n))):
+        f[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(st.integers(1, 3))
+    return f
+
+
+@st.composite
+def finite_levels(draw):
+    """(F, irreducible): an irreducible level of 2-8 or of 17-40 vertices,
+    or a block-triangular one of 2-8 vertices whose 2-4 classes are chained
+    by edges from each class to the next; the classes are often one block
+    repeated, so of equal root (Jordan-like).  Vertices are permuted."""
+    kind = draw(st.sampled_from(["small", "large", "triangular"]))
+    if kind != "triangular":
+        f = cycle_block(draw, draw(st.integers(2, 8) if kind == "small" else st.integers(17, 40)))
+    else:
+        m = draw(st.integers(1, 4))
+        k = draw(st.integers(2, 8 // m))
+        block = cycle_block(draw, m)
+        f = np.zeros((m * k, m * k), dtype=int)
+        for i in range(k):
+            f[i * m:(i + 1) * m, i * m:(i + 1) * m] = \
+                block if draw(st.booleans()) else cycle_block(draw, m)
+            if i:
+                f[i * m + draw(st.integers(0, m - 1)),
+                  (i - 1) * m + draw(st.integers(0, m - 1))] = draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(f.shape[0])))
+    return f[np.ix_(perm, perm)], kind != "triangular"
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k
+    rounded operations (Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    u = 2.0 ** -53
+    return k * u / (1 - k * u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_levels())
+@example((JORDAN, False))
+@example((np.array([[2, 0], [1, 1]]), False))
+@example((np.array([[1, 0], [1, 2]]), False))
+def test_returned_pair_meets_its_certificate(level):
+    f, irreducible = level
+    n = f.shape[0]
+    try:
+        pair = perron_eigenpair(finite_matrix(f))
+    except (pm.ReducibleSuspected, pm.NoConvergence):
+        assert not irreducible
+        return
+    lo, hi = pair.bracket
+    assert lo <= pair.lam <= hi and hi - lo <= DEFAULT_TOL * pair.lam
+    assert pair.residual < DEFAULT_TOL
+    # the bracket again, from an independent dense product: a row of n terms
+    # each side, then a subtraction and a division each
+    t = pair.vector(range(n))
+    assert np.all(t > 0) and abs(np.sum(t) - 1.0) < 1e-12
+    ratios = (f.T.astype(float) @ t) / t
+    allowance = gamma(2 * n + 6) * hi
+    assert abs(ratios.min() - lo) <= allowance and abs(ratios.max() - hi) <= allowance
+    if irreducible:
+        rho = float(np.max(np.abs(np.linalg.eigvals(f.T.astype(float)))))
+        assert lo - 1e-9 * rho <= rho <= hi + 1e-9 * rho
 
 
 def test_solve_harmonic_symmetric():
