@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,10 +87,10 @@ class IncidenceMatrix:
     ``entries``, stores ``triplets``, see _triplet_array.  Infinite domains
     (naturals / integers) store a translation-invariant stencil mapping the
     offset d = v - w to an edge count, which keeps every row and column
-    finite by construction.  ``row``, ``column``, ``entry``, ``to_dense``
-    and ``edge_table`` read the entries through ``pairs`` on every domain;
-    ``entries`` is built on each call.  Only edge_table and edge_column
-    list each edge.
+    finite by construction.  ``row``, ``column``, ``entry`` and
+    ``to_dense`` read the entries through ``pairs`` on every domain;
+    ``entries`` is built on each call.  Only _lay_out lists each edge: a
+    finite level keeps its whole table, see edge_column.
     """
 
     def __init__(self, domain, entries=None, stencil=None, band=None, size=None,
@@ -97,7 +98,6 @@ class IncidenceMatrix:
         self.domain = domain
         self._pairs = [None, None]          # pairs' tables: columns, rows
         self._edges = [None, None]          # edge_column's (first, EdgeColumn): out, in
-        self._components = None             # strong component count of a finite level
         if domain == FINITE:
             if entries is not None:
                 triplets = [(v, w, c) for (v, w), c in entries.items()]
@@ -203,25 +203,6 @@ class IncidenceMatrix:
         return (np.array(offsets, dtype=np.intp),
                 np.array([self.stencil[d] for d in offsets], dtype=np.int64))
 
-    def edge_table(self, lo: int, hi: int, into: bool = False) -> tuple:
-        """The out-edges (with ``into``, the in-edges) of the vertices
-        lo .. hi-1 of a level, in ``DiagramSpec.edges_from`` (``edges_into``)
-        order, as arrays (first, sources, targets, mults, index): vertex
-        lo + i owns edges first[i] .. first[i+1]-1, and a vertex off the
-        level owns none; ``index`` gives each edge's position in a finite
-        level's out-edge table (None on a stencil).  A stencil lays the
-        range out; a finite level slices it out of ``edge_column``.  A range
-        with hi < lo raises DiagramError."""
-        if hi < lo:
-            raise DiagramError(f"edge range from {lo} to {hi} runs backward")
-        if self.domain != FINITE:
-            return (*self._lay_out(np.arange(lo, hi), into), None)
-        first, col = self.edge_column(into)
-        first = (first[lo:hi + 1] if 0 <= lo and hi <= self.size
-                 else first.take(np.arange(lo, hi + 1), mode="clip"))   # off the level: none
-        a, b = first[0], first[-1]
-        return (first - a, *(x[a:b] for x in (col.sources, col.targets, col.mults, col.index)))
-
     def edge_column(self, into: bool = False) -> tuple:
         """A finite level's whole out-edge (with ``into``, in-edge) table, as
         (first, EdgeColumn): vertex x owns edges first[x] .. first[x+1]-1, and
@@ -231,7 +212,7 @@ class IncidenceMatrix:
         kept = self._edges[into]
         if kept is None:
             if self.domain != FINITE:
-                raise DiagramError("a stencil's edges are laid out by range, in edge_table")
+                raise DiagramError("a stencil's edges are laid out by range, not kept")
             first, sources, targets, mults = self._lay_out(np.arange(self.size), into)
             position = np.arange(len(mults))
             if into:        # the out-edge table is the in-edge table stably sorted by source
@@ -242,8 +223,10 @@ class IncidenceMatrix:
         return kept
 
     def _lay_out(self, base: np.ndarray, into: bool) -> tuple:
-        """(first, sources, targets, mults) of the vertices ``base``: each
-        entry of one pairs read laid out once per edge."""
+        """(first, sources, targets, mults) of the out-edges (with ``into``,
+        the in-edges) of the vertices ``base``, in DiagramSpec.edges_from
+        (edges_into) order: base[i] owns edges first[i] .. first[i+1]-1.
+        Each entry of one pairs read is laid out once per edge."""
         first, ends, counts = self.pairs(base, into)
         start = np.concatenate(([0], counts.cumsum()))     # each entry's first edge
         here, ends = base.repeat(np.diff(first)).repeat(counts), ends.repeat(counts)
@@ -257,13 +240,10 @@ class IncidenceMatrix:
         t = self.triplets
         return bool(np.any(t[:, 0] == t[:, 1])) or self.components < self.size
 
-    @property
+    @cached_property
     def components(self) -> int:
         """The strong component count of a finite level's graph, kept."""
-        if self._components is None:
-            self._components = strong_components(
-                self.size, self.triplets[:, 1], self.triplets[:, 0])[0]
-        return self._components
+        return strong_components(self.size, self.triplets[:, 1], self.triplets[:, 0])[0]
 
     @property
     def is_zero_one(self) -> bool:
@@ -538,8 +518,8 @@ def edge_graph_01(spec: DiagramSpec) -> DiagramSpec:
     spec.require_stationary()
     if spec.domain != FINITE:
         raise DiagramError("edge graph is materialized for finite domains only")
-    f = spec.matrix(0)
-    first, _, targets = (x.tolist() for x in f.edge_table(0, f.size)[:3])
+    first, edges = spec.matrix(0).edge_column()
+    first, targets = first.tolist(), edges.targets.tolist()
     # edge e feeds the out-edges of its target: entry (target f, source e)
     rows = [(g, e, 1) for e, t in enumerate(targets) for g in range(first[t], first[t + 1])]
     return DiagramSpec("stationary", [IncidenceMatrix(FINITE, triplets=rows)])

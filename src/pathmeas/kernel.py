@@ -13,6 +13,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, product
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     NotStochastic,
     ZeroMarginal,
 )
-from .measures import FixedPointReport, require_masses
+from .measures import FixedPointReport, _block_sums, require_masses
 from .spectral import recurrent_classes
 
 KERNEL_TOL = 1e-12
@@ -67,14 +68,15 @@ class EdgeMeasure:
 @dataclass(frozen=True)
 class CellArrays:
     """A kernel in cells0 order: p-hat, the dense c x c rows P, the
-    products p-hat(x) p(x, y), and each row's targets in its dict order as
-    flat indices into a c x c array behind a leading pad (index c*c, read
-    as 0.0).  Targets outside cells0 get no column; ``off`` lists them."""
+    products p-hat(x) p(x, y), and the rows' targets in their dict order as
+    flat indices into a c x c array, row x holding sizes[x] of them in
+    turn.  Targets outside cells0 get no column; ``off`` lists them."""
 
     mhat: np.ndarray
     P: np.ndarray
     mp: np.ndarray
     order: np.ndarray
+    sizes: np.ndarray
     off: list
 
 
@@ -86,25 +88,21 @@ class CellKernel:
     cells1: CellSpace
     marginal: dict                 # x -> p-hat(x)
     rows: dict                     # x -> {y: p(x, y)}, each row sums to 1
-    _arrays: CellArrays | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def arrays(self) -> CellArrays:
         """The kernel as CellArrays, built on first use and kept; the
         commands that read only the dicts never pay for them."""
-        if self._arrays is None:
-            cells = self.cells0.cells
-            c = len(cells)
-            index = {x: i for i, x in enumerate(cells)}
-            mhat = np.array([self.marginal[x] for x in cells], dtype=float)
-            rows = [self.rows[x] for x in cells]
-            P = np.array([[row.get(y, 0.0) for y in cells] for row in rows], dtype=float)
-            flat = [[i * c + index[y] for y in row if y in index] for i, row in enumerate(rows)]
-            width, pad = max(map(len, flat)), c * c
-            order = np.array([[pad, *f] + [pad] * (width - len(f)) for f in flat])
-            off = [y for row in rows for y in row if y not in index]
-            self._arrays = CellArrays(mhat, P, mhat[:, None] * P, order, off)
-        return self._arrays
+        cells = self.cells0.cells
+        c = len(cells)
+        index = {x: i for i, x in enumerate(cells)}
+        mhat = np.array([self.marginal[x] for x in cells], dtype=float)
+        rows = [self.rows[x] for x in cells]
+        P = np.array([[row.get(y, 0.0) for y in cells] for row in rows], dtype=float)
+        flat = [[i * c + index[y] for y in row if y in index] for i, row in enumerate(rows)]
+        off = [y for row in rows for y in row if y not in index]
+        return CellArrays(mhat, P, mhat[:, None] * P, np.array([*chain(*flat)], dtype=np.intp),
+                          np.array([*map(len, flat)]), off)
 
     def p(self, x, y) -> float:
         return self.rows[x].get(y, 0.0)
@@ -175,6 +173,7 @@ def require_q(kernel: CellKernel, q) -> dict:
 @dataclass
 class KernelHarmonic:
     q: dict
+    residual: float                # harmonic_check's max_residual of q
     non_unique: bool
 
 
@@ -194,7 +193,7 @@ def solve_harmonic_kernel(kernel: CellKernel, tol: float = 1e-10) -> KernelHarmo
     closed = 1
     if set(kernel.cells0.cells) == set(kernel.cells1.cells):
         closed = len(recurrent_classes(kernel.arrays.P))
-    return KernelHarmonic(q, non_unique=closed > 1)
+    return KernelHarmonic(q, report.max_residual, non_unique=closed > 1)
 
 
 @dataclass
@@ -292,8 +291,7 @@ def _transfer(kernel: CellKernel, levels: list) -> list:
         raise MeasureError(f"kernel target {a.off[0]!r} is not a level-0 cell; "
                            "the transfer needs p-hat there")
     c = len(a.mhat)
-    terms = np.append((a.mp * levels[0]) / a.mhat, 0.0)
-    out = [np.cumsum(terms[a.order], axis=1)[:, -1]]
+    out = [_block_sums(((a.mp * levels[0]) / a.mhat).ravel()[a.order], a.sizes)]
     for prev in levels[:-1]:
         out.append(((a.mp[:, :, None] * prev.reshape(c, -1)) / a.mhat[:, None]).ravel())
     return out

@@ -46,6 +46,7 @@ from .pathspace import (
     EdgeColumn,
     FinitePath,
     PathColumns,
+    _fan_out,
     column_level,
     empty_path,
     path_columns,
@@ -166,13 +167,10 @@ class _Weights:
 
     table: dict
     matrix: IncidenceMatrix
-    _array: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = _weight_array(self.table, self.matrix)
-        return self._array
+        return _weight_array(self.table, self.matrix)
 
     def column(self, edges: EdgeColumn, ids: np.ndarray) -> np.ndarray:
         """The weight of the edge of one column at every row, 0.0 where the
@@ -263,13 +261,13 @@ class MarkovMeasure:
     total_mass: float = field(init=False)
     starts: tuple | None = field(init=False, repr=False)
     _rows: dict = field(init=False, repr=False, compare=False)
-    _weights: list = field(init=False, repr=False, compare=False)   # per table, on first use
+    _weights: list = field(init=False, repr=False, compare=False)   # per table
 
     def __post_init__(self):
         self.total_mass = math.fsum(self.q.values())
         self.starts = _cumulative(list(self.q), list(self.q.values()))
         self._rows = {}
-        self._weights = [None] * len(self.levels)
+        self._weights = [_Weights(t, self.diagram.matrix(i)) for i, t in enumerate(self.levels)]
 
     @property
     def markov(self) -> "MarkovMeasure":
@@ -286,11 +284,8 @@ class MarkovMeasure:
         return self.levels[self._level(n)]
 
     def _level_weights(self, n: int) -> _Weights:
-        """The table of level n on the level's matrix, made on first use."""
-        i = self._level(n)
-        if self._weights[i] is None:
-            self._weights[i] = _Weights(self.levels[i], self.diagram.matrix(i))
-        return self._weights[i]
+        """The table of level n on the level's matrix."""
+        return self._weights[self._level(n)]
 
     def transition(self, edge: Edge) -> float:
         return self.level_table(edge.level).get(edge.key(), 0.0)
@@ -304,12 +299,15 @@ class MarkovMeasure:
             return self._rows[n, w]
         except KeyError:
             pass
-        weights = self._level_weights(n)
-        f = self.diagram.matrix(n)
-        if f is weights.matrix and f.domain == FINITE:     # a slice of the kept table
-            _, _, targets, mults, index = f.edge_table(w, w + 1)
-            out = tuple(Edge(n, w, v, k) for v, k in zip(targets.tolist(), mults.tolist()))
-            row = _cumulative(out, weights.array[index].tolist())
+        weights, f = self._level_weights(n), self.diagram.matrix(n)
+        # slices of the kept column and weight array; an IFS form on a
+        # sequence diagram reads level 0's table on F_n, key by key
+        if f is weights.matrix and f.domain == FINITE:
+            first, col = f.edge_column()
+            a, b = first.take([w, w + 1], mode="clip").tolist()   # none off the level
+            out = tuple(Edge(n, w, v, k) for v, k in zip(col.targets[a:b].tolist(),
+                                                        col.mults[a:b].tolist()))
+            row = _cumulative(out, weights.array[a:b].tolist())
         else:
             out = tuple(self.diagram.edges_from(w, n))
             row = _cumulative(out, [weights.table.get(e.key(), 0.0) for e in out])
@@ -433,13 +431,14 @@ class IFSWeights:
     total mass sum_w q_w is reported, not assumed finite or one.  The
     Markov form has transitions p_e q_{r(e)} / q_{s(e)}, so both ends of a
     weighted edge need positive q, read as markov_measure reads its q.
-    The column sums and the total mass are read off p and q.
+    The column sums, the total mass and the residual sup_w |(M q)_w - q_w|,
+    (M q)_w = sum of p_e q_{r(e)} over s(e) = w, are read off p and q.
     """
 
     diagram: DiagramSpec
     p: dict                 # (source, target) -> weight
     q: dict                 # vertex -> harmonic component
-    residual: float = 0.0
+    residual: float = field(init=False)
     column_sums: dict = field(init=False)   # vertex w -> sum of p_e over r(e) = w
     total_mass: float = field(init=False)   # the Markov form's sum of q
     markov: MarkovMeasure = field(init=False, repr=False)
@@ -463,9 +462,12 @@ class IFSWeights:
         self.markov = MarkovMeasure(self.diagram, self.q, [table])
         self.total_mass = self.markov.total_mass
         into = {w: [] for w in self.diagram.vertices()}    # in-weights, in table order
-        for (_, v, _), x in p.items():
+        mq = {}                                            # (M q)_w
+        for (w, v, _), x in p.items():
             into.setdefault(v, []).append(x)
+            mq[w] = mq.get(w, 0.0) + x * q[v]
         self.column_sums = {w: sum(xs) for w, xs in into.items()}
+        self.residual = max((abs(mq.get(w, 0.0) - q.get(w, 0.0)) for w in into), default=0.0)
 
     def weight(self, edge: Edge) -> float:
         """p_e; 0.0 for an edge the diagram lacks."""
@@ -513,7 +515,7 @@ def ifs_measure(diagram: DiagramSpec, p, tol: float = DEFAULT_TOL) -> IFSWeights
     for (w, v), x in p.items():
         m[w, v] = x
     harmonic = solve_harmonic(m, tol)
-    return IFSWeights(diagram, p, dict(zip(verts, harmonic.q.tolist())), harmonic.residual)
+    return IFSWeights(diagram, p, dict(zip(verts, harmonic.q.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +530,29 @@ class FixedPointReport:
 
 def check_ifs_fixed_point(ifs: IFSWeights, max_len: int = 4,
                           tol: float = IDENTITY_TOL) -> FixedPointReport:
-    """Verify nu = sum_e p_e nu o tau_e^{-1} on every cylinder.
+    """Verify nu = sum_e p_e nu o tau_e^{-1} on every cylinder, relative
+    to nu([f_0..f_n]) as check_kolmogorov is.
 
     Only e = f_0 contributes on [f_0,...,f_n], so the identity reduces to
-    p_{f_0} nu([f_1..f_n]) = nu([f_0..f_n]) (with nu([r(f_0)]) = q for a
-    single edge).
+    p_{f_0} nu([f_1..f_n]) = nu([f_0..f_n]).  For a single edge nu([r(f_0)])
+    is the sum of its one-edge cylinders, sum_e p_e q_{r(e)} over the
+    out-edges of r(f_0), so that row checks (M q)_r = q_r.
     """
     if not isinstance(ifs, IFSWeights):
         raise MeasureError(f"the IFS fixed-point audit needs an IFS measure, "
                            f"not a {type(ifs).__name__}")
     worst, count = 0.0, 0
     for level in islice(path_columns(ifs.diagram, max_len), 1, None):
-        lhs = ifs._p.column(level.edges[0], level.ids[:, 0]) * ifs.values(level.shift())
-        worst = max(worst, float(np.abs(lhs - ifs.values(level)).max(initial=0.0)))
+        vals = ifs.values(level)
+        if len(level.edges) > 1:
+            rest = ifs.values(level.shift())
+        else:                               # nu([r]) from r's one-edge cylinders
+            edges, _, ids, degree = _fan_out(level.end, ifs.diagram, 0)
+            kids = PathColumns(edges.sources[ids], edges.targets[ids], ids[:, None], (edges,))
+            rest = _block_sums(ifs.values(kids), degree)
+        lhs = ifs._p.column(level.edges[0], level.ids[:, 0]) * rest
+        worst = max(worst, float((np.abs(lhs - vals) / np.maximum(np.abs(vals), 1e-300))
+                                 .max(initial=0.0)))
         count += len(level)
     return FixedPointReport(float(worst), count, bool(worst < tol))
 
@@ -556,8 +568,9 @@ class TailInvarianceReport:
 
 def check_tail_invariance(measure, n: int, tol: float = IDENTITY_TOL,
                           window=None) -> TailInvarianceReport:
-    """Group length-n cylinders by range vertex and report the within-group
-    value spread; zero spread is exactly tail invariance at this depth."""
+    """Group length-n cylinders by range vertex and report the largest
+    within-group value spread relative to the group's largest value; zero
+    spread is exactly tail invariance at this depth."""
     one = None                      # level 1 of the walk, for the ratio law
     for level in path_columns(measure.diagram, n, window):
         if len(level.edges) == 1:
@@ -568,7 +581,7 @@ def check_tail_invariance(measure, n: int, tol: float = IDENTITY_TOL,
     ranked = vals[np.lexsort((vals, group))]        # by group, then by value
     highs = ranked[np.cumsum(sizes) - 1]
     lows = ranked[np.cumsum(sizes) - sizes]
-    spread = float((highs - lows).max(initial=0.0))
+    spread = float(((highs - lows) / np.maximum(highs, 1e-300)).max(initial=0.0))
     order = np.argsort(first)                        # groups in order of appearance
     return TailInvarianceReport(
         n, spread, bool(spread <= tol),

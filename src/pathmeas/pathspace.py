@@ -232,7 +232,7 @@ def _fan_out(at: np.ndarray, spec: DiagramSpec, level: int, into: bool = False) 
         at = np.minimum(at, f.size)       # at + 1 stays in range at int64's largest
     else:
         lo = int(at.min())
-        first, *arrays, _ = f.edge_table(lo, int(at.max()) + 1, into)
+        first, *arrays = f._lay_out(np.arange(lo, int(at.max()) + 1), into)
         edges, at = EdgeColumn(*arrays), at - lo
     start = first.take(at, mode="clip")
     degree = first.take(at + 1, mode="clip") - start

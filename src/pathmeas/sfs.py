@@ -42,9 +42,8 @@ def build_sfs(diagram: DiagramSpec) -> SemibranchingSystem:
         raise NotZeroOne("semibranching system requires a 0-1 diagram")
     if diagram.domain != FINITE:
         raise DiagramError("s.f.s. is materialized for finite levels only")
-    f = diagram.matrix(0)
-    first, tails, heads = (x.tolist() for x in f.edge_table(0, f.size)[:3])
-    edges = list(zip(tails, heads))
+    first, col = diagram.matrix(0).edge_column()
+    first, edges = first.tolist(), list(zip(col.sources.tolist(), col.targets.tolist()))
     out = [tuple(edges[a:b]) for a, b in zip(first, first[1:])]    # each vertex's out-edges
     # ranges partition: each length-1 path lies in exactly the R of its
     # first edge, so every vertex needs an out-edge (0-1: no parallel edges)

@@ -61,8 +61,8 @@ def ref_tail_invariance(measure, n, tol=IDENTITY_TOL, window=None):
     groups = {}
     for path in enumerate_paths(measure.diagram, n, window):
         groups.setdefault(path.end, []).append(measure.value(path))
-    spread = float(max((max(vals) - min(vals) for vals in groups.values()),
-                       default=0.0))
+    spread = float(max(((max(vals) - min(vals)) / max(max(vals), 1e-300)
+                        for vals in groups.values()), default=0.0))
     report = TailInvarianceReport(
         n, spread, bool(spread <= tol),
         {v: (float(min(vals)), float(max(vals)), len(vals))
@@ -101,13 +101,20 @@ def ref_shift_invariance(measure, max_len=4, tol=IDENTITY_TOL, window=None):
 
 
 def ref_ifs_fixed_point(ifs, max_len=4, tol=IDENTITY_TOL):
+    """p_{f_0} nu([f_1..f_n]) against nu([f_0..f_n]), relatively; for one
+    edge nu([r(f_0)]) is the sum of the one-edge cylinders from r(f_0)."""
     worst, count = 0.0, 0
     for n in range(1, max_len + 1):
         for path in enumerate_paths(ifs.diagram, n):
-            rest = FinitePath(tuple(e.at_level(e.level - 1) for e in path.edges[1:])) \
-                if n > 1 else empty_path(path.edges[0].target)
-            lhs = ifs.weight(path.edges[0]) * ifs.value(rest)
-            worst = max(worst, abs(lhs - ifs.value(path)))
+            if n > 1:
+                rest = ifs.value(FinitePath(tuple(e.at_level(e.level - 1)
+                                                  for e in path.edges[1:])))
+            else:
+                rest = _plain_sum(ifs.value(x) for x in one_edge_extensions(
+                    empty_path(path.edges[0].target), ifs.diagram))
+            val = ifs.value(path)
+            lhs = ifs.weight(path.edges[0]) * rest
+            worst = max(worst, abs(lhs - val) / max(abs(val), 1e-300))
             count += 1
     return FixedPointReport(float(worst), count, bool(worst < tol))
 

@@ -15,6 +15,7 @@ from pathmeas import (
     validate_diagram,
 )
 from pathmeas.diagram import FINITE, strong_components
+from pathmeas.pathspace import column_level
 
 
 def test_allones_valid_no_warnings(allones2):
@@ -184,36 +185,13 @@ def test_irreducible_counts_components_once(fib, identity2):
         assert level(2, [[0, 0, 1], [1, 0, 1]]).matrix(0).has_cycle and not calls
 
 
-def test_edge_table_range_off_the_level(fib):
-    # a vertex off a finite level owns no edges, as in pairs: the range was
-    # once trusted, so (-1, 1) gave vertex -1 no first and (1, 5) raised IndexError
-    f = fib.matrix(0)
-    for lo, hi in ((-1, 1), (1, 5), (-3, -1), (-2, 4), (0, 2), (1, 1)):
-        for into in (False, True):
-            first, *arrays, _ = (x.tolist() for x in f.edge_table(lo, hi, into))
-            want = [fib.edges_into(u, 0) if into else fib.edges_from(u, 0) for u in range(lo, hi)]
-            assert first == [sum(map(len, want[:i])) for i in range(len(want) + 1)]
-            assert list(zip(*arrays)) == [e.key() for es in want for e in es]
-
-
-def test_edge_table_reversed_range_diagram_error(fib, tri_z):
-    # hi < lo once raised a bare IndexError (first[0] of an empty slice)
-    for f in (fib.matrix(0), tri_z.matrix(0)):
-        for lo, hi in ((1, -1), (1, 0)):
-            for into in (False, True):
-                with pytest.raises(pm.DiagramError, match="backward"):
-                    f.edge_table(lo, hi, into)
-        first, *arrays, _ = f.edge_table(1, 1)         # an empty range stays empty
-        assert first.tolist() == [0] and all(len(a) == 0 for a in arrays)
-
-
-def test_edge_table_index_none_on_a_stencil(tri_z):
-    first, *arrays, index = tri_z.matrix(0).edge_table(-2, 2)
-    assert index is None
-    with pytest.raises(pm.DiagramError, match="stencil"):   # no whole-level column
+def test_stencil_walk_lays_out_its_range(tri_z):
+    # a stencil keeps no whole-level column: the walk lays out the range it reaches
+    with pytest.raises(pm.DiagramError, match="stencil"):
         tri_z.matrix(0).edge_column()
-    assert list(zip(*(x.tolist() for x in arrays))) == [
-        e.key() for u in range(-2, 2) for e in tri_z.edges_from(u, 0)]
+    col = column_level(tri_z, 1, window=2).edges[0]
+    assert col.index is None and col.matrix is None
+    assert col.keys() == [e.key() for u in range(-2, 3) for e in tri_z.edges_from(u, 0)]
 
 
 def test_irreducible_tri_z(tri_z):
@@ -433,15 +411,12 @@ def test_finite_adjacency_matches_entry_scan(case):
         assert f.column(u) == [(v, c) for (v, w), c in ref.items() if w == u]
     edges_into = [(w, v, k) for (v, w), c in ref.items() for k in range(c)]
     for into, edges in ((False, sorted(edges_into)), (True, edges_into)):
-        first, sources, targets, mults, _ = f.edge_table(0, n, into)
-        assert list(zip(sources.tolist(), targets.tolist(), mults.tolist())) == edges
+        first, col = f.edge_column(into)
+        assert col.keys() == edges
         owner = 1 if into else 0
         assert first.tolist() == [sum(e[owner] < u for e in edges) for u in range(n + 1)]
-        # each edge's position in the out-edge table, a range's as well
-        for lo, hi in ((0, n), (1, max(n - 1, 1)), (n - 1, n + 1)):
-            *_, index = f.edge_table(lo, hi, into)
-            want = [e for e in edges if lo <= e[owner] < hi]
-            assert [sorted(edges_into)[i] for i in index.tolist()] == want
+        # each edge's position in the out-edge table
+        assert [sorted(edges_into)[i] for i in col.index.tolist()] == edges
     assert f.has_cycle == _has_cycle(ref, n)
     verts = list(range(n, -2, -1))          # reversed, with one vertex past each end
     dense = f.to_dense(verts, verts)

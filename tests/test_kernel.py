@@ -79,6 +79,16 @@ def test_solve_harmonic_kernel(kern):
     assert not h.non_unique
 
 
+def test_solve_harmonic_kernel_carries_its_residual():
+    # the constant function's harmonic_check report was once dropped
+    kern = disintegrate(edge_measure_from_dict({
+        "cells0": ["a", "b"], "cells1": ["a", "b"],
+        "edges": [["a", "a", 0.1], ["a", "b", 0.2], ["b", "a", 0.7], ["b", "b", 0.3]],
+    }))
+    h = solve_harmonic_kernel(kern)
+    assert h.residual == harmonic_check(kern, {"a": 1.0, "b": 1.0}).max_residual < 1e-12
+
+
 def test_solve_harmonic_reducible_flag():
     block = disintegrate(edge_measure_from_dict({
         "cells0": ["a", "b"], "cells1": ["a", "b"],

@@ -836,6 +836,69 @@ def test_ifs_markov_form_weighs_every_parallel_edge():
     assert check_kolmogorov(nu.markov, 2).holds
 
 
+# weights on fib whose q is not harmonic: M q = (0.75, 1.0), q = (1.0, 0.5)
+NOT_HARMONIC_P = {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}
+
+
+def test_ifs_fixed_point_audit_tests_the_harmonic_equation(fib, tri_z):
+    # the audit once read nu([r(f_0)]) as q on one-edge rows, an identity of
+    # the closed form, and passed these measures with deviation 0.0
+    for scale in (1.0, 1e-20):          # relative: a small q is no excuse
+        nu = pm.IFSWeights(fib, NOT_HARMONIC_P, {0: scale, 1: 0.5 * scale})
+        report = check_ifs_fixed_point(nu, max_len=4)
+        assert not report.holds and report.n_cylinders == 29
+        assert report.max_deviation == pytest.approx(1.0)     # |(Mq)_1 - q_1| / q_1
+        assert report.max_deviation == pytest.approx(check_kolmogorov(nu, 4).max_deviation)
+    # on a stencil the one-edge rows end past the window of the paths: M q = 0.9 q
+    verts = range(-70, 71)
+    p = {(w, w + d): 0.3 for w in verts for d in (-1, 0, 1) if w + d in verts}
+    z = pm.IFSWeights(tri_z, p, dict.fromkeys(verts, 1.0))
+    assert check_ifs_fixed_point(z, 2).max_deviation == pytest.approx(0.1)
+
+
+def test_tail_spread_is_relative(fib):
+    # the spread was once absolute, so this measure passed at q = 5e-14 (9.2e-15)
+    # and failed at q = 0.5 (0.092)
+    table = {(0, 0, 0): 0.6, (0, 1, 0): 0.4, (1, 0, 0): 1.0}
+    reports = [check_tail_invariance(markov_measure(fib, {0: x, 1: x}, table), 3)
+               for x in (5e-14, 0.5)]
+    for report in reports:
+        assert not report.tail_invariant
+        assert report.max_spread == pytest.approx(0.46)
+    assert [c for *_, c in reports[0].groups.values()] == [5, 3]     # the counts stay
+
+
+def test_ifs_weights_compute_their_residual(fib, allones2):
+    # the residual was once an argument that defaulted to 0.0
+    nu = pm.IFSWeights(fib, NOT_HARMONIC_P, {0: 1.0, 1: 0.5})
+    assert nu.residual == 0.5                  # sup |M q - q|, at vertex 1
+    with pytest.raises(TypeError):
+        pm.IFSWeights(fib, NOT_HARMONIC_P, {0: 1.0, 1: 0.5}, 0.0)
+    solved = ifs_measure(allones2, [[0, 0, 0.6], [0, 1, 0.4], [1, 0, 0.4], [1, 1, 0.6]])
+    assert solved.residual < 1e-15
+
+
+def test_ifs_form_on_a_sequence_diagram_walks_each_level(fib):
+    # a stationary IFS form reads level 0's table on every level, key by key;
+    # the walk must take level n's edges from F_n, not from F_0
+    spec = pm.diagram_from_dict({"kind": "sequence", "vertices": {"type": "finite", "count": 2},
+                                 "matrices": [pm.diagram_to_dict(fib)["matrices"][0],
+                                              {"triplets": [[1, 0, 1], [1, 1, 1], [0, 1, 1]]}]})
+    nu = pm.IFSWeights(spec, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0, (1, 1): 0.7},
+                       {0: 1.0, 1: 0.5})
+    paths = {str(p) for p in enumerate_paths(spec, 2)}
+    drawn = {str(p) for p in sample_paths(nu, 2, 50, seed=3)}
+    assert drawn <= paths and len(drawn) > 1
+
+
+def test_row_off_the_level_raises(fib):
+    # a vertex off a finite level owns no edge of the kept column, so no row
+    m = markov_measure(fib, [0.5, 0.5], {(0, 0, 0): 0.5, (0, 1, 0): 0.5, (1, 0, 0): 1.0})
+    for w in (-1, 2, 5):
+        with pytest.raises(pm.MeasureError, match=f"vertex {w} at level 0"):
+            m.row(w, 0)
+
+
 def test_markov_q_outside_finite_level_rejected(allones2, fib):
     # the mass on vertex 5 was once counted in total_mass and drawn as a start
     half = {(w, v, 0): 0.5 for w in (0, 1) for v in (0, 1)}

@@ -103,3 +103,39 @@ def test_unreferenced_function_check_sees_what_it_should():
         "class K:\n    def _method(self):\n        pass\n    def _kept(self):\n"
         "        return self._kept\n",
         "from a import _used\nprint(_used(), K()._kept)\n"]) == ["_dead", "_method"]
+
+
+def memo_slots(source: str) -> list:
+    """The attributes x of each ``if self.x is None:`` block that assigns
+    self.x: a memo slot kept by hand, where functools.cached_property
+    belongs."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)):
+            continue
+        left, (op,), (right,) = node.test.left, node.test.ops, node.test.comparators
+        if (isinstance(op, ast.Is) and isinstance(right, ast.Constant) and right.value is None
+                and isinstance(left, ast.Attribute) and getattr(left.value, "id", None) == "self"):
+            assigned = [ast.unparse(t) for stmt in node.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Assign) for t in n.targets]
+            if ast.unparse(left) in assigned:
+                found.append(left.attr)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_memo_slots(path):
+    assert memo_slots(path.read_text()) == []
+
+
+def test_memo_slot_check_sees_what_it_should():
+    assert memo_slots(
+        "class K:\n    def a(self):\n        if self._a is None:\n            self._a = 1\n"
+        "        return self._a\n"
+        "    def b(self):\n        if self._b is None:\n            if True:\n"
+        "                x = self._b = 2\n"
+        "    def c(self):\n        if self._c is None:\n            raise ValueError\n"
+        "    def d(self, other):\n        if other.x is None:\n            other.x = 1\n"
+        "        if self.y is not None:\n            self.y = 1\n"
+        "        if self.z == None:\n            self.z = 1\n"
+        "        if self._t[0] is None:\n            self._t[0] = 1\n") == ["_a", "_b"]
