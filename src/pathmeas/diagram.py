@@ -295,7 +295,6 @@ def strong_components(n: int, sources, targets) -> tuple:
     order = np.argsort(sources, kind="stable")
     succ = np.asarray(targets, dtype=np.intp)[order].tolist()
     first = np.searchsorted(sources[order], np.arange(n + 1)).tolist()
-    nxt = first[:n]                   # each vertex's next unexplored edge
     index, low, label = [-1] * n, [0] * n, [-1] * n
     stack, count, found = [], 0, 0
     for root in range(n):
@@ -304,31 +303,27 @@ def strong_components(n: int, sources, targets) -> tuple:
         index[root] = low[root] = count
         count += 1
         stack.append(root)
-        walk = [root]                 # the depth-first path from root
+        walk = [(root, iter(succ[first[root]:first[root + 1]]))]    # the depth-first path
         while walk:
-            v = walk[-1]
-            i = nxt[v]
-            if i < first[v + 1]:
-                nxt[v] = i + 1
-                w = succ[i]
+            v, out = walk[-1]
+            for w in out:             # v's unexplored edges, up to the first tree edge
                 if index[w] < 0:
                     index[w] = low[w] = count
                     count += 1
                     stack.append(w)
-                    walk.append(w)
-                elif label[w] < 0:    # visited, unlabelled: w is on the stack
-                    low[v] = min(low[v], index[w])
-                continue
-            walk.pop()
-            if walk:
-                low[walk[-1]] = min(low[walk[-1]], low[v])
-            if low[v] == index[v]:    # v is the root of a component
-                while True:
-                    w = stack.pop()
-                    label[w] = found
-                    if w == v:
-                        break
-                found += 1
+                    walk.append((w, iter(succ[first[w]:first[w + 1]])))
+                    break
+                if label[w] < 0 and index[w] < low[v]:    # unlabelled: w is on the stack
+                    low[v] = index[w]
+            else:
+                walk.pop()
+                if walk and low[v] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[v]
+                if low[v] == index[v]:    # v is the root of a component
+                    while (w := stack.pop()) != v:
+                        label[w] = found
+                    label[v] = found
+                    found += 1
     return found, np.array(label, dtype=np.intp)
 
 

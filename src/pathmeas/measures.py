@@ -247,7 +247,8 @@ class MarkovMeasure:
     path measure carries one, built once, as its ``markov`` form.
 
     ``levels[n]`` maps an edge key (source, target, mult) at level n to its
-    transition probability; a stationary measure reuses ``levels[0]``.
+    transition probability; a stationary measure reuses ``levels[0]`` and
+    needs a stationary diagram (NonStationary otherwise).
     Each table is also kept as one array in its finite level's out-edge
     order, laid out the first time a column or row reads it.  ``starts``
     holds the vertices of q and their cumulative masses; ``row`` builds
@@ -264,6 +265,8 @@ class MarkovMeasure:
     _weights: list = field(init=False, repr=False, compare=False)   # per table
 
     def __post_init__(self):
+        if self.stationary:             # one table read on every level
+            self.diagram.require_stationary()
         self.total_mass = math.fsum(self.q.values())
         self.starts = _cumulative(list(self.q), list(self.q.values()))
         self._rows = {}
@@ -300,9 +303,7 @@ class MarkovMeasure:
         except KeyError:
             pass
         weights, f = self._level_weights(n), self.diagram.matrix(n)
-        # slices of the kept column and weight array; an IFS form on a
-        # sequence diagram reads level 0's table on F_n, key by key
-        if f is weights.matrix and f.domain == FINITE:
+        if f.domain == FINITE:          # slices of the kept column and weight array
             first, col = f.edge_column()
             a, b = first.take([w, w + 1], mode="clip").tolist()   # none off the level
             out = tuple(Edge(n, w, v, k) for v, k in zip(col.targets[a:b].tolist(),
@@ -401,8 +402,6 @@ def _markov_measure(diagram: DiagramSpec, q, tables, stationary: bool, read,
     """markov_measure from its transition tables, each converted to the
     checked (w, v, k) -> p dict by read(table, n), n its level."""
     q = _as_vertex_dict(diagram, q, "initial mass")
-    if stationary:
-        diagram.require_stationary()
     levels = [read(table, n) for n, table in enumerate(tables)]
     verts = diagram.vertices()
     for n, table in enumerate(levels):
@@ -429,7 +428,8 @@ class IFSWeights:
     Cylinder values: nu([f_0..f_{n-1}]) = p_{f_0} ... p_{f_{n-1}} q_{r(f_{n-1})},
     nu([w]) = q_w.  p is a general strictly positive weight vector; the
     total mass sum_w q_w is reported, not assumed finite or one.  The
-    Markov form has transitions p_e q_{r(e)} / q_{s(e)}, so both ends of a
+    stationary Markov form has transitions p_e q_{r(e)} / q_{s(e)}, so the
+    diagram must be stationary (NonStationary otherwise) and both ends of a
     weighted edge need positive q, read as markov_measure reads its q.
     The column sums, the total mass and the residual sup_w |(M q)_w - q_w|,
     (M q)_w = sum of p_e q_{r(e)} over s(e) = w, are read off p and q.

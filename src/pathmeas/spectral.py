@@ -8,8 +8,8 @@ accepted on its Collatz-Wielandt bracket; the fallback, and the solver
 of larger levels, is the power iteration on A + I, whose only stop is
 that bracket, so a finite pair is returned certified or not at all.
 Stencil eigenpairs are closed form, a stationary vector is one LU solve
-per recurrent class, and a harmonic vector one bordered least-squares
-solve, built class by class where that is not unique.  Results carry
+per recurrent class, and a harmonic vector one square bordered LU solve,
+built class by class where M has several final classes.  Results carry
 the residual of the equation they claim to solve, recomputable by an
 independent multiply.
 """
@@ -83,39 +83,39 @@ def _nonnegative_square(m) -> np.ndarray:
     return m
 
 
-def _bordered_solve(a: np.ndarray) -> tuple:
-    """Least-squares solution x of (a - I) x = 0 with sum(x) = 1: the
-    bordered system [a - I; 1^T] x = [0; 1].  Returns (x, unique): unique
-    is False when the system is rank-deficient, as where the fixed space
-    has several dimensions, and x is then only the point of least norm.
-    Entries so large that the solve overflows raise SolverError."""
+def _bordered_solve(a: np.ndarray):
+    """The sum-one fixed vector x of a: one LU solve of the square bordered
+    system [[a - I, 1], [1^T, 0]] [x; mu] = [0; 1], every row of a - I kept.
+    Where 1 is a simple eigenvalue of a whose left fixed vector l has a
+    nonzero sum, as on an irreducible a of root 1, the system is nonsingular
+    and l^T 1 mu = 0 gives mu = 0.  None at an exact zero pivot."""
     k = a.shape[0]
-    lhs = np.vstack([a - np.eye(k), np.ones((1, k))])
+    lhs = np.ones((k + 1, k + 1))
+    lhs[:k, :k] = a
+    lhs.flat[::k + 2] -= 1.0            # the diagonal: a_ii - 1, and 0 at the corner
     rhs = np.zeros(k + 1)
-    rhs[-1] = 1.0
-    x, _, rank, singular = np.linalg.lstsq(lhs, rhs, rcond=None)
-    if not np.isfinite(singular).all():
-        raise SolverError("the bordered solve overflows: matrix entries are too large")
-    return x, rank == k
+    rhs[k] = 1.0
+    try:
+        return np.linalg.solve(lhs, rhs)[:k]
+    except np.linalg.LinAlgError:
+        return None
 
 
-def _final_class_fixed_vector(m: np.ndarray):
+def _final_class_fixed_vector(m: np.ndarray, classes: list):
     """A fixed vector of m built class by class, for when M q = q has
-    several independent solutions: on each final class F (a strong
-    component no edge leaves) the sup-one fixed vector of its block, and
-    on the other vertices T the solution of (I - M_TT) q_T = M_TF q_F.
-    This is the sum over final classes of the fixed vectors that vanish
-    on every other final class.  None when a final class's solve is 0
-    (its entries underflow) or I - M_TT is singular."""
-    classes = recurrent_classes(m)
+    several independent solutions: on each final class F (``classes``, the
+    strong components no edge leaves) the sup-one fixed vector of its
+    block, and on the other vertices T the solution of (I - M_TT) q_T =
+    M_TF q_F.  This is the sum over final classes of the fixed vectors that
+    vanish on every other final class.  None when a solve is singular."""
     final = np.concatenate(classes)
     rest = np.setdiff1d(np.arange(m.shape[0]), final)
     q = np.zeros(m.shape[0])
     for members in classes:
-        qc = _bordered_solve(m[np.ix_(members, members)])[0]
-        if np.max(qc) == 0:
+        qc = _bordered_solve(m[np.ix_(members, members)])
+        if qc is None:
             return None
-        q[members] = qc / np.max(qc)
+        q[members] = qc / np.max(qc)      # sum-one, so the largest entry is positive
     if rest.size:
         try:
             q[rest] = np.linalg.solve(np.eye(rest.size) - m[np.ix_(rest, rest)],
@@ -254,30 +254,32 @@ def perron_eigenpair(f: IncidenceMatrix, window: int = DEFAULT_WINDOW,
 def solve_harmonic(m: np.ndarray, tol: float = DEFAULT_TOL) -> HarmonicVector:
     """Strictly positive fixed vector of a nonnegative matrix, M q = q.
 
-    One least-squares solve of the bordered system [M - I; 1^T] q = [0; 1],
-    with no iteration.  Where that system is rank-deficient (the fixed
-    space has several dimensions, as for a reducible M with several final
-    classes of Perron root 1) its least-norm point can have negative
-    entries although a positive fixed vector exists, so q is built class
-    by class instead (_final_class_fixed_vector).  A positive fixed vector
-    exists exactly when every final class of M has Perron root 1 and every
-    other class a root below 1 (so rho(M) = 1), and the result is accepted
-    only with a certificate: q, sup-one normalized, is strictly positive and its
-    Collatz-Wielandt bracket min/max (M q)_v / q_v, which holds rho(M),
-    lies within max(1e-8, 10 tol) of 1.  Otherwise DegenerateSolution is
-    raised at once, naming rho(M) when it is not 1.
+    A positive fixed vector exists exactly when every final class of M has
+    Perron root 1 and every other class a root below 1 (so rho(M) = 1).
+    With one final class, read exactly off one strong-components pass
+    (recurrent_classes), q is one LU solve of the square bordered system
+    [[M - I, 1], [1^T, 0]] [q; mu] = [0; 1]; with several, the fixed space
+    has several dimensions and q is built class by class
+    (_final_class_fixed_vector).  There is no iteration.  q is accepted only
+    with a certificate: sup-one normalized, it is strictly positive and its
+    Collatz-Wielandt bracket min/max (M q)_v / q_v, which holds rho(M), lies
+    within max(1e-8, 10 tol) of 1.  Otherwise DegenerateSolution is raised
+    at once, naming rho(M) when it is not 1.  Entries so large that the
+    solve or M q overflows raise SolverError.
     """
     m = _nonnegative_square(m)
     slack = max(1e-8, 10 * tol)
-    q, unique = _bordered_solve(m)
-    if not unique:
-        q = _final_class_fixed_vector(m)
-    if q is not None and np.max(q) != 0:    # 0 where the solve underflowed
-        q = q / np.max(q)
-    if q is not None and np.min(q) > 0:
-        lo, hi = _bracket(q, mq := m @ q)
+    classes = recurrent_classes(m)
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is checked below
+        q = _bordered_solve(m) if len(classes) == 1 else _final_class_fixed_vector(m, classes)
+        q = None if q is None else q / q.max()
+        mq = None if q is None else m @ q
+    if q is not None and not np.isfinite(mq).all():    # finite entries give no NaN otherwise
+        raise SolverError("the bordered solve overflows: matrix entries are too large")
+    if q is not None and q.min() > 0:
+        lo, hi = _bracket(q, mq)
         if 1.0 - slack <= lo and hi <= 1.0 + slack:
-            return HarmonicVector(q, float(np.max(np.abs(mq - q))), (lo, hi), float(np.sum(q)))
+            return HarmonicVector(q, float(np.abs(mq - q).max()), (lo, hi), float(q.sum()))
     rho = float(np.max(np.abs(np.linalg.eigvals(m))))
     if abs(rho - 1.0) > slack:
         raise DegenerateSolution(f"spectral radius {rho:.6g} != 1; no positive fixed vector")
@@ -289,7 +291,10 @@ def recurrent_classes(p: np.ndarray):
     edges, ordered by smallest member, each as a sorted index array."""
     rows, cols = np.nonzero(p > 0)
     n_comp, labels = strong_components(p.shape[0], rows, cols)
-    leaving = set(labels[rows][labels[rows] != labels[cols]].tolist())
+    if n_comp == 1:                     # the one class is final
+        return [np.arange(p.shape[0])]
+    src = labels[rows]
+    leaving = set(src[src != labels[cols]].tolist())
     classes = [np.flatnonzero(labels == c) for c in range(n_comp) if c not in leaving]
     return sorted(classes, key=lambda members: members[0])
 

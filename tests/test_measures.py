@@ -31,6 +31,8 @@ from pathmeas import (
     stationary_tail_measure,
     tail_measure_from_vectors,
 )
+from pathmeas.measures import IDENTITY_TOL
+
 PHI = (1 + math.sqrt(5)) / 2
 
 SYMMETRIC_P = [[0, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]
@@ -357,6 +359,30 @@ def test_ifs_fixed_point_property(a):
     nu = ifs_measure(spec, [[0, 0, a], [0, 1, 1 - a], [1, 0, 1 - a], [1, 1, a]])
     assert check_ifs_fixed_point(nu, max_len=3).holds
     assert check_kolmogorov(nu, max_len=3, tol=1e-9).holds
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(64, 128), st.integers(0, 2**32 - 1))
+def test_ifs_measure_on_a_wide_random_level_passes_its_audits(n, seed):
+    # a random irreducible 0-1 level (an n-cycle and three random targets a
+    # vertex) with random weights scaled to root 1.  A square solve that
+    # drops one row of M - I leaves residuals near 1e-12 on such levels,
+    # and the relative audits then fail at IDENTITY_TOL
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n), dtype=bool)
+    a[np.arange(n), (np.arange(n) + 1) % n] = True
+    a[np.arange(n), rng.integers(0, n, (3, n))] = True
+    sources, targets = np.nonzero(a)
+    x = rng.uniform(0.1, 1.0, len(sources))
+    m = np.zeros((n, n))
+    m[sources, targets] = x
+    x /= np.max(np.abs(np.linalg.eigvals(m)))
+    spec = pm.diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": n},
+                                 "matrices": [{"triplets": [[int(v), int(w), 1] for w, v
+                                                            in zip(sources, targets)]}]})
+    nu = ifs_measure(spec, [[int(w), int(v), float(y)] for w, v, y in zip(sources, targets, x)])
+    assert check_kolmogorov(nu, 3, IDENTITY_TOL).holds
+    assert check_ifs_fixed_point(nu, 3, IDENTITY_TOL).holds
 
 
 # ---------------------------------------------------------------------------
@@ -878,16 +904,25 @@ def test_ifs_weights_compute_their_residual(fib, allones2):
     assert solved.residual < 1e-15
 
 
-def test_ifs_form_on_a_sequence_diagram_walks_each_level(fib):
-    # a stationary IFS form reads level 0's table on every level, key by key;
-    # the walk must take level n's edges from F_n, not from F_0
+def test_ifs_weights_on_a_sequence_diagram_are_non_stationary(fib):
+    # the IFS form is stationary: it once weighed F_n's edges with level 0's
+    # p, and an edge of F_n that F_0 lacks weighed 0
     spec = pm.diagram_from_dict({"kind": "sequence", "vertices": {"type": "finite", "count": 2},
                                  "matrices": [pm.diagram_to_dict(fib)["matrices"][0],
                                               {"triplets": [[1, 0, 1], [1, 1, 1], [0, 1, 1]]}]})
-    nu = pm.IFSWeights(spec, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0, (1, 1): 0.7},
-                       {0: 1.0, 1: 0.5})
+    with pytest.raises(pm.NonStationary):
+        pm.IFSWeights(spec, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0, (1, 1): 0.7},
+                      {0: 1.0, 1: 0.5})
+    with pytest.raises(pm.NonStationary):
+        pm.MarkovMeasure(spec, {0: 1.0}, [{(0, 0, 0): 0.5, (0, 1, 0): 0.5, (1, 0, 0): 1.0}])
+    with pytest.raises(pm.NonStationary):
+        markov_measure(spec, [0.5, 0.5], {(0, 0, 0): 0.5, (0, 1, 0): 0.5, (1, 0, 0): 1.0})
+    # a form with one table per level walks each level's own edges
+    per_level = markov_measure(spec, [0.5, 0.5], [{(0, 0, 0): 0.5, (0, 1, 0): 0.5, (1, 0, 0): 1.0},
+                                                  {(0, 1, 0): 1.0, (1, 0, 0): 0.5, (1, 1, 0): 0.5}])
+    assert per_level.row(0, 1)[0] == (Edge(1, 0, 1, 0),)
     paths = {str(p) for p in enumerate_paths(spec, 2)}
-    drawn = {str(p) for p in sample_paths(nu, 2, 50, seed=3)}
+    drawn = {str(p) for p in sample_paths(per_level, 2, 50, seed=3)}
     assert drawn <= paths and len(drawn) > 1
 
 
