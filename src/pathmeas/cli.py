@@ -166,7 +166,7 @@ def measure_check(diagram_path, measure_path, what, length, tol):
                "predicted": {str(k): v for k, v in rep.predicted.items()}}
         ok = rep.invariant
     else:
-        rep = measmod.shift_condition_tail(spec, tol=max(tol, 1e-9))
+        rep = measmod.shift_condition_tail(spec, tol=max(tol, 1e-9) if tol >= 0 else tol)
         out = {"holds": rep.holds, "lambda": rep.lam,
                "heights": {str(k): v for k, v in rep.heights.items()},
                "witnesses": rep.witnesses,

@@ -142,6 +142,7 @@ def harmonic_check(kernel: CellKernel, q: dict,
     cell or holds a value that is not a number raises MeasureError."""
     if not isinstance(q, Mapping):
         raise MeasureError("q is not an object of cell values")
+    require_masses({"tol": tol}, "check tolerance")
     try:
         residuals = {x: abs(sum(p * q[y] for y, p in row.items()) - q[x])
                      for x, row in kernel.rows.items()}

@@ -46,10 +46,10 @@ from .pathspace import (
     EdgeColumn,
     FinitePath,
     PathColumns,
-    _fan_out,
     column_level,
     empty_path,
     path_columns,
+    shift_rows,
 )
 from .spectral import (
     DEFAULT_MAX_ITER,
@@ -536,24 +536,34 @@ def check_ifs_fixed_point(ifs: IFSWeights, max_len: int = 4,
     Only e = f_0 contributes on [f_0,...,f_n], so the identity reduces to
     p_{f_0} nu([f_1..f_n]) = nu([f_0..f_n]).  For a single edge nu([r(f_0)])
     is the sum of its one-edge cylinders, sum_e p_e q_{r(e)} over the
-    out-edges of r(f_0), so that row checks (M q)_r = q_r.
+    out-edges of r(f_0), so that row checks (M q)_r = q_r.  A finite level
+    reads both off the level before at shift_rows; a stencil's shifts start
+    past the walk's window, so it values them apart.
     """
     if not isinstance(ifs, IFSWeights):
         raise MeasureError(f"the IFS fixed-point audit needs an IFS measure, "
                            f"not a {type(ifs).__name__}")
-    worst, count = 0.0, 0
-    for level in islice(path_columns(ifs.diagram, max_len), 1, None):
-        vals = ifs.values(level)
-        if len(level.edges) > 1:
-            rest = ifs.values(level.shift())
-        else:                               # nu([r]) from r's one-edge cylinders
-            edges, _, ids, degree = _fan_out(level.end, ifs.diagram, 0)
-            kids = PathColumns(edges.sources[ids], edges.targets[ids], ids[:, None], (edges,))
-            rest = _block_sums(ifs.values(kids), degree)
+    require_masses({"tol": tol}, "audit tolerance")
+    diagram, worst, count = ifs.diagram, 0.0, 0
+    levels = path_columns(diagram, max_len)
+    parent, rows, vals = next(levels), None, None
+    for level in levels:
+        rest, vals = vals, ifs.values(level)
+        if diagram.domain == FINITE:
+            rows = shift_rows(level, parent, rows)
+            rest = (_block_sums(vals, level.degree) if rest is None else rest)[rows]
+        elif len(level.edges) == 1:         # nu([r]) from r's one-edge cylinders
+            reach = int(np.abs(level.end).max(initial=0))
+            ones = column_level(diagram, 1, reach)
+            rest = _block_sums(ifs.values(ones), ones.degree)[level.end - diagram.vertices(reach)[0]]
+        else:                               # the rows without their first edge
+            rest = ifs.values(PathColumns(level.edges[0].targets[level.ids[:, 0]], level.end,
+                                          level.ids[:, 1:], level.edges[1:]))
         lhs = ifs._p.column(level.edges[0], level.ids[:, 0]) * rest
         worst = max(worst, float((np.abs(lhs - vals) / np.maximum(np.abs(vals), 1e-300))
                                  .max(initial=0.0)))
         count += len(level)
+        parent = level
     return FixedPointReport(float(worst), count, bool(worst < tol))
 
 
@@ -571,6 +581,7 @@ def check_tail_invariance(measure, n: int, tol: float = IDENTITY_TOL,
     """Group length-n cylinders by range vertex and report the largest
     within-group value spread relative to the group's largest value; zero
     spread is exactly tail invariance at this depth."""
+    require_masses({"tol": tol}, "audit tolerance")
     one = None                      # level 1 of the walk, for the ratio law
     for level in path_columns(measure.diagram, n, window):
         if len(level.edges) == 1:
@@ -620,23 +631,50 @@ def check_shift_invariance(measure, max_len: int = 4,
                            tol: float = IDENTITY_TOL,
                            window=None) -> ShiftInvarianceReport:
     """Compare m(sigma^{-1}[e-bar]) = sum over prepended edges with
-    m([e-bar]) on every cylinder up to max_len edges."""
+    m([e-bar]) on every cylinder of nonzero mass up to max_len edges."""
+    require_masses({"tol": tol}, "audit tolerance")
     measure.diagram.require_stationary()
-    worst = 0.0
-    factors = {}
-    for level in islice(path_columns(measure.diagram, max_len, window), 1, None):
-        vals = measure.values(level)
-        keep = vals != 0
-        live, vals = level[keep], vals[keep]
-        prefixed = live.prepend(measure.diagram)
-        pre = _block_sums(measure.values(prefixed), prefixed.degree)
+    worst, factors = 0.0, {}
+    sums = (_preimage_sums(measure, max_len) if measure.diagram.domain == FINITE
+            else _prepended_sums(measure, max_len, window))
+    for start, vals, pre in sums:
         worst = max(worst, float((np.abs(pre - vals) / vals).max(initial=0.0)))
-        factors.update(zip(live.start.tolist(), (pre / vals).tolist()))   # the last path from v wins
+        last = np.append(start[1:] != start[:-1], True)[:len(start)]   # the last path from v wins
+        factors.update(zip(start[last].tolist(), (pre[last] / vals[last]).tolist()))
     q = measure.markov.q
     _, inflow = measure.markov._ifs_weights
     predicted = {v: inflow.get(v, 0.0) / q[v] for v in measure.diagram.vertices(window)
                  if q.get(v, 0.0) > 0}
     return ShiftInvarianceReport(float(worst), bool(worst <= tol), factors, predicted)
+
+
+def _preimage_sums(measure, max_len: int):
+    """(start, m([x]), m(sigma^{-1}[x])) over the rows x of mass of levels
+    1 .. max_len of a finite level: sigma^{-1}[x] is the rows of the next
+    level that shift_rows maps to x, whose forward order is edges_into
+    order, so np.bincount adds them as _block_sums adds x's prepended rows.
+    Past max_len only the preimages of rows of mass are valued."""
+    levels = path_columns(measure.diagram, max_len + (max_len > 0))
+    parent, rows, vals = next(levels), None, None
+    for n, level in enumerate(levels, 1):
+        rows = shift_rows(level, parent, rows)
+        if n > max_len and not (live := (vals != 0)[rows]).all():
+            level, rows = level[live], rows[live]
+        kids = measure.values(level)
+        if vals is not None:
+            keep = vals != 0
+            yield parent.start[keep], vals[keep], np.bincount(rows, kids, len(vals))[keep]
+        parent, vals = level, kids
+
+
+def _prepended_sums(measure, max_len: int, window):
+    """_preimage_sums on a stencil, whose preimages start past the walk's
+    window: the rows of mass of each level are prepended and valued."""
+    for level in islice(path_columns(measure.diagram, max_len, window), 1, None):
+        vals = measure.values(level)
+        keep = vals != 0
+        prefixed = level[keep].prepend(measure.diagram)
+        yield level.start[keep], vals[keep], _block_sums(measure.values(prefixed), prefixed.degree)
 
 
 @dataclass
@@ -654,6 +692,7 @@ def shift_condition_tail(diagram: DiagramSpec, eigen: EigenPair | None = None,
     """Shift-invariance criterion for the stationary tail measure:
     H^(1)_v = lam for every vertex.  Also reports the two-sided bound
     1/lam <= d(mu o sigma^{-1})/d mu <= M/lam when M = max H^(1) is finite."""
+    require_masses({"tol": tol}, "audit tolerance")
     diagram.require_stationary()
     if eigen is None:
         eigen = perron_eigenpair(diagram.matrix(0))
@@ -848,6 +887,7 @@ def check_kolmogorov(measure, max_len: int = 5, tol: float = IDENTITY_TOL,
     """parent = sum of one-edge extensions, for every cylinder up to
     max_len edges (length 0 anchors included).  Each level is valued once;
     a parent's extensions are the next level's consecutive block."""
+    require_masses({"tol": tol}, "audit tolerance")
     worst, count = 0.0, 0
     levels = path_columns(measure.diagram, max_len, window)
     roots = next(levels)

@@ -199,12 +199,6 @@ class PathColumns:
             cols.append(edges[at].tolist())
         return list(map(FinitePath, zip(*cols)))
 
-    def shift(self) -> "PathColumns":
-        """Drop the first edge of every row (one edge leaves the empty path
-        at its end); position j now holds what position j + 1 held."""
-        return PathColumns(self.edges[0].targets[self.ids[:, 0]], self.end,
-                           self.ids[:, 1:], self.edges[1:])
-
     def prepend(self, spec: DiagramSpec, level: int = 0) -> "PathColumns":
         """Each row prefixed with every edge at ``level`` into its start, in
         edges_into order: one consecutive block per row, the row's edges
@@ -239,6 +233,20 @@ def _fan_out(at: np.ndarray, spec: DiagramSpec, level: int, into: bool = False) 
     parent = np.arange(len(at)).repeat(degree)
     ids = np.arange(len(parent)) + (start - (degree.cumsum() - degree)).repeat(degree)
     return edges, parent, ids, degree
+
+
+def shift_rows(level: PathColumns, parent: PathColumns,
+               parent_rows: np.ndarray | None = None) -> np.ndarray:
+    """sigma on a finite stationary walk, as an index: the row of ``parent``
+    (the level ``level`` grew from) holding each row's edges after its
+    first, given sigma on ``parent`` (None at level 0, whose row v is [v]).
+    The k-th child of row p shifts to the k-th child of sigma(p), as a
+    row's extensions are one block in edges_from order."""
+    if parent.degree is None:
+        return level.end
+    first = parent.degree.cumsum() - parent.degree      # each row's first child in parent
+    return np.arange(len(level)) + (first[parent_rows]
+                                    - (level.degree.cumsum() - level.degree)).repeat(level.degree)
 
 
 def path_columns(spec: DiagramSpec, n: int, window: int | None = None):

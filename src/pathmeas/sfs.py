@@ -17,6 +17,7 @@ from .diagram import FINITE, DiagramSpec
 from .errors import (
     DiagramError,
     DomainViolation,
+    MeasureError,
     NotZeroOne,
     TooShort,
     ZeroMeasureCylinder,
@@ -116,8 +117,11 @@ def quasi_stationary_test(m, x: FinitePath, n_terms: int = QSTAT_TERMS,
     Markov form along x.
 
     Verdict is true when the partial products stay inside [tol, 1/tol]
-    and are Cauchy within tol over the last half of the terms.
+    and are Cauchy within tol over the last half of the terms; a tol that
+    is not positive with a finite inverse raises MeasureError.
     """
+    if not 0 < tol < np.inf or 1.0 / tol == np.inf:     # NaN fails too
+        raise MeasureError(f"tol {tol!r} is not a positive number with a finite inverse")
     partials = m.markov.level_ratios(x, n_terms)
     half = partials[len(partials) // 2:]
     inside = all(tol <= p <= 1.0 / tol for p in partials)

@@ -756,6 +756,38 @@ def test_eigen_tolerance_never_met_exit1(files, tol):
     assert error["kind"] == "SolverError" and "tol" in error["message"]
 
 
+def _strict_json(text):
+    """json.loads refusing NaN and Infinity, which RFC 8259 has no place for."""
+    return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in {text}"))
+
+
+@pytest.mark.parametrize("args, inputs, tol", [
+    *((["measure", "check", "--what", what], ("fib", "tail"), tol)
+      for what in ("kolmogorov", "tail", "shift", "shift-condition") for tol in ("nan", "inf", "-1")),
+    *((["measure", "check", "--what", "ifs"], ("allones", "ifs"), tol) for tol in ("nan", "-1e-300")),
+    *((["sfs", "qstat", "--path", "0-0-0"], ("fib", "tail"), tol)
+      for tol in ("nan", "inf", "-1", "0", "5e-324")),
+    *((["kernel", "check"], ("kernel",), tol) for tol in ("nan", "inf", "-1")),
+])
+def test_bad_audit_tolerance_measure_error_exit1(files, args, inputs, tol):
+    # a NaN tol once passed shift-condition (no vertex a witness) and was
+    # echoed as the bare NaN; qstat's --tol 0 ended in a ZeroDivisionError
+    # (exit 2), and its --tol nan printed bounds [NaN, NaN]
+    keys = ("--kernel",) if len(inputs) == 1 else ("--diagram", "--measure")
+    res = run([*args, *(x for key, name in zip(keys, inputs) for x in (key, files[name])),
+               "--tol", tol])
+    assert res.exit_code == 1
+    error = _strict_json(res.output)["error"]
+    assert error["kind"] == "MeasureError" and "tol" in error["message"]
+
+
+@pytest.mark.parametrize("what", ["kolmogorov", "tail", "shift", "shift-condition"])
+def test_zero_audit_tolerance_is_exact(files, what):
+    res = run(["measure", "check", "--diagram", files["fib"], "--measure", files["tail"],
+               "--what", what, "--tol", "0"])
+    assert res.exit_code in (0, 1) and _strict_json(res.output)["tol"] == 0.0
+
+
 def test_validate_triplet_outside_count_exit1(tmp_path):
     path = tmp_path / "d.json"
     path.write_text(json.dumps({**FIB, "matrices": [{"triplets": FIB["matrices"][0]["triplets"]

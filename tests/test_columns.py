@@ -3,7 +3,8 @@
 Each level of ``path_columns`` must hold the paths the one-edge-extension
 walk builds, in the same order, and each measure's ``values`` must equal
 ``[m.value(p) for p in paths]`` with float ``==`` (or raise the same typed
-error), on the level itself and on its shifted and prepended columns.
+error), on the level itself, on the rows of the level before that its
+shift reads, and on its prepended columns.
 """
 
 from collections import Counter
@@ -38,7 +39,7 @@ from pathmeas import (
     validate_path,
 )
 from pathmeas.measures import ShiftInvarianceReport, TailInvarianceReport, _block_sums
-from pathmeas.pathspace import PathColumns, column_level, path_columns
+from pathmeas.pathspace import PathColumns, column_level, path_columns, shift_rows
 from test_audit_oracle import (
     ref_ifs_fixed_point,
     ref_kolmogorov,
@@ -153,6 +154,42 @@ def _same_values(m, paths, level):
     assert isinstance(got, np.ndarray) and got.tolist() == want
 
 
+def _sigma(cols) -> list:
+    """shift_rows of each level of a finite stationary walk after level 0."""
+    rows = [None]
+    for parent, level in zip(cols, cols[1:]):
+        rows.append(shift_rows(level, parent, rows[-1]))
+    return rows[1:]
+
+
+@st.composite
+def stationary_walk(draw):
+    """The levels 0..n (n <= 5) of a random finite stationary diagram of 2-5
+    vertices with edge counts 0-2, so sinks and parallel edges occur."""
+    k = draw(st.integers(2, 5))
+    spec = pm.diagram_from_dict({"kind": "stationary", "vertices": {"type": "finite", "count": k},
+                                 "matrices": [_matrix(draw, k)]})
+    return list(path_columns(spec, draw(st.integers(1, 5))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stationary_walk())
+def test_shift_rows_drop_the_first_edge(cols):
+    # row sigma[i] of level n - 1 holds the edges of row i after its first,
+    # read through the columns' sources, targets and mults; level 1 maps
+    # each row to its end vertex, level 0's row of the empty path there
+    for parent, level, rows in zip(cols, cols[1:], _sigma(cols)):
+        if not parent.edges:
+            assert rows.tolist() == level.end.tolist()
+        assert parent.start[rows].tolist() == level.edges[0].targets[level.ids[:, 0]].tolist()
+        assert parent.end[rows].tolist() == level.end.tolist()
+        for j in range(1, len(level.edges)):
+            here, there = level.edges[j], parent.edges[j - 1]
+            at, to = level.ids[:, j], parent.ids[rows, j - 1]
+            for name in ("sources", "targets", "mults"):
+                assert getattr(there, name)[to].tolist() == getattr(here, name)[at].tolist()
+
+
 def _check(m, n, window):
     spec = m.diagram
     levels = _object_walk(spec, n, window)
@@ -164,9 +201,9 @@ def _check(m, n, window):
                                              for p in levels[j - 1]]
     paths, level = levels[-1], cols[-1]
     _same_values(m, paths, level)
-    if n:
+    if n and spec.is_stationary and spec.domain == pm.FINITE:
         rest = [shift(p) if len(p) > 1 else empty_path(p.end) for p in paths]
-        _same_values(m, rest, level.shift())
+        _same_values(m, rest, cols[-2][_sigma(cols)[-1]])
     if spec.is_stationary:
         pre = level.prepend(spec)
         into = [spec.edges_into(p.start, 0) for p in paths]
@@ -216,16 +253,18 @@ def _admissible(m, level, want):
 @settings(max_examples=100, deadline=None)
 @given(levels_case())
 def test_columns_give_admissible_paths(case):
-    # position j of a level is level j: shift() and prepend() once kept each
+    # position j of a level is level j: the shift and prepend() once kept each
     # column's stored level, so their paths were inadmissible and valued
     # with the wrong table
     m, n = case
     spec = m.diagram
-    for level in path_columns(spec, n):
+    cols = list(path_columns(spec, n))
+    sigma = _sigma(cols) if spec.is_stationary else []
+    for j, level in enumerate(cols):
         paths = level.paths()
         _admissible(m, level, paths)
-        if len(level.edges):
-            _admissible(m, level.shift(),
+        if j and spec.is_stationary:
+            _admissible(m, cols[j - 1][sigma[j - 1]],
                         [shift(p) if len(p) > 1 else empty_path(p.end) for p in paths])
         if spec.is_stationary:
             _admissible(m, level.prepend(spec),
@@ -280,13 +319,16 @@ def _kept_levels(m, n, data):
     out-edge table), its shift, its prepend at level 0 (in-edge columns)
     and a random subset of its rows."""
     spec = m.diagram
-    for j, level in enumerate(path_columns(spec, n)):
+    cols = list(path_columns(spec, n))
+    sigma = _sigma(cols) if spec.is_stationary else []
+    for j, level in enumerate(cols):
         assert all(col.matrix is spec.matrix(i) and col.index is not None
                    for i, col in enumerate(level.edges))
         paths = level.paths()
         yield level, paths
-        if j:
-            yield level.shift(), [shift(p) if len(p) > 1 else empty_path(p.end) for p in paths]
+        if j and spec.is_stationary:
+            yield cols[j - 1][sigma[j - 1]], [shift(p) if len(p) > 1 else empty_path(p.end)
+                                             for p in paths]
         pre = level.prepend(spec)
         yield pre, [prepend(f, p) for p in paths for f in spec.edges_into(p.start, 0)]
         rows = data.draw(st.lists(st.integers(0, max(len(level) - 1, 0)), max_size=len(level)))
@@ -382,12 +424,12 @@ def test_weight_arrays_built_once(monkeypatch, allones2):
     # form and its IFS weights; the sequence form's three tables and its
     # IFS weights (the ratio law's)
     assert len(built) == 3 + 2 + 4
-    # one fan-out column per direction read: allones2's out- and in-edges
-    # (the shift audit prepends), each of the sequence's three out-edges;
-    # one vertex array per measure valued: the IFS q, the Perron t, the Markov q
+    # one fan-out column per direction read: allones2's out-edges (a
+    # finite shift audit reads the next level, it prepends nothing), each
+    # of the sequence's three out-edges; one vertex array per measure
+    # valued: the IFS q, the Perron t, the Markov q
     assert max(kept.values()) == 1
     assert set(kept) == {("column", id(allones2.matrix(0)), False),
-                         ("column", id(allones2.matrix(0)), True),
                          *(("column", id(f), False) for f in seq.matrices),
                          ("vertices", id(ifs.q)), ("vertices", id(tail.eigen.t)),
                          ("vertices", id(markov.q))}

@@ -176,6 +176,19 @@ def test_audits_without_level0_table(fib):
     assert check_shift_invariance(tm, 0).invariant
 
 
+def test_shift_audit_reads_no_level_past_one_of_no_mass(fib):
+    # a finite shift audit walks to max_len + 1 for the preimages of the
+    # rows of mass; with none at max_len, the level past the stored
+    # tables or vectors is never valued
+    table = {(0, 0, 0): 0.5, (0, 1, 0): 0.5, (1, 0, 0): 1.0}
+    for m in (markov_measure(fib, [0.0, 0.0], [table]),
+              tail_measure_from_vectors(fib, [[0.0, 0.0], [0.0, 0.0]])):
+        report = check_shift_invariance(m, 1)
+        assert report.invariant and report.max_rel_deviation == 0.0 and report.factors == {}
+        with pytest.raises(pm.MeasureError, match="stored for level"):
+            check_kolmogorov(m, 2)
+
+
 def test_perron_window_typed_errors(nat):
     tm = stationary_tail_measure(nat)
     edge = max(tm.eigen.t)
